@@ -1,16 +1,15 @@
 """Growth and decay study of the separated solution family at large parameter.
 
-Builds one solution per ladder rung for the step weight (jump solutions
-past the steep transition), fits the log-log probe laws, and writes the
-JSON report plus a log-log SVG of the probe values.
+A thin wrapper over `curvebif rates`: fits the log-log probe laws for the
+default step-weight problem over the default ladder and writes rates.json
+and the log-log SVG rates.svg under --out-dir.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from curvebif import Nonlinearity, ProblemFamily, two_constant_weight
-from curvebif.asymptotics import build_family, default_ladder, flatness_and_node, grow_decay_rates
-from curvebif.emit import json_text, svg_plot
+from curvebif.cli import main as curvebif
 
 
 def main():
@@ -21,34 +20,9 @@ def main():
     args = ap.parse_args()
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    fam = ProblemFamily(
-        two_constant_weight(1.0, 2.0, 0.4),
-        Nonlinearity(kind="prototype", p=args.p, q=args.q, M=1.0),
-    )
-    members = build_family(fam, default_ladder())
-    slope_left, slope_right, fits = grow_decay_rates(members)
-    flat = flatness_and_node(members, fam.weight.z, fam.f.M)
-    report = {
-        "ladder": [m.lam for m in members],
-        "kinds": [m.kind for m in members],
-        "slope_left": slope_left,
-        "slope_right": slope_right,
-        "fit_left": fits["left"].to_dict(),
-        "fit_right": fits["right"].to_dict(),
-        "flatness": flat,
-    }
-    (out / "rates.json").write_text(json_text(report) + "\n")
-
-    lams = [m.lam for m in members]
-    series = [
-        {"x": lams, "y": [m.u_at(fits["left"].probe_x) for m in members], "dashed": False},
-        {"x": lams, "y": [max(m.u_at(fits["right"].probe_x), 1e-300) for m in members], "dashed": True},
-    ]
-    (out / "rates.svg").write_text(svg_plot(series, xlabel="lambda", ylabel="u(probe)", logx=True, logy=True))
-    print(f"left slope {slope_left:.3f} (r2 {fits['left'].r2:.4f}), "
-          f"right slope {slope_right:.3f} (r2 {fits['right'].r2:.4f}) -> {out}/rates.json")
+    return curvebif(["rates", "--p", repr(args.p), "--q", repr(args.q),
+                     "--out", str(out / "rates.json"), "--svg", str(out / "rates.svg")])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

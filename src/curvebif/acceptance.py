@@ -127,8 +127,7 @@ def small_branch(p):
     fam = ProblemFamily(jump_weight(), Nonlinearity(kind="prototype", p=p, q=0.5, M=1.0))
     ladder = (1e2, 10.0 ** 2.5, 1e3, 10.0 ** 3.5)
     report = small_branch_scaling(fam, ladder)
-    sols = [find_regular(fam.at(l), s_min=1e-8, s_max=1e3, n_scan=64)[0] for l in ladder]
-    return fam, report, sols
+    return fam, report, report["solutions"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from scipy.integrate import solve_ivp
 
 from .shoot import find_regular
 from .singular import Absent, SingularSolution, solve_singular
-from .util import parallel_map
 
 __all__ = [
     "RateFit",
@@ -270,8 +269,9 @@ def small_branch_scaling(pb_family, ladder, n_scan=64):
     """Scaling of the smallest solution for p > 1 and the limit-problem match.
 
     Returns a report with the log-log slope of the smallest sup norm
-    (expected -1/(p-1)), its fit quality, and the ratio of the rescaled
-    heights to the limit problem's height.
+    (expected -1/(p-1)), its fit quality, the ratio of the rescaled
+    heights to the limit problem's height, and the smallest solution at
+    each rung of the sorted ladder.
     """
     p = pb_family.f.p
     if p <= 1.0:
@@ -286,7 +286,7 @@ def small_branch_scaling(pb_family, ladder, n_scan=64):
             raise RuntimeError(f"no small solution found at lam = {lam}")
         return sols[0]
 
-    sols = parallel_map(smallest, ladder)
+    sols = [smallest(lam) for lam in ladder]
     sups = [s.sup_norm for s in sols]
     slope, intercept, r2 = _loglog_fit(ladder, sups)
     v_height = semilinear_positive_solution(pb_family.weight, p)
@@ -300,4 +300,5 @@ def small_branch_scaling(pb_family, ladder, n_scan=64):
         "limit_height": v_height,
         "scaled_heights": scaled,
         "limit_ratio_last": scaled[-1] / v_height,
+        "solutions": sols,
     }

@@ -11,6 +11,7 @@ verification failure.  Identical inputs yield byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ class UsageError(RuntimeError):
 def _load_problem(args):
     if getattr(args, "problem", None) and getattr(args, "problem_file", None):
         raise UsageError("pass either --problem or --problem-file, not both")
-    spec = dict(DEFAULT_PROBLEM)
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
     if getattr(args, "problem", None):
         try:
             spec = json.loads(args.problem)

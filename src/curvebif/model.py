@@ -298,14 +298,6 @@ class Weight:
                 return float(k), float(c)
         return math.inf, 0.0
 
-    def node_value(self, side):
-        order, coeff = self.node_order(side)
-        if order == 0.0:
-            return coeff
-        if order > 0.0:
-            return 0.0
-        return math.copysign(math.inf, coeff)
-
     def zero_mean_point(self):
         """Unique x in (z, 1) where the running integral of a vanishes."""
         if not self.has_sign_split:

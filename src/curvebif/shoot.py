@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import curvature_residual, neumann_balance
-from .util import parallel_map
+from .util import bisect_bracket, scan_brackets
 
 __all__ = ["Caps", "ArcPath", "Blocked", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
 
@@ -363,25 +363,24 @@ def shoot_residual(pb, s0, caps=None):
 
 
 def _classify(pb, s0, caps):
-    """Residual with surrogate signs for bracketing.
+    """Residual with surrogate signs for bracketing, as (value, exact).
 
     Paths that hit the trivial line while sloped are undershoots (negative
     surrogate), downward vertical tangents are deeper undershoots, upward
     ones are overshoots (positive surrogate).  Surrogates only steer the
-    bisection: a root is accepted only at a path that truly reaches x = 1
-    with a tiny residual, so a surrogate can never mint a solution.
+    bisection: they are never exact and never smaller than 0.1 in size, so
+    a root is accepted only at a path that truly reaches x = 1 with a tiny
+    residual, and a surrogate can never mint a solution.
     """
     path = integrate_path(pb, s0, caps=caps, collect=False)
     if path.terminal == "reached":
-        return "ok", path.theta_end, path
+        return path.theta_end, True
     if path.terminal == "u_zero":
         x_stop, _, th = path.state_end
-        return "neg", -(0.1 + max(0.0, 1.0 - x_stop)) + min(th, 0.0), path
+        return -(0.1 + max(0.0, 1.0 - x_stop)) + min(th, 0.0), False
     if path.terminal == "vertical":
-        if path.state_end[2] < 0.0:
-            return "neg", -math.pi, path
-        return "pos", math.pi, path
-    return "break", None, path
+        return (-math.pi if path.state_end[2] < 0.0 else math.pi), False
+    return None, False
 
 
 def solution_from_path(pb, path):
@@ -412,9 +411,10 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=Non
     """All regular Neumann solutions with initial height in [s_min, s_max].
 
     Scans log-spaced heights, brackets sign changes of the shooting
-    residual, refines each bracket by bisection to |theta(1)| <= theta_tol,
-    and deduplicates by sup norm.  An empty list is meaningful: no regular
-    solution has its height in the scanned window.
+    residual, refines each bracket by bisection to |theta(1)| <= theta_tol
+    (or, when the bracket collapses first, to its best reaching path within
+    1e-6), and deduplicates by sup norm.  An empty list is meaningful: no
+    regular solution has its height in the scanned window.
     """
     if pb.lam < 0:
         raise ValueError("solvers accept lam >= 0 only")
@@ -424,35 +424,16 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=Non
         raise ValueError("need n_scan >= 16")
     caps = caps or Caps()
 
-    heights = np.geomspace(s_min, s_max, n_scan)
-    marks = parallel_map(lambda s: _classify(pb, float(s), caps), heights)
-
-    def sign_of(mark):
-        tag, val, _ = mark
-        if tag == "break":
-            return None
-        return 1.0 if val >= 0.0 else -1.0
-
+    brackets = scan_brackets(lambda s: _classify(pb, s, caps), s_min, s_max, n_scan)
     roots = []
-    for i in range(len(heights) - 1):
-        sa, sb = sign_of(marks[i]), sign_of(marks[i + 1])
-        if sa is None or sb is None or sa == sb:
-            continue
-        root = _bisect_height(pb, heights[i], heights[i + 1], sa, theta_tol, caps)
+    for lo, hi, lo_positive in brackets:
+        root = _bisect_height(pb, lo, hi, lo_positive, theta_tol, caps)
         if root is not None:
             roots.append(root)
 
     solutions = []
-    fine = Caps(
-        s_max=caps.s_max,
-        u_max=caps.u_max,
-        nfev_max=caps.nfev_max,
-        eps_neg=caps.eps_neg,
-        dtheta_mesh=caps.dtheta_mesh,
-        dx_mesh=caps.dx_mesh,
-    )
     for s0 in roots:
-        path = integrate_path(pb, s0, caps=fine, collect=True)
+        path = integrate_path(pb, s0, caps=caps, collect=True)
         if path.terminal != "reached":
             continue
         sol = solution_from_path(pb, path)
@@ -465,20 +446,5 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=Non
     return solutions
 
 
-def _bisect_height(pb, lo, hi, sign_lo, theta_tol, caps, max_iter=200):
-    best = None
-    for _ in range(max_iter):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        tag, val, _ = _classify(pb, mid, caps)
-        if tag == "ok" and abs(val) <= theta_tol:
-            return mid
-        if tag == "break":
-            return best
-        s = 1.0 if val >= 0.0 else -1.0
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return best
+def _bisect_height(pb, lo, hi, lo_positive, theta_tol, caps):
+    return bisect_bracket(lambda s: _classify(pb, s, caps), lo, hi, lo_positive, theta_tol, 1e-15, 200)

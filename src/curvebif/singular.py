@@ -18,13 +18,14 @@ has already lost the solution in its unstable vertical channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import curvature_residual
 from .quadrature import ExtendedReal, criterion_integral
 from .shoot import Caps, _march
+from .util import bisect_bracket, scan_brackets
 
 __all__ = [
     "RegularityVerdict",
@@ -142,39 +143,32 @@ def smallness_guard(pb):
 _RIGHT_ATOL = (1e-12, 0.0, 1e-13)
 
 
-def _piece_value(pb, height, side, caps, collect=False):
-    """Continuous classifier for the one-sided flux budget.
+def _piece_value(pb, height, side, caps):
+    """Continuous classifier for the one-sided flux budget, as (value, exact).
 
     Zero exactly when the path from the outer boundary reaches the node
-    with a vertical tangent; positive when the tangent turns vertical
-    early, negative when the node is reached with flux to spare.
+    with a vertical tangent; negative when the node is reached with flux to
+    spare (an exact value); otherwise the signed gap between the node and
+    the point where the tangent turned vertical, positive when it turned
+    early.  Vertical events may land just past the node, so the gap keeps
+    its sign: only a tangent formed within tolerance of the node converges.
     """
     z = pb.weight.z
     if side == "left":
-        path = _march(pb, 0.0, height, 0.0, z, caps, collect=collect)
-        x_stop = path.state_end[0]
-        gap = z - x_stop
+        path = _march(pb, 0.0, height, 0.0, z, caps, collect=False)
+        gap = z - path.state_end[0]
     else:
-        path = _march(pb, 1.0, height, 0.0, z, caps, collect=collect, atol=_RIGHT_ATOL)
-        x_stop = path.state_end[0]
-        gap = x_stop - z
+        path = _march(pb, 1.0, height, 0.0, z, caps, collect=False, atol=_RIGHT_ATOL)
+        gap = path.state_end[0] - z
     if path.terminal == "reached":
-        return -(1.0 + math.sin(path.state_end[2])), path
+        return -(1.0 + math.sin(path.state_end[2])), True
     if path.terminal == "vertical" and path.state_end[2] < 0.0:
-        return max(gap, 0.0), path
-    return None, path
+        return gap, False
+    return None, False
 
 
-def _piece_converged(v, path, z, tol):
-    """Either side of the root counts: the node reached with the tangent
-    vertical to tolerance, or the vertical tangent formed at the node."""
-    if path.terminal == "reached":
-        return abs(v) <= tol
-    return abs(path.state_end[0] - z) <= 1e-9
-
-
-def _solve_piece(pb, side, caps, flux_theta_tol=1e-9, n_scan=96, s_hi=None):
-    """Root-find the outer height of one vertical-tangent piece."""
+def _solve_piece(pb, side, caps, *, n_scan=96, s_hi=None):
+    """Root-find the outer height of one vertical-tangent piece, or None."""
     z = pb.weight.z
     lam = pb.lam
     if s_hi is None:
@@ -185,42 +179,15 @@ def _solve_piece(pb, side, caps, flux_theta_tol=1e-9, n_scan=96, s_hi=None):
     # outer heights of the right piece shrink exponentially in lam, so the
     # scan floor sits far below any polynomial scale
     s_lo = 1e-8 if side == "left" else 1e-60
-    heights = np.geomspace(s_lo, s_hi, n_scan)
-    vals = []
-    for s in heights:
-        v, _ = _piece_value(pb, float(s), side, caps)
-        vals.append(v)
 
-    brackets = []
-    for i in range(len(heights) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if (a > 0) != (b > 0):
-            brackets.append((heights[i], heights[i + 1], a > 0))
+    def value(s):
+        return _piece_value(pb, s, side, caps)
+
+    brackets = scan_brackets(value, s_lo, s_hi, n_scan)
     if not brackets:
-        return None, None
-    lo, hi, lo_pos = brackets[-1] if side == "left" else brackets[0]
-
-    best = None
-    for _ in range(220):
-        mid = math.sqrt(lo * hi)
-        v, path = _piece_value(pb, mid, side, caps)
-        if v is None:
-            return None, None
-        if _piece_converged(v, path, z, flux_theta_tol):
-            return mid, path
-        if path.terminal == "reached" and (best is None or abs(v) < abs(best[0])):
-            best = (v, mid, path)
-        if (v > 0) == lo_pos:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    if best is not None and abs(best[0]) <= 1e-6:
-        return best[1], best[2]
-    return None, None
+        return None
+    lo, hi, lo_positive = brackets[-1] if side == "left" else brackets[0]
+    return bisect_bracket(value, lo, hi, lo_positive, 1e-9, 1e-16, 220)
 
 
 def _flux_quadrature(pb, path, side):
@@ -258,19 +225,12 @@ def solve_singular(pb, caps=None, n_scan=96):
     caps = caps or Caps()
     # pieces carry vertical tangents; the reporting mesh needs fine angle
     # grading for the trimmed piece residuals to resolve the steep layer
-    fine = Caps(
-        s_max=caps.s_max,
-        u_max=caps.u_max,
-        nfev_max=caps.nfev_max,
-        eps_neg=caps.eps_neg,
-        dtheta_mesh=1e-5,
-        dx_mesh=1e-3,
-    )
+    fine = replace(caps, dtheta_mesh=1e-5, dx_mesh=1e-3)
 
-    s_left, _ = _solve_piece(pb, "left", caps, n_scan=n_scan)
+    s_left = _solve_piece(pb, "left", caps, n_scan=n_scan)
     if s_left is None:
         return Absent("no-left-piece", "no height closes the left flux budget")
-    s_right, _ = _solve_piece(pb, "right", caps, n_scan=n_scan)
+    s_right = _solve_piece(pb, "right", caps, n_scan=n_scan)
     if s_right is None:
         return Absent("no-right-piece", "no height closes the right flux budget")
 

@@ -1,32 +1,63 @@
-"""Small shared runtime helpers."""
+"""Scan-and-bisect root search in a positive height.
+
+Regular heights and jump-piece heights are both found this way: sample a
+classifier on log-spaced heights, bracket its sign changes, then bisect a
+bracket geometrically.  A classifier value(s) returns (v, exact): v is the
+signed value, or None where s gives no sign; exact is False for surrogate
+values that only steer the bisection.  v >= 0 counts as positive.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 
-__all__ = ["thread_budget", "parallel_map"]
+import numpy as np
 
+__all__ = ["scan_brackets", "bisect_bracket"]
 
-def thread_budget():
-    """Worker cap from CURVEBIF_THREADS (default 1: fully serial runs)."""
-    raw = os.environ.get("CURVEBIF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
+# a collapsed bracket keeps its best exact point only this close to a root
+FALLBACK_TOL = 1e-6
 
 
-def parallel_map(fn, items):
-    """Order-preserving map over independent work items.
+def scan_brackets(value, lo, hi, n):
+    """Sign-change brackets (a, b, a_positive) over n log-spaced heights.
 
-    Runs serially unless CURVEBIF_THREADS raises the budget; results are
-    returned in input order either way, so output is deterministic.
+    Every height is evaluated before the brackets are formed; neighbours
+    with no sign form no bracket.
     """
-    items = list(items)
-    n = thread_budget()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))
+    heights = [float(s) for s in np.geomspace(lo, hi, n)]
+    vals = [value(s)[0] for s in heights]
+    brackets = []
+    for a, b, va, vb in zip(heights, heights[1:], vals, vals[1:]):
+        if va is not None and vb is not None and (va >= 0.0) != (vb >= 0.0):
+            brackets.append((a, b, va >= 0.0))
+    return brackets
+
+
+def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
+    """Geometric bisection of a bracket in heights 0 < lo < hi.
+
+    Returns the first midpoint with |v| <= tol, and None as soon as a
+    midpoint has no sign.  When the bracket collapses to hi - lo <= rtol * hi
+    or max_iter midpoints are spent, returns the exact midpoint with the
+    smallest |v| if that is within FALLBACK_TOL, else None.
+    """
+    best = None
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi)
+        v, exact = value(mid)
+        if v is None:
+            return None
+        if abs(v) <= tol:
+            return mid
+        if exact and (best is None or abs(v) < abs(best[0])):
+            best = (v, mid)
+        if (v >= 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * hi:
+            break
+    if best is not None and abs(best[0]) <= FALLBACK_TOL:
+        return best[1]
+    return None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,19 +48,15 @@ class DiscreteBVFunction:
         return float(np.sum(np.abs(np.diff(self.values))))
 
 
-_CELL_CACHE = {}
-
-
+# keyed by the weight itself: a Weight hashes by value, and any other weight
+# hashes by identity but is kept alive by its entry, so no key can go stale
+@lru_cache(maxsize=64)
 def _cell_averages(weight, n):
     """Exact integral of a over each nodal cell (half cells at the ends)."""
-    key = (id(weight), n)
-    hit = _CELL_CACHE.get(key)
-    if hit is not None:
-        return hit
     h = 1.0 / n
     edges = np.concatenate([[0.0], (np.arange(n) + 0.5) * h, [1.0]])
     ints = np.array([weight.integral(a, b) for a, b in zip(edges[:-1], edges[1:])])
-    _CELL_CACHE[key] = ints
+    ints.flags.writeable = False  # shared by every caller with an equal weight
     return ints
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from curvebif.cli import main
+from curvebif.cli import DEFAULT_PROBLEM, main
 
 
 def run_cli(args):
@@ -185,6 +185,12 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["solve", "--lambda", "-3"]) == 1
     assert run_cli(["eig", "--problem", "{}", "--problem-file", "x"]) == 1
     assert run_cli(["nonsense"]) == 1
+
+
+def test_flags_leave_the_default_problem_alone():
+    # --p rewrites the loaded spec before the short ladder is refused
+    assert run_cli(["rates", "--p", "2", "--ladder", "1e2,1e3"]) == 1
+    assert DEFAULT_PROBLEM["f"]["p"] == 1.0
 
 
 def test_verify_subset_exit_codes():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curvebif.emit import csv_text, fmt, json_text, svg_plot
-from curvebif.util import parallel_map, thread_budget
 
 
 def test_float_formatting_is_fixed_width_precision():
@@ -43,12 +42,3 @@ def test_svg_plot_is_standalone_and_deterministic():
     assert "stroke-dasharray" in a
     assert "http://www.w3.org/2000/svg" in a
 
-
-def test_parallel_map_is_order_preserving(monkeypatch):
-    items = list(range(20))
-    monkeypatch.setenv("CURVEBIF_THREADS", "4")
-    assert thread_budget() == 4
-    assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
-    monkeypatch.setenv("CURVEBIF_THREADS", "junk")
-    assert thread_budget() == 1
-    assert parallel_map(lambda v: v + 1, items) == [v + 1 for v in items]

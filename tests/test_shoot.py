@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight
+from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif.shoot import Blocked, Caps, find_regular, integrate_path, shoot_residual
 
 
@@ -46,6 +46,17 @@ def test_scan_preconditions(jump_weight, bump_f):
         find_regular(pb, s_min=0.0, s_max=1.0)
     with pytest.raises(ValueError):
         find_regular(pb, n_scan=8)
+
+
+def test_stalled_bracket_keeps_its_root():
+    # theta(1) is noisy at 1e-9 near this root, so bisection collapses the
+    # bracket above the default theta_tol; the best reaching path is kept
+    w = two_constant_weight(1.0, 1.9047457604562859, 0.4169952921108211)
+    f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.059638553452812194)
+    sols = find_regular(ProblemInstance(7.513497307218249, w, f), 1e-6, 1e3, 64)
+    assert len(sols) == 1
+    assert sols[0].sup_norm == pytest.approx(0.0804258350, rel=1e-8)
+    assert sols[0].residual <= 1e-5 and abs(sols[0].balance) <= 1e-5
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemInstance
+from curvebif import Nonlinearity, ProblemInstance, two_constant_weight
 from curvebif.eigen import principal_neumann
 from curvebif.varmin import (
     DiscreteBVFunction,
@@ -124,3 +124,19 @@ def test_discrete_function_helpers():
     assert u.n == 16
     assert u.sup_norm == 1.0
     assert u.variation() == pytest.approx(1.0)
+
+
+def test_cell_integrals_follow_fresh_weights(mild_f):
+    # weights built and dropped one at a time may share an id(); each must
+    # still be integrated with its own cells
+    n = 240
+    v = np.full(n + 1, 0.01)
+    edges = np.concatenate([[0.0], (np.arange(n) + 0.5) / n, [1.0]])
+    for k in range(12):
+        w = two_constant_weight(1.0, 1.8 + 0.05 * k, 0.35 + 0.008 * k)
+        pb = ProblemInstance(5.0, w, mild_f)
+        cells = np.array([w.integral(a, b) for a, b in zip(edges[:-1], edges[1:])])
+        length = float(np.sum(np.sqrt(n ** -2 + np.diff(v) ** 2) - 1.0 / n))
+        want = length - pb.lam * float(np.sum(cells * mild_f.potential(v)))
+        assert functional_value(pb, v) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        del w, pb
