@@ -73,6 +73,15 @@ def _scales(lam, s0):
     return max(abs(lam), 1e-2), max(abs(s0), 1e-4)
 
 
+def _partials(pb_family, lam, s0, r, caps):
+    """Forward differences (dtheta/dlam, dtheta/ds0) at (lam, s0), whose residual is r."""
+    dl = 1e-6 * max(abs(lam), 1e-3)
+    ds = 1e-6 * max(abs(s0), 1e-6)
+    r_l = (_residual(pb_family, lam + dl, s0, caps) - r) / dl
+    r_s = (_residual(pb_family, lam, s0 + ds, caps) - r) / ds
+    return r_l, r_s
+
+
 def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
     """Damped Newton on (residual, arclength normalization)."""
     sl, ss = _scales(*ref)
@@ -83,14 +92,9 @@ def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
             return None
         if abs(r) <= tol and abs(n) <= 1e-9:
             return lam, s0
-        dl = 1e-6 * max(abs(lam), 1e-3)
-        ds = 1e-6 * max(abs(s0), 1e-6)
-        r_l = _residual(pb_family, lam + dl, s0, caps)
-        r_s = _residual(pb_family, lam, s0 + ds, caps)
-        if math.isnan(r_l) or math.isnan(r_s):
+        j00, j01 = _partials(pb_family, lam, s0, r, caps)
+        if math.isnan(j00) or math.isnan(j01):
             return None
-        j00 = (r_l - r) / dl
-        j01 = (r_s - r) / ds
         j10 = tangent[0] / sl
         j11 = tangent[1] / ss
         det = j00 * j11 - j01 * j10
@@ -118,11 +122,8 @@ def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
 
 def _tangent_fd(pb_family, lam, s0, caps):
     sl, ss = _scales(lam, s0)
-    r0 = _residual(pb_family, lam, s0, caps)
-    dl = 1e-6 * max(abs(lam), 1e-3)
-    ds = 1e-6 * max(abs(s0), 1e-6)
-    rl = (_residual(pb_family, lam + dl, s0, caps) - r0) / dl * sl
-    rs = (_residual(pb_family, lam, s0 + ds, caps) - r0) / ds * ss
+    rl, rs = _partials(pb_family, lam, s0, _residual(pb_family, lam, s0, caps), caps)
+    rl, rs = rl * sl, rs * ss
     norm = math.hypot(rl, rs)
     if norm == 0 or math.isnan(norm):
         return (0.0, 1.0)

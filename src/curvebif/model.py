@@ -544,31 +544,6 @@ class Nonlinearity:
         val = np.sign(arr) * self._f_pos(np.abs(arr))
         return float(val) if np.isscalar(u) or val.ndim == 0 else val
 
-    def df(self, u):
-        """f'(u) (even extension), piecewise-analytic kinds only at kinks."""
-        arr = np.abs(np.asarray(u, dtype=float))
-        out = np.zeros_like(arr)
-        if self.kind in ("prototype", "smoothed"):
-            if self.kind == "prototype":
-                a = b = self.M
-            else:
-                a, b, _ = self._blend
-            m0 = arr < a
-            m2 = arr > b
-            out[m0] = self.p * arr[m0] ** (self.p - 1.0)
-            out[m2] = -self.q * self.h * arr[m2] ** (-self.q - 1.0)
-            if self.kind == "smoothed":
-                m1 = ~(m0 | m2)
-                _, _, (c0, c1, c2, c3) = self._blend
-                s = arr[m1] - a
-                out[m1] = c1 + s * (2.0 * c2 + 3.0 * c3 * s)
-        else:
-            eps = 1e-6 * max(1.0, float(np.max(arr, initial=1.0)))
-            out = (self._f_pos(arr + eps) - self._f_pos(np.maximum(arr - eps, 0.0))) / (
-                2.0 * eps
-            )
-        return float(out) if np.isscalar(u) or out.ndim == 0 else out
-
     def _F_pos(self, u):
         out = np.zeros_like(u)
         p1 = self.p + 1.0

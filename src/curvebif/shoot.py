@@ -30,21 +30,17 @@ __all__ = ["Caps", "ArcPath", "Blocked", "RegularSolution", "integrate_path", "s
 
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
+_U_MAX = 1e15  # height at which a shot stops with terminal "cap"
+_NFEV_MAX = 4_000_000  # checked after the shot, so it does not bound the work
+_EPS_NEG = 1e-9  # how far below zero a trajectory may dip
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Budget limits for a single arclength integration."""
+    """Mesh spacing for the stored path of a single arclength integration."""
 
-    s_max: float | None = None  # arclength budget; None picks 6 + 4 |u0|
-    u_max: float = 1e15
-    nfev_max: int = 4_000_000
-    eps_neg: float = 1e-9  # how far below zero a trajectory may dip
     dtheta_mesh: float = 5e-4  # max angle change per stored mesh interval
     dx_mesh: float = 2e-3  # max x advance per stored mesh interval
-
-    def budget(self, u0):
-        return self.s_max if self.s_max is not None else 6.0 + 4.0 * abs(u0)
 
 
 @dataclass
@@ -161,7 +157,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
 
     y = np.array([x_start, u_start, theta_start], dtype=float)
     s_accum = 0.0
-    s_budget = caps.budget(u_start)
+    s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
     nfev = 0
     min_cos = math.cos(theta_start)
     dead_core = False
@@ -206,13 +202,13 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
         ev_vert_up.direction = 1.0
 
         def ev_uzero(s, yv):
-            return yv[1] + caps.eps_neg
+            return yv[1] + _EPS_NEG
 
         ev_uzero.terminal = True
         ev_uzero.direction = -1.0
 
         def ev_ucap(s, yv):
-            return abs(yv[1]) - caps.u_max
+            return abs(yv[1]) - _U_MAX
 
         ev_ucap.terminal = True
         ev_ucap.direction = 1.0
@@ -269,7 +265,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
                 and direction > 0
                 and y[0] > z
                 and abs(y[2]) <= 1e-5
-                and abs(y[1]) <= 10 * caps.eps_neg
+                and abs(y[1]) <= 10 * _EPS_NEG
             ):
                 # dead core: f(0) = 0 makes u == 0 an exact continuation
                 dead_core = True
@@ -294,7 +290,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
 
     if terminal == "reached" and theta_end is None:
         theta_end = float(y[2])
-    if nfev > caps.nfev_max:
+    if nfev > _NFEV_MAX:
         terminal = "cap"
 
     if collect and ss_parts:

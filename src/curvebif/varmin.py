@@ -5,8 +5,8 @@ An independent existence oracle: the graph-length functional
     J(u) = int (sqrt(1 + u'^2) - 1) - lam int a F(u)
 
 is discretized on a uniform grid, steep cells standing in for jumps at
-O(h) cost, and minimized by monotone descent (Barzilai-Borwein steps with
-an Armijo backtrack).  Cell averages of the weight are exact, so constants
+O(h) cost, and minimized by scipy's L-BFGS-B, whose accepted steps never
+raise the value.  Cell averages of the weight are exact, so constants
 reproduce their functional value to machine precision, and the potential
 F is extended evenly so replacing a minimizer by its absolute value never
 raises the value.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 
 __all__ = ["DiscreteBVFunction", "functional_value", "functional_gradient", "minimize", "minimize_multistart"]
 
@@ -101,56 +102,38 @@ def functional_gradient(pb, u):
     return g
 
 
-def minimize(pb, init=None, n=240, max_iter=30000, tol=1e-9, stall=400):
-    """Monotone descent to a stationary point; returns (|u|, value, info).
+def minimize(pb, init=None, n=240, max_iter=30000, tol=1e-9):
+    """L-BFGS-B descent to a stationary point; returns (|u|, value, info).
 
-    The iterate history never increases the functional (Armijo backtracking
-    on Barzilai-Borwein trial steps); iteration stops on a small gradient,
-    on value stagnation over `stall` steps, or at max_iter.  The absolute
-    value of the final iterate is returned, which cannot raise the discrete
-    functional.
+    scipy's L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) accepts only steps
+    that satisfy its sufficient-decrease line search, so the history of
+    accepted values never increases.  Iteration stops on max |g| <= tol, on
+    a relative value change of at most 1e-15 in one step, or at max_iter.
+    The absolute value of the final iterate is returned, which cannot raise
+    the discrete functional.
     """
-    if init is None:
-        v = np.zeros(n + 1)
-    else:
-        v = _as_values(init, n).copy()
-    n = len(v) - 1
-    fval = functional_value(pb, v)
-    g = functional_gradient(pb, v)
-    history = [fval]
-    alpha = 1.0 / (np.linalg.norm(g) + 1.0)
-    iterations = 0
-    for k in range(max_iter):
-        gmax = float(np.max(np.abs(g)))
-        if gmax <= tol:
-            break
-        if len(history) > stall and history[-stall] - history[-1] <= 1e-15 * (1.0 + abs(history[-1])):
-            break
-        iterations = k + 1
-        accepted = False
-        a = alpha
-        gg = float(g @ g)
-        for _ in range(50):
-            cand = v - a * g
-            fc = functional_value(pb, cand)
-            if fc <= fval - 1e-4 * a * gg:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            break
-        g_new = functional_gradient(pb, cand)
-        s = cand - v
-        y = g_new - g
-        sy = float(s @ y)
-        alpha = float(s @ s) / sy if sy > 1e-300 else a * 2.0
-        alpha = min(max(alpha, 1e-12), 1e6)
-        v, fval, g = cand, fc, g_new
-        history.append(fval)
+    v = np.zeros(n + 1) if init is None else _as_values(init, n)
+    history = [functional_value(pb, v)]
 
-    v = np.abs(v)
+    def fun(x):
+        return functional_value(pb, x), functional_gradient(pb, x)
+
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
+
+    res = optimize.minimize(
+        fun,
+        v,
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        # an iteration runs at most two line searches of 20 evaluations, so
+        # maxfun never stops a run before max_iter does
+        options={"maxiter": max_iter, "maxfun": 40 * max_iter + 1, "ftol": 1e-15, "gtol": tol},
+    )
+    v = np.abs(res.x)
     fval = functional_value(pb, v)
-    return DiscreteBVFunction(v), fval, {"iterations": iterations, "history": history}
+    return DiscreteBVFunction(v), fval, {"iterations": int(res.nit), "history": history}
 
 
 def minimize_multistart(pb, n=240, starts=6, max_iter=30000, tol=1e-9, height_scale=None):

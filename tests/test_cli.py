@@ -25,10 +25,16 @@ def test_eig_matches_oracle(tmp_path):
     assert abs(got["lambda0"] - oracle) / oracle < 1e-6
 
 
-def test_determinism_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    # about 2 lambda0 of the default problem: at its default lambda = 0 no start descends
+    [["eig"], ["minimize", "--n", "120", "--starts", "3", "--lambda", "11"]],
+    ids=["eig", "minimize"],
+)
+def test_determinism_byte_identical(tmp_path, argv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        assert run_cli(["eig", "--out", str(path)]) == 0
+        assert run_cli(argv + ["--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif.shoot import Blocked, Caps, find_regular, integrate_path, shoot_residual
+from curvebif.varmin import functional_value
 
 
 def test_lambda_zero_is_a_straight_line(jump_weight, bump_f):
@@ -65,6 +66,28 @@ def test_flux_variable_bounded_by_representation(jump_weight, bump_f, lam, s0):
     pb = ProblemInstance(lam, jump_weight, bump_f)
     path = integrate_path(pb, s0)
     assert np.max(np.abs(np.sin(path.thetas))) <= 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ramp=st.booleans(),
+    lam=st.floats(0.0, 20.0),
+    c=st.floats(0.25, 4.0),
+    s0=st.floats(1e-3, 2.0),
+)
+def test_weight_scale_moves_into_lambda(jump_weight, ramp_weight, mild_f, ramp, lam, c, s0):
+    # lam (c a) and (c lam) a give the same equation and the same functional
+    weight = ramp_weight if ramp else jump_weight
+    scaled = ProblemInstance(lam, weight.scaled(c), mild_f)
+    moved = ProblemInstance(c * lam, weight, mild_f)
+    got, want = shoot_residual(scaled, s0), shoot_residual(moved, s0)
+    if isinstance(want, Blocked):
+        assert isinstance(got, Blocked) and got.event == want.event
+    else:
+        assert got == pytest.approx(want, abs=1e-8)
+    xs = np.linspace(0.0, 1.0, 121)
+    v = s0 * np.exp(-4.0 * (xs - weight.z) ** 2)
+    assert functional_value(scaled, v) == pytest.approx(functional_value(moved, v), rel=1e-12)
 
 
 def test_vertical_event_near_node_for_steep_shots(jump_weight, bump_f, lam0_jump):
