@@ -35,7 +35,7 @@ from .model import (
 )
 from .quadrature import ExtendedReal, criterion_integral, criterion_pair, integrate
 from .eigen import EigenPair, bif_direction, principal_dirichlet, principal_neumann
-from .shoot import ArcPath, Blocked, Caps, RegularSolution, find_regular, integrate_path, shoot_residual
+from .shoot import ArcPath, Blocked, RegularSolution, find_regular, integrate_path, shoot_residual
 from .singular import Absent, RegularityVerdict, SingularSolution, classify, smallness_guard, solve_singular
 from .continuation import Branch, diagram, seed_from_lambda0, singular_sweep, trace
 from .varmin import DiscreteBVFunction, functional_value, minimize, minimize_multistart

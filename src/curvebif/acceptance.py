@@ -430,6 +430,9 @@ def run_all(subset=None, stream=None):
 
     out = stream or sys.stdout
     ids = sorted(subset) if subset else sorted(CHECKS)
+    unknown = [cid for cid in ids if cid not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; choose from {sorted(CHECKS)}")
     all_ok = True
     for cid in ids:
         res = CHECKS[cid]()

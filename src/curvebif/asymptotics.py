@@ -107,13 +107,13 @@ def default_ladder():
     return tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 
 
-def build_family(pb_family, ladder, min_height_factor=2.0, allow_singular=True, n_scan=48):
+def build_family(pb_family, ladder):
     """One separated-from-zero solution per ladder rung.
 
-    Tries the regular height scan above min_height_factor * M first (warm
-    bounds carried along the ladder), then falls back to the jump
-    construction when the weight admits it.  Raises when a rung yields
-    nothing, since rate fits need every member.
+    Tries the regular height scan above 2 M first (warm bounds carried
+    along the ladder), then falls back to the jump construction when the
+    weight admits it.  Raises when a rung yields nothing, since rate fits
+    need every member.
     """
     ladder = sorted(float(l) for l in ladder)
     if len(ladder) < 2:
@@ -125,18 +125,18 @@ def build_family(pb_family, ladder, min_height_factor=2.0, allow_singular=True, 
     q = pb_family.f.q
     for lam in ladder:
         pb = pb_family.at(lam)
-        lo = min_height_factor * pb_family.f.M
+        lo = 2.0 * pb_family.f.M
         if prev_sup is None:
             hi = max(1e6, (lam * pb_family.f.h * pb_family.weight.abs_integral) ** (1.0 / q) * 1e2)
         else:
             hi = prev_sup * (lam / members[-1].lam) ** (1.0 / q) * 1e2
         hi = max(hi, 10 * lo)
         member = None
-        sols = find_regular(pb, s_min=lo, s_max=hi, n_scan=n_scan)
+        sols = find_regular(pb, s_min=lo, s_max=hi, n_scan=48)
         sols = [s for s in sols if np.all(np.diff(s.us) <= 1e-9 * max(1.0, s.sup_norm))]
         if sols:
             member = FamilyMember(lam, "regular", sols[-1], node=pb_family.weight.z)
-        elif allow_singular:
+        else:
             sing = solve_singular(pb)
             if not isinstance(sing, Absent):
                 member = FamilyMember(lam, "singular", sing, node=pb_family.weight.z)
@@ -175,15 +175,15 @@ def grow_decay_rates(members, eta=None):
     return sl, sr, fits
 
 
-def flatness_and_node(members, z, M, eta=None):
+def flatness_and_node(members, z, M):
     """Per-rung flatness and level-crossing report on the lam ladder.
 
-    For each member: the largest |u'| on the outer region, the point where
-    u crosses the peak level M, and the plateau ratio u((z-eta)/2)/u(0).
-    Trend lines over the ladder are fitted in log-log coordinates.
+    For each member: the largest |u'| on the outer region |x - z| >= eta,
+    the point where u crosses the peak level M, and the plateau ratio
+    u((z-eta)/2)/u(0), with eta = 0.1 min(z, 1 - z).  Trend lines over the
+    ladder are fitted in log-log coordinates.
     """
-    if eta is None:
-        eta = 0.1 * min(z, 1.0 - z)
+    eta = 0.1 * min(z, 1.0 - z)
     lams = [m.lam for m in members]
     slopes = [m.max_slope_on(0.0, z - eta) for m in members]
     slopes_r = [m.max_slope_on(z + eta, 1.0) for m in members]
@@ -206,11 +206,12 @@ def flatness_and_node(members, z, M, eta=None):
 # ---------------------------------------------------------------------------
 # small-branch scaling for p > 1
 
-def semilinear_positive_solution(weight, p, sigma_range=(1e-4, 1e4), n_scan=160):
+def semilinear_positive_solution(weight, p):
     """Positive Neumann solution of the frozen limit problem -v'' = a |v|^p sgn v.
 
-    Shot directly in x from v(0) = sigma, v'(0) = 0; returns (sigma, mesh)
-    for the first bracketed root of v'(1).  This is an independent oracle:
+    Shot directly in x from v(0) = sigma, v'(0) = 0 for 160 log-spaced sigma
+    in [1e-4, 1e4]; returns sigma at the first bracketed root of v'(1).
+    This is an independent oracle:
     it never touches the arclength machinery.
     """
     z = weight.z
@@ -235,7 +236,7 @@ def semilinear_positive_solution(weight, p, sigma_range=(1e-4, 1e4), n_scan=160)
                 break
         return (None if crossed else float(y[1])), crossed
 
-    sigmas = np.geomspace(sigma_range[0], sigma_range[1], n_scan)
+    sigmas = np.geomspace(1e-4, 1e4, 160)
     residuals = []
     for s in sigmas:
         r, crossed = shoot(float(s))
@@ -265,7 +266,7 @@ def semilinear_positive_solution(weight, p, sigma_range=(1e-4, 1e4), n_scan=160)
     return root
 
 
-def small_branch_scaling(pb_family, ladder, n_scan=64):
+def small_branch_scaling(pb_family, ladder):
     """Scaling of the smallest solution for p > 1 and the limit-problem match.
 
     Returns a report with the log-log slope of the smallest sup norm
@@ -281,7 +282,7 @@ def small_branch_scaling(pb_family, ladder, n_scan=64):
         raise ValueError("need at least four ladder rungs")
 
     def smallest(lam):
-        sols = find_regular(pb_family.at(lam), s_min=1e-8, s_max=1e3, n_scan=n_scan)
+        sols = find_regular(pb_family.at(lam), s_min=1e-8, s_max=1e3, n_scan=64)
         if not sols:
             raise RuntimeError(f"no small solution found at lam = {lam}")
         return sols[0]

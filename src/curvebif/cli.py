@@ -58,20 +58,22 @@ def _load_problem(args):
             spec = json.loads(Path(args.problem_file).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read problem file: {e}")
+    if not isinstance(spec, dict):
+        raise UsageError("the problem JSON must be an object")
     if getattr(args, "p", None) is not None:
         spec.setdefault("f", {})["p"] = args.p
     if getattr(args, "q", None) is not None:
         spec.setdefault("f", {})["q"] = args.q
     lam = getattr(args, "lam", None)
-    if lam is None:
-        lam = float(spec.get("lambda", 0.0))
     try:
+        if lam is None:
+            lam = float(spec.get("lambda", 0.0))
         weight = Weight.from_dict(spec["weight"])
         f = Nonlinearity.from_dict(spec["f"])
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad problem spec: {e}")
-    if lam < 0:
-        raise UsageError("lambda must be nonnegative")
+    if not (0 <= lam < np.inf):
+        raise UsageError("lambda must be finite and nonnegative")
     return ProblemInstance(lam, weight, f)
 
 
@@ -82,10 +84,10 @@ def _write(path, text):
         Path(path).write_text(text)
 
 
-def _thin_mesh(d, keep=2001):
+def _thin_mesh(d):
     mesh = d.get("mesh")
-    if mesh and len(mesh) > keep:
-        idx = np.unique(np.linspace(0, len(mesh) - 1, keep).astype(int))
+    if mesh and len(mesh) > 2001:
+        idx = np.unique(np.linspace(0, len(mesh) - 1, 2001).astype(int))
         d["mesh"] = [mesh[i] for i in idx]
     return d
 
@@ -149,8 +151,8 @@ def build_parser():
 def _cmd_eig(args):
     from .eigen import principal_neumann
 
-    if args.tol <= 0:
-        raise UsageError("tolerance must be positive")
+    if not (0 < args.tol < 1):
+        raise UsageError("tolerance must lie in (0, 1)")
     pb = _load_problem(args)
     pair = principal_neumann(pb.weight, tol=args.tol)
     out = {"lambda0": pair.eigenvalue, "residual": pair.residual, "mesh_size": pair.mesh_size}
@@ -231,6 +233,8 @@ def _cmd_singular(args):
 def _cmd_minimize(args):
     from .varmin import minimize_multistart
 
+    if args.starts < 1:
+        raise UsageError("--starts must be at least 1")
     pb = _load_problem(args)
     runs = minimize_multistart(pb, n=args.n, starts=args.starts)
     best_u, best_v, info = runs[0]

@@ -16,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shoot import Blocked, Caps, integrate_path, shoot_residual, solution_from_path
+from .shoot import Blocked, integrate_path, shoot_residual, solution_from_path
 
 __all__ = ["BranchPoint", "Branch", "trace", "seed_from_lambda0", "solve_lambda_at_height", "diagram", "DiagramRecord"]
 
 NEAR_SINGULAR_COS = 1e-3
+_TRACE_MESH = (2e-3, 5e-3)  # stored-path spacing (max angle change, max x advance)
+_H_MIN = 1e-7  # smallest predictor step before the trace gives up
+_CORRECTOR_TOL = 1e-8  # |theta(1)| accepted by the corrector
 
 
 @dataclass
@@ -60,10 +63,10 @@ class Branch:
         return np.array([p.sup_norm for p in self.points])
 
 
-def _residual(pb_family, lam, s0, caps):
+def _residual(pb_family, lam, s0):
     if lam < 0 or s0 < 0:
         return math.nan
-    r = shoot_residual(pb_family.at(lam), s0, caps=caps)
+    r = shoot_residual(pb_family.at(lam), s0)
     if isinstance(r, Blocked):
         return math.nan
     return r
@@ -73,26 +76,26 @@ def _scales(lam, s0):
     return max(abs(lam), 1e-2), max(abs(s0), 1e-4)
 
 
-def _partials(pb_family, lam, s0, r, caps):
+def _partials(pb_family, lam, s0, r):
     """Forward differences (dtheta/dlam, dtheta/ds0) at (lam, s0), whose residual is r."""
     dl = 1e-6 * max(abs(lam), 1e-3)
     ds = 1e-6 * max(abs(s0), 1e-6)
-    r_l = (_residual(pb_family, lam + dl, s0, caps) - r) / dl
-    r_s = (_residual(pb_family, lam, s0 + ds, caps) - r) / ds
+    r_l = (_residual(pb_family, lam + dl, s0) - r) / dl
+    r_s = (_residual(pb_family, lam, s0 + ds) - r) / ds
     return r_l, r_s
 
 
-def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
-    """Damped Newton on (residual, arclength normalization)."""
+def _corrector(pb_family, lam, s0, tangent, ref):
+    """Damped Newton on (residual, arclength normalization), at most 10 steps."""
     sl, ss = _scales(*ref)
-    for _ in range(max_iter):
-        r = _residual(pb_family, lam, s0, caps)
+    for _ in range(10):
+        r = _residual(pb_family, lam, s0)
         n = tangent[0] * (lam - ref[0]) / sl + tangent[1] * (s0 - ref[1]) / ss
         if math.isnan(r):
             return None
-        if abs(r) <= tol and abs(n) <= 1e-9:
+        if abs(r) <= _CORRECTOR_TOL and abs(n) <= 1e-9:
             return lam, s0
-        j00, j01 = _partials(pb_family, lam, s0, r, caps)
+        j00, j01 = _partials(pb_family, lam, s0, r)
         if math.isnan(j00) or math.isnan(j01):
             return None
         j10 = tangent[0] / sl
@@ -106,7 +109,7 @@ def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
         base = abs(r) + abs(n)
         for _ in range(6):
             cand = (lam + damp * step_l, s0 + damp * step_s)
-            rc = _residual(pb_family, cand[0], cand[1], caps)
+            rc = _residual(pb_family, cand[0], cand[1])
             nc = tangent[0] * (cand[0] - ref[0]) / sl + tangent[1] * (cand[1] - ref[1]) / ss
             if not math.isnan(rc) and abs(rc) + abs(nc) < base:
                 lam, s0 = cand
@@ -114,15 +117,15 @@ def _corrector(pb_family, lam, s0, tangent, ref, caps, tol, max_iter=10):
             damp *= 0.5
         else:
             return None
-    r = _residual(pb_family, lam, s0, caps)
-    if not math.isnan(r) and abs(r) <= tol:
+    r = _residual(pb_family, lam, s0)
+    if not math.isnan(r) and abs(r) <= _CORRECTOR_TOL:
         return lam, s0
     return None
 
 
-def _tangent_fd(pb_family, lam, s0, caps):
+def _tangent_fd(pb_family, lam, s0):
     sl, ss = _scales(lam, s0)
-    rl, rs = _partials(pb_family, lam, s0, _residual(pb_family, lam, s0, caps), caps)
+    rl, rs = _partials(pb_family, lam, s0, _residual(pb_family, lam, s0))
     rl, rs = rl * sl, rs * ss
     norm = math.hypot(rl, rs)
     if norm == 0 or math.isnan(norm):
@@ -130,8 +133,8 @@ def _tangent_fd(pb_family, lam, s0, caps):
     return (rs / norm, -rl / norm)
 
 
-def _point_diagnostics(pb_family, lam, s0, caps):
-    path = integrate_path(pb_family.at(lam), s0, caps=caps, collect=True)
+def _point_diagnostics(pb_family, lam, s0):
+    path = integrate_path(pb_family.at(lam), s0, collect=_TRACE_MESH)
     if path.terminal != "reached":
         return None
     sol = solution_from_path(pb_family.at(lam), path)
@@ -145,33 +148,27 @@ def trace(
     step=0.05,
     max_points=200,
     lam_max=1e3,
-    s_floor=1e-6,
-    s_ceiling=1e7,
-    h_min=1e-7,
-    corrector_tol=1e-8,
     direction=(0.0, 1.0),
     origin="Manual",
-    caps=None,
 ):
     """Follow the branch of Neumann solutions through (lam, s0) space.
 
     start must satisfy |theta(1)| <= 1e-6.  The trace stops at max_points,
-    at lam_max, when the branch returns to the trivial line (s0 below
-    s_floor; the terminal lam is recorded), or when the corrector keeps
+    at lam_max, when the height leaves [1e-6, 1e7] (a return to the
+    trivial line records the terminal lam), or when the corrector keeps
     failing at the minimum step, which is the usual sign of a singular
     transition ahead.
     """
-    caps = caps or Caps(dtheta_mesh=2e-3, dx_mesh=5e-3)
     lam, s0 = float(start[0]), float(start[1])
-    r0 = _residual(pb_family, lam, s0, caps)
+    r0 = _residual(pb_family, lam, s0)
     if math.isnan(r0) or abs(r0) > 1e-6:
         raise ValueError("start point is not converged (|theta(1)| > 1e-6)")
 
-    first = _point_diagnostics(pb_family, lam, s0, caps)
+    first = _point_diagnostics(pb_family, lam, s0)
     if first is None:
         raise ValueError("start point does not integrate to x = 1")
     points = [first]
-    tangent = _tangent_fd(pb_family, lam, s0, caps)
+    tangent = _tangent_fd(pb_family, lam, s0)
     if tangent[0] * direction[0] + tangent[1] * direction[1] < 0:
         tangent = (-tangent[0], -tangent[1])
 
@@ -181,15 +178,15 @@ def trace(
     while len(points) < max_points:
         sl, ss = _scales(lam, s0)
         pred = (lam + h * tangent[0] * sl, s0 + h * tangent[1] * ss)
-        got = _corrector(pb_family, pred[0], pred[1], tangent, pred, caps, corrector_tol)
+        got = _corrector(pb_family, pred[0], pred[1], tangent, pred)
         if got is None:
-            if h <= h_min:
+            if h <= _H_MIN:
                 terminated = "corrector-failure"
                 break
-            h = max(h * 0.5, h_min)
+            h = max(h * 0.5, _H_MIN)
             continue
         new_lam, new_s0 = got
-        if new_s0 <= s_floor:
+        if new_s0 <= 1e-6:
             terminated = "trivial-line"
             terminal_lam = new_lam
             break
@@ -199,15 +196,15 @@ def trace(
         if new_lam < 0.0:
             terminated = "lambda-min"
             break
-        if new_s0 > s_ceiling:
+        if new_s0 > 1e7:
             terminated = "height-max"
             break
-        diag = _point_diagnostics(pb_family, new_lam, new_s0, caps)
-        if diag is None or diag.residual > 10 * corrector_tol:
-            if h <= h_min:
+        diag = _point_diagnostics(pb_family, new_lam, new_s0)
+        if diag is None or diag.residual > 10 * _CORRECTOR_TOL:
+            if h <= _H_MIN:
                 terminated = "corrector-failure"
                 break
-            h = max(h * 0.5, h_min)
+            h = max(h * 0.5, _H_MIN)
             continue
         new_tan = ((new_lam - lam) / sl / h, (new_s0 - s0) / ss / h)
         norm = math.hypot(*new_tan)
@@ -220,7 +217,7 @@ def trace(
     return Branch(points=points, origin=origin, terminated_by=terminated, terminal_lam=terminal_lam)
 
 
-def singular_sweep(pb_family, lams, origin="SingularSweep"):
+def singular_sweep(pb_family, lams):
     """Branch assembled from the two-sided jump construction over a lam sweep.
 
     Ordinary tracing cannot cross into the singular regime (the shooting
@@ -237,36 +234,35 @@ def singular_sweep(pb_family, lams, origin="SingularSweep"):
             continue
         deriv = float(max(np.max(np.abs(got.dus_left)), np.max(np.abs(got.dus_right))))
         points.append(BranchPoint(lam, got.us_left[0], got.sup_norm, deriv, "near-singular", 0.0))
-    return Branch(points=points, origin=origin, terminated_by="sweep-end")
+    return Branch(points=points, origin="SingularSweep", terminated_by="sweep-end")
 
 
-def seed_from_lambda0(pb_family, s0_seed=1e-3, tol=1e-10):
+def seed_from_lambda0(pb_family):
     """First branch point just off the bifurcation from the trivial line.
 
     Computes the principal eigenvalue of the weight, then Newton-adjusts
-    lam at height s0_seed until the shooting residual vanishes.
+    lam at height 1e-3 until the shooting residual vanishes.
     """
     from .eigen import principal_neumann
 
     if pb_family.f.d2_zero is None:
         raise ValueError("seeding from the eigenvalue needs a p = 1 nonlinearity")
     lam0 = principal_neumann(pb_family.weight).eigenvalue
-    lam = solve_lambda_at_height(pb_family, s0_seed, lam0, tol=tol)
-    return lam, s0_seed
+    s0 = 1e-3
+    return solve_lambda_at_height(pb_family, s0, lam0), s0
 
 
-def solve_lambda_at_height(pb_family, s0, lam_guess, tol=1e-10, max_iter=60):
-    """Newton in lam for theta(1; lam, s0) = 0 at fixed height."""
-    caps = Caps()
+def solve_lambda_at_height(pb_family, s0, lam_guess):
+    """Newton in lam for theta(1; lam, s0) = 0 at fixed height, at most 60 steps."""
     lam = float(lam_guess)
-    for _ in range(max_iter):
-        r = _residual(pb_family, lam, s0, caps)
+    for _ in range(60):
+        r = _residual(pb_family, lam, s0)
         if math.isnan(r):
             raise RuntimeError("shooting blocked while solving for lam")
-        if abs(r) <= tol:
+        if abs(r) <= 1e-10:
             return lam
         dl = 1e-7 * max(abs(lam), 1e-3)
-        r1 = _residual(pb_family, lam + dl, s0, caps)
+        r1 = _residual(pb_family, lam + dl, s0)
         if math.isnan(r1) or r1 == r:
             raise RuntimeError("degenerate Newton step while solving for lam")
         lam = lam - r * dl / (r1 - r)
@@ -295,8 +291,8 @@ def _hausdorff(a, b):
     return max(one_way(a, b), one_way(b, a))
 
 
-def dedupe_branches(branches, tol=1e-4):
-    """Drop branches whose (lam, s0) traces coincide within tol."""
+def dedupe_branches(branches):
+    """Drop branches whose scaled (lam, s0) traces lie within 1e-4 of a kept one."""
     all_pts = [
         [(p.lam, p.s0) for p in b.points] for b in branches
     ]
@@ -306,18 +302,18 @@ def dedupe_branches(branches, tol=1e-4):
     kept_pts = []
     for b, pts in zip(branches, all_pts):
         scaled = [(x / scale_l, y / scale_s) for (x, y) in pts]
-        if any(_hausdorff(scaled, other) <= tol for other in kept_pts):
+        if any(_hausdorff(scaled, other) <= 1e-4 for other in kept_pts):
             continue
         kept.append(b)
         kept_pts.append(scaled)
     return kept
 
 
-def diagram(branches, dedupe_tol=1e-4, logy=False):
+def diagram(branches, logy=False):
     """Merge branches into one diagram: CSV rows plus a standalone SVG."""
     from .emit import csv_text, svg_plot
 
-    branches = dedupe_branches(branches, tol=dedupe_tol)
+    branches = dedupe_branches(branches)
     rows = []
     series = []
     for b in branches:

@@ -39,7 +39,7 @@ class EigenPair:
     residual: float
     mesh_size: int
     segment_slices: tuple
-    a_vals: np.ndarray = None  # weight sampled segment-correctly at xs
+    a_vals: np.ndarray  # weight sampled segment-correctly at xs
 
     def quad(self, values):
         """Simpson quadrature of nodal values over the stored grid."""
@@ -127,11 +127,11 @@ def _bracket_and_bisect(classify, lam_seed, lam_max, rel_tol):
     return 0.5 * (lam_lo + lam_hi)
 
 
-def _build_pair(weight, lam, r, s, y0, boundary, grid):
+def _build_pair(weight, lam, r, s, y0, boundary):
     _, _, _, sols = _shoot_linear(weight, lam, r, s, y0)
     xs_parts, slices, vals, a_parts = [], [], [], []
     n_segments = max(1, len(sols))
-    pts_per = max(17, 2 * (grid // (2 * n_segments)) + 1)
+    pts_per = max(17, 2 * (512 // (2 * n_segments)) + 1)  # about 512 samples
     start = 0
     for lo, hi, sol, form in sols:
         xg = np.linspace(lo, hi, pts_per)
@@ -171,15 +171,17 @@ def _build_pair(weight, lam, r, s, y0, boundary, grid):
     )
 
 
-def principal_neumann(weight, tol=1e-12, lam_max=1e6, grid=512, max_step_frac=1.0 / 16.0):
+def principal_neumann(weight, tol=1e-12, max_step_frac=1.0 / 16.0):
     """Smallest lam > 0 with a positive Neumann eigenfunction on (0, 1).
 
     Shoots from phi(0) = 1, phi'(0) = 0 and bisects on the sign of phi'(1),
-    treating loss of positivity as overshoot.  The weight must have negative
-    mean and a positive part; uniqueness of the positive eigenvalue then
-    holds and bisection from below cannot skip it.  max_step_frac caps the
-    integrator step as a fraction of the interval.
+    treating loss of positivity as overshoot, to relative width tol < 1.
+    The weight must have negative mean and a positive part; uniqueness of
+    the positive eigenvalue then holds and bisection from below cannot skip
+    it.  max_step_frac bounds the integrator step as a fraction of [0, 1].
     """
+    if not (0 < tol < 1):
+        raise ValueError("tolerance must lie in (0, 1)")
     if weight.mean >= 0:
         raise ValueError("weight must have negative mean")
     if weight.sup_positive_part() <= 0:
@@ -194,11 +196,11 @@ def principal_neumann(weight, tol=1e-12, lam_max=1e6, grid=512, max_step_frac=1.
         return "below" if dphi_end > 0.0 else "above"
 
     lam_seed = math.pi ** 2 / max(weight.sup_positive_part(), 1e-6)
-    lam0 = _bracket_and_bisect(classify, lam_seed, lam_max, tol)
-    return _build_pair(weight, lam0, 0.0, 1.0, (1.0, 0.0), "neumann", grid)
+    lam0 = _bracket_and_bisect(classify, lam_seed, 1e6, tol)
+    return _build_pair(weight, lam0, 0.0, 1.0, (1.0, 0.0), "neumann")
 
 
-def principal_dirichlet(weight, interval, tol=1e-12, lam_max=1e7, grid=512):
+def principal_dirichlet(weight, interval):
     """Smallest mu > 0 with a positive Dirichlet eigenfunction on the interval."""
     r, s = interval
     if not (0.0 <= r < s <= 1.0):
@@ -214,8 +216,8 @@ def principal_dirichlet(weight, interval, tol=1e-12, lam_max=1e7, grid=512):
         return "below" if phi_end > 0.0 else "above"
 
     mu_seed = (math.pi / (s - r)) ** 2 / max(weight.sup_positive_part(), 1e-6)
-    mu1 = _bracket_and_bisect(classify, mu_seed, lam_max, tol)
-    return _build_pair(weight, mu1, r, s, (0.0, 1.0), "dirichlet", grid)
+    mu1 = _bracket_and_bisect(classify, mu_seed, 1e7, 1e-12)
+    return _build_pair(weight, mu1, r, s, (0.0, 1.0), "dirichlet")
 
 
 def bif_direction(f, pair):
@@ -249,9 +251,8 @@ def bif_direction(f, pair):
     return lambda1, lambda2
 
 
-def rayleigh_identity(pair, weight=None):
+def rayleigh_identity(pair):
     """Both sides of lam0 * int(a phi^2) = int(phi'^2) for consistency checks."""
-    a_vals = pair.a_vals if pair.a_vals is not None else weight.eval(pair.xs)
-    lhs = pair.eigenvalue * pair.quad(a_vals * pair.phi ** 2)
+    lhs = pair.eigenvalue * pair.quad(pair.a_vals * pair.phi ** 2)
     rhs = pair.quad(pair.dphi ** 2)
     return lhs, rhs

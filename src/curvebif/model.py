@@ -183,10 +183,9 @@ class Weight:
         """Interior segment boundaries, including the node."""
         return tuple(s.hi for s in self.segments[:-1])
 
-    def segment_at(self, x, prefer="right"):
+    def segment_at(self, x):
         """Segment whose interval contains x ([lo, hi) convention)."""
-        side = "right" if prefer == "right" else "left"
-        i = int(np.searchsorted(self._his, x, side=side))
+        i = int(np.searchsorted(self._his, x, side="right"))
         return self.segments[min(max(i, 0), len(self.segments) - 1)]
 
     def eval(self, x):

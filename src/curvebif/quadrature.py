@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 __all__ = ["ExtendedReal", "QuadratureBudgetError", "integrate", "criterion_integral", "criterion_pair"]
 
+_CRITERION_TOL = 1e-6  # absolute error target of the criterion integrals
+
 
 class QuadratureBudgetError(RuntimeError):
     """Raised when the adaptive rule runs out of subdivision depth."""
@@ -158,7 +160,7 @@ def _near_graded(w, seg, side, order, coeff, tol):
     return integrate(integrand, 0.0, length ** gamma, tol=tol)
 
 
-def criterion_integral(w, side, tol=1e-6, method="auto"):
+def criterion_integral(w, side, method="auto"):
     """int over one side of (int_x^z a)^(-1/2), or a divergence certificate.
 
     side "left" integrates over (0, z), side "right" over (z, 1).  The weight
@@ -197,17 +199,17 @@ def criterion_integral(w, side, tol=1e-6, method="auto"):
             raise ValueError("no closed form for this adjacent segment")
         near = closed
     elif method == "adaptive" or closed is None:
-        near = _near_graded(w, near_seg, side, order, coeff, tol=tol * 1e-3)
+        near = _near_graded(w, near_seg, side, order, coeff, tol=_CRITERION_TOL * 1e-3)
     else:
         near = closed
 
     inner = _inner(w, side)
     far_total = 0.0
-    abs_tol = max(1e-13, tol * max(near, 1.0) * 1e-2)
+    abs_tol = max(1e-13, _CRITERION_TOL * max(near, 1.0) * 1e-2)
     for lo, hi in far:
         far_total += integrate(lambda x: inner(x) ** -0.5, lo, hi, tol=abs_tol)
     return ExtendedReal.finite(near + far_total)
 
 
-def criterion_pair(w, tol=1e-6):
-    return criterion_integral(w, "left", tol=tol), criterion_integral(w, "right", tol=tol)
+def criterion_pair(w):
+    return criterion_integral(w, "left"), criterion_integral(w, "right")

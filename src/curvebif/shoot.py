@@ -26,21 +26,15 @@ from scipy.integrate import solve_ivp
 from .model import curvature_residual, neumann_balance
 from .util import bisect_bracket, scan_brackets
 
-__all__ = ["Caps", "ArcPath", "Blocked", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
+__all__ = ["ArcPath", "Blocked", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
 
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
 _U_MAX = 1e15  # height at which a shot stops with terminal "cap"
 _NFEV_MAX = 4_000_000  # checked after the shot, so it does not bound the work
 _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Mesh spacing for the stored path of a single arclength integration."""
-
-    dtheta_mesh: float = 5e-4  # max angle change per stored mesh interval
-    dx_mesh: float = 2e-3  # max x advance per stored mesh interval
+# stored-path spacing (max angle change, max x advance) per mesh interval
+_SHOOT_MESH = (5e-4, 2e-3)
 
 
 @dataclass
@@ -143,11 +137,12 @@ def _nudge_to_x(rhs, y, target):
     return y
 
 
-def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None):
+def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     """Integrate the arclength system from x_start toward x_target.
 
-    Returns an ArcPath.  collect=False skips mesh assembly (scan mode).
-    atol overrides the per-component absolute tolerances; passing 0 for the
+    Returns an ArcPath.  collect is None for a scan shot, which skips mesh
+    assembly, or the (dtheta, dx) spacing of the stored path.  atol
+    overrides the per-component absolute tolerances; passing 0 for the
     height keeps relative control over exponentially small heights.
     """
     w, f, lam = pb.weight, pb.f, pb.lam
@@ -220,13 +215,13 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
             method="DOP853",
             rtol=_RTOL,
             atol=atol,
-            dense_output=collect,
+            dense_output=collect is not None,
             events=(ev_edge, ev_vert_dn, ev_vert_up, ev_uzero, ev_ucap),
         )
         nfev += out.nfev
 
         if collect and len(out.t) > 1:
-            ss_seg, ys_seg = _subsample(out, caps)
+            ss_seg, ys_seg = _subsample(out, *collect)
             ss_parts.append(ss_seg)
             ys_parts.append(ys_seg)
             min_cos = min(min_cos, float(np.min(np.cos(ys_seg[2]))))
@@ -319,7 +314,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, caps, collect, atol=None
     )
 
 
-def _subsample(out, caps):
+def _subsample(out, dtheta, dx):
     """Refine the accepted steps so mesh intervals stay small in angle and x."""
     ts = out.t
     tha = out.y[2]
@@ -328,8 +323,8 @@ def _subsample(out, caps):
     for i in range(len(ts) - 1):
         k = max(
             1,
-            int(math.ceil(abs(tha[i + 1] - tha[i]) / caps.dtheta_mesh)),
-            int(math.ceil(abs(xa[i + 1] - xa[i]) / caps.dx_mesh)),
+            int(math.ceil(abs(tha[i + 1] - tha[i]) / dtheta)),
+            int(math.ceil(abs(xa[i + 1] - xa[i]) / dx)),
         )
         k = min(k, 200_000)
         pieces.append(np.linspace(ts[i], ts[i + 1], k + 1)[1:])
@@ -337,28 +332,28 @@ def _subsample(out, caps):
     return ss, out.sol(ss)
 
 
-def integrate_path(pb, s0, caps=None, collect=True):
+def integrate_path(pb, s0, collect=_SHOOT_MESH):
     """Shoot from (x, u, theta) = (0, s0, 0) toward x = 1.
 
-    s0 >= 0; probing runs with s0 = 0 ride the trivial line.  The returned
-    path carries the termination event; theta_end is set when x = 1 was
-    reached.
+    s0 >= 0; probing runs with s0 = 0 ride the trivial line.  collect is
+    the stored-path spacing, or None for an endpoint-only shot.  The
+    returned path carries the termination event; theta_end is set when
+    x = 1 was reached.
     """
     if s0 < 0:
         raise ValueError("initial height must be nonnegative")
-    caps = caps or Caps()
-    return _march(pb, 0.0, s0, 0.0, 1.0, caps, collect)
+    return _march(pb, 0.0, s0, 0.0, 1.0, collect=collect)
 
 
-def shoot_residual(pb, s0, caps=None):
+def shoot_residual(pb, s0):
     """theta at x = 1, or Blocked with the terminating event."""
-    path = integrate_path(pb, s0, caps=caps, collect=False)
+    path = integrate_path(pb, s0, collect=None)
     if path.terminal == "reached":
         return path.theta_end
     return Blocked(path.terminal, path.state_end[0], path.state_end)
 
 
-def _classify(pb, s0, caps):
+def _classify(pb, s0):
     """Residual with surrogate signs for bracketing, as (value, exact).
 
     Paths that hit the trivial line while sloped are undershoots (negative
@@ -368,7 +363,7 @@ def _classify(pb, s0, caps):
     a root is accepted only at a path that truly reaches x = 1 with a tiny
     residual, and a surrogate can never mint a solution.
     """
-    path = integrate_path(pb, s0, caps=caps, collect=False)
+    path = integrate_path(pb, s0, collect=None)
     if path.terminal == "reached":
         return path.theta_end, True
     if path.terminal == "u_zero":
@@ -403,7 +398,7 @@ def _clean_mesh(path):
     return xs, us, np.tan(thetas)
 
 
-def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=None):
+def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     """All regular Neumann solutions with initial height in [s_min, s_max].
 
     Scans log-spaced heights, brackets sign changes of the shooting
@@ -412,24 +407,23 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=Non
     1e-6), and deduplicates by sup norm.  An empty list is meaningful: no
     regular solution has its height in the scanned window.
     """
-    if pb.lam < 0:
-        raise ValueError("solvers accept lam >= 0 only")
+    if not (0 <= pb.lam < math.inf):
+        raise ValueError("solvers accept finite lam >= 0 only")
     if not (0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
     if n_scan < 16:
         raise ValueError("need n_scan >= 16")
-    caps = caps or Caps()
 
-    brackets = scan_brackets(lambda s: _classify(pb, s, caps), s_min, s_max, n_scan)
+    brackets = scan_brackets(lambda s: _classify(pb, s), s_min, s_max, n_scan)
     roots = []
     for lo, hi, lo_positive in brackets:
-        root = _bisect_height(pb, lo, hi, lo_positive, theta_tol, caps)
+        root = _bisect_height(pb, lo, hi, lo_positive, theta_tol)
         if root is not None:
             roots.append(root)
 
     solutions = []
     for s0 in roots:
-        path = integrate_path(pb, s0, caps=caps, collect=True)
+        path = integrate_path(pb, s0)
         if path.terminal != "reached":
             continue
         sol = solution_from_path(pb, path)
@@ -442,5 +436,5 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10, caps=Non
     return solutions
 
 
-def _bisect_height(pb, lo, hi, lo_positive, theta_tol, caps):
-    return bisect_bracket(lambda s: _classify(pb, s, caps), lo, hi, lo_positive, theta_tol, 1e-15, 200)
+def _bisect_height(pb, lo, hi, lo_positive, theta_tol):
+    return bisect_bracket(lambda s: _classify(pb, s), lo, hi, lo_positive, theta_tol, 1e-15, 200)

@@ -18,13 +18,13 @@ has already lost the solution in its unstable vertical channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import curvature_residual
 from .quadrature import ExtendedReal, criterion_integral
-from .shoot import Caps, _march
+from .shoot import _march
 from .util import bisect_bracket, scan_brackets
 
 __all__ = [
@@ -141,9 +141,13 @@ def smallness_guard(pb):
 # the backward right piece grows exponentially from heights that may sit
 # hundreds of decades below one; error control on u must stay relative
 _RIGHT_ATOL = (1e-12, 0.0, 1e-13)
+# pieces carry vertical tangents; the reporting mesh needs fine angle
+# grading for the trimmed piece residuals to resolve the steep layer
+_PIECE_MESH = (1e-5, 1e-3)
+_PIECE_SCAN = 96  # scan heights per piece
 
 
-def _piece_value(pb, height, side, caps):
+def _piece_value(pb, height, side):
     """Continuous classifier for the one-sided flux budget, as (value, exact).
 
     Zero exactly when the path from the outer boundary reaches the node
@@ -155,10 +159,10 @@ def _piece_value(pb, height, side, caps):
     """
     z = pb.weight.z
     if side == "left":
-        path = _march(pb, 0.0, height, 0.0, z, caps, collect=False)
+        path = _march(pb, 0.0, height, 0.0, z, collect=None)
         gap = z - path.state_end[0]
     else:
-        path = _march(pb, 1.0, height, 0.0, z, caps, collect=False, atol=_RIGHT_ATOL)
+        path = _march(pb, 1.0, height, 0.0, z, collect=None, atol=_RIGHT_ATOL)
         gap = path.state_end[0] - z
     if path.terminal == "reached":
         return -(1.0 + math.sin(path.state_end[2])), True
@@ -167,21 +171,20 @@ def _piece_value(pb, height, side, caps):
     return None, False
 
 
-def _solve_piece(pb, side, caps, *, n_scan=96, s_hi=None):
+def _solve_piece(pb, side, *, n_scan):
     """Root-find the outer height of one vertical-tangent piece, or None."""
     z = pb.weight.z
     lam = pb.lam
-    if s_hi is None:
-        # the decaying tail of f bounds how high the budget can close
-        mass = pb.weight.integral(0.0, z) if side == "left" else -pb.weight.integral(z, 1.0)
-        s_budget = (lam * pb.f.h * mass) ** (1.0 / pb.f.q) if lam * mass > 0 else 1.0
-        s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
+    # the decaying tail of f bounds how high the budget can close
+    mass = pb.weight.integral(0.0, z) if side == "left" else -pb.weight.integral(z, 1.0)
+    s_budget = (lam * pb.f.h * mass) ** (1.0 / pb.f.q) if lam * mass > 0 else 1.0
+    s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
     # outer heights of the right piece shrink exponentially in lam, so the
     # scan floor sits far below any polynomial scale
     s_lo = 1e-8 if side == "left" else 1e-60
 
     def value(s):
-        return _piece_value(pb, s, side, caps)
+        return _piece_value(pb, s, side)
 
     brackets = scan_brackets(value, s_lo, s_hi, n_scan)
     if not brackets:
@@ -202,7 +205,7 @@ def _flux_quadrature(pb, path, side):
     return sgn * val
 
 
-def solve_singular(pb, caps=None, n_scan=96):
+def solve_singular(pb):
     """Construct the jump solution at the node, or report why there is none.
 
     Refuses under the smallness bound (the solution would be regular) and
@@ -211,8 +214,8 @@ def solve_singular(pb, caps=None, n_scan=96):
     height at the node stays above the right one the assembled object is a
     bounded-variation solution with a downward jump.
     """
-    if pb.lam < 0:
-        raise ValueError("solvers accept lam >= 0 only")
+    if not (0 <= pb.lam < math.inf):
+        raise ValueError("solvers accept finite lam >= 0 only")
     if not pb.weight.has_sign_split:
         raise ValueError("singular construction needs a sign-split weight")
     if smallness_guard(pb):
@@ -222,21 +225,16 @@ def solve_singular(pb, caps=None, n_scan=96):
     if i_left.infinite or i_right.infinite:
         return Absent("regular-by-criterion", "a node integral diverges; solutions are regular")
 
-    caps = caps or Caps()
-    # pieces carry vertical tangents; the reporting mesh needs fine angle
-    # grading for the trimmed piece residuals to resolve the steep layer
-    fine = replace(caps, dtheta_mesh=1e-5, dx_mesh=1e-3)
-
-    s_left = _solve_piece(pb, "left", caps, n_scan=n_scan)
+    s_left = _solve_piece(pb, "left", n_scan=_PIECE_SCAN)
     if s_left is None:
         return Absent("no-left-piece", "no height closes the left flux budget")
-    s_right = _solve_piece(pb, "right", caps, n_scan=n_scan)
+    s_right = _solve_piece(pb, "right", n_scan=_PIECE_SCAN)
     if s_right is None:
         return Absent("no-right-piece", "no height closes the right flux budget")
 
     z = pb.weight.z
-    left = _march(pb, 0.0, s_left, 0.0, z, fine, collect=True)
-    right = _march(pb, 1.0, s_right, 0.0, z, fine, collect=True, atol=_RIGHT_ATOL)
+    left = _march(pb, 0.0, s_left, 0.0, z, collect=_PIECE_MESH)
+    right = _march(pb, 1.0, s_right, 0.0, z, collect=_PIECE_MESH, atol=_RIGHT_ATOL)
 
     # the vertical events land within roundoff of -pi/2; clamp so the node
     # endpoints report the correct branch of the (infinite) slope
@@ -283,7 +281,7 @@ def _piece_residual(pb, xs, us, dus, lo, hi):
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(pb, u=None, slack=0.01):
+def classify(pb, u=None):
     """Regularity dichotomy for the problem instance, optionally using a trace.
 
     Order of decision: the smallness bound, then divergence of either node
@@ -307,7 +305,7 @@ def classify(pb, u=None, slack=0.01):
         return RegularityVerdict("RegularByCriterion", i_left, i_right)
     if u is None:
         return RegularityVerdict("Inconclusive", i_left, i_right)
-    wit = _find_witness(pb, u, slack)
+    wit = _find_witness(pb, u)
     if wit is not None:
         return RegularityVerdict("JumpCertified", i_left, i_right, witness=wit)
     return RegularityVerdict("Inconclusive", i_left, i_right)
@@ -324,7 +322,7 @@ def _trace_arrays(u):
     return np.asarray(xs, float), np.asarray(us, float)
 
 
-def _find_witness(pb, u, slack):
+def _find_witness(pb, u):
     """Scan witness pairs approaching the node; first certified pair wins."""
     xs, us = _trace_arrays(u)
     z = pb.weight.z
@@ -384,6 +382,6 @@ def _find_witness(pb, u, slack):
         w = outer(x1, x2, n=2001)
         if w is None:
             continue
-        if w <= (1.0 - slack) * drop:
+        if w <= 0.99 * drop:  # one percent slack
             return Witness(x1, x2, w, drop)
     return None

@@ -102,12 +102,12 @@ def functional_gradient(pb, u):
     return g
 
 
-def minimize(pb, init=None, n=240, max_iter=30000, tol=1e-9):
+def minimize(pb, init=None, n=240, max_iter=30000):
     """L-BFGS-B descent to a stationary point; returns (|u|, value, info).
 
     scipy's L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) accepts only steps
     that satisfy its sufficient-decrease line search, so the history of
-    accepted values never increases.  Iteration stops on max |g| <= tol, on
+    accepted values never increases.  Iteration stops on max |g| <= 1e-9, on
     a relative value change of at most 1e-15 in one step, or at max_iter.
     The absolute value of the final iterate is returned, which cannot raise
     the discrete functional.
@@ -129,14 +129,14 @@ def minimize(pb, init=None, n=240, max_iter=30000, tol=1e-9):
         callback=record,
         # an iteration runs at most two line searches of 20 evaluations, so
         # maxfun never stops a run before max_iter does
-        options={"maxiter": max_iter, "maxfun": 40 * max_iter + 1, "ftol": 1e-15, "gtol": tol},
+        options={"maxiter": max_iter, "maxfun": 40 * max_iter + 1, "ftol": 1e-15, "gtol": 1e-9},
     )
     v = np.abs(res.x)
     fval = functional_value(pb, v)
     return DiscreteBVFunction(v), fval, {"iterations": int(res.nit), "history": history}
 
 
-def minimize_multistart(pb, n=240, starts=6, max_iter=30000, tol=1e-9, height_scale=None):
+def minimize_multistart(pb, n=240, starts=6, height_scale=None):
     """Deterministic multi-start minimization; returns runs sorted by value."""
     if height_scale is None:
         height_scale = 2.0 * pb.f.M
@@ -152,7 +152,7 @@ def minimize_multistart(pb, n=240, starts=6, max_iter=30000, tol=1e-9, height_sc
     ]
     while len(inits) < starts:
         inits.append(height_scale * rng.uniform(0.0, 1.5, n + 1))
-    runs = [minimize(pb, init=v, n=n, max_iter=max_iter, tol=tol) for v in inits[:starts]]
+    runs = [minimize(pb, init=v, n=n) for v in inits[:starts]]
     runs.sort(key=lambda r: r[1])
     return runs
 

@@ -28,8 +28,13 @@ def test_eig_matches_oracle(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     # about 2 lambda0 of the default problem: at its default lambda = 0 no start descends
-    [["eig"], ["minimize", "--n", "120", "--starts", "3", "--lambda", "11"]],
-    ids=["eig", "minimize"],
+    [
+        ["eig"],
+        ["minimize", "--n", "120", "--starts", "3", "--lambda", "11"],
+        ["solve", "--lambda", "11"],
+        ["singular", "--lambda", "50"],
+    ],
+    ids=["eig", "minimize", "solve", "singular"],
 )
 def test_determinism_byte_identical(tmp_path, argv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -191,6 +196,11 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["solve", "--lambda", "-3"]) == 1
     assert run_cli(["eig", "--problem", "{}", "--problem-file", "x"]) == 1
     assert run_cli(["nonsense"]) == 1
+    assert run_cli(["classify", "--lambda", "nan"]) == 1
+    assert run_cli(["eig", "--tol", "nan"]) == 1
+    assert run_cli(["eig", "--problem", "[1]"]) == 1
+    assert run_cli(["minimize", "--lambda", "11", "--starts", "0"]) == 1
+    assert run_cli(["verify", "--criteria", "11"]) == 1
 
 
 def test_flags_leave_the_default_problem_alone():

@@ -104,3 +104,9 @@ def test_bif_direction_needs_full_interval(jump_weight):
     f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=1.0)
     with pytest.raises(ValueError):
         bif_direction(f, pair)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, math.nan, math.inf])
+def test_rejects_tolerance_outside_unit_interval(jump_weight, tol):
+    with pytest.raises(ValueError):
+        principal_neumann(jump_weight, tol=tol)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
-from curvebif.shoot import Blocked, Caps, find_regular, integrate_path, shoot_residual
+from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_residual
 from curvebif.varmin import functional_value
 
 
@@ -176,7 +176,7 @@ def test_dead_core_continuation_from_tangency():
     f = Nonlinearity(kind="prototype", p=0.5, q=0.5, M=10.0)
     pb = ProblemInstance(1.0, w, f)
     x0, d = 0.85, 0.05
-    path = _march(pb, x0 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, Caps(), collect=True)
+    path = _march(pb, x0 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, collect=(5e-4, 2e-3))
     assert path.dead_core
     assert path.terminal == "reached"
     assert path.theta_end == 0.0

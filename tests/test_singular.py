@@ -90,6 +90,17 @@ def test_solver_refuses_negative_lambda(jump_weight, bump_f):
         solve_singular(ProblemInstance(-2.0, jump_weight, bump_f))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_solvers_refuse_nonfinite_lambda(jump_weight, bump_f, lam):
+    from curvebif.shoot import find_regular
+
+    pb = ProblemInstance(lam, jump_weight, bump_f)
+    with pytest.raises(ValueError):
+        solve_singular(pb)
+    with pytest.raises(ValueError):
+        find_regular(pb)
+
+
 def test_serialization(jump_solution_50):
     _, sing = jump_solution_50
     d = sing.to_dict()
