@@ -127,6 +127,14 @@ def _form_from_dict(d, lo, hi, z):
     raise ValueError(f"unknown weight form kind {kind!r}")
 
 
+def _form_numbers(form):
+    if isinstance(form, ConstantForm):
+        return (form.c,)
+    if isinstance(form, PolynomialForm):
+        return form.coeffs
+    return (form.amplitude, form.exponent)
+
+
 @dataclass(frozen=True)
 class Segment:
     lo: float
@@ -150,6 +158,11 @@ class Weight:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("weight needs at least one segment")
+        for s in segs:
+            if not all(math.isfinite(v) for v in (s.lo, s.hi, *_form_numbers(s.form))):
+                raise ValueError("segment ends and form parameters must be finite")
+            if not s.lo < s.hi:
+                raise ValueError("segment intervals must have lo < hi")
         if abs(segs[0].lo) > 1e-12 or abs(segs[-1].hi - 1.0) > 1e-12:
             raise ValueError("segments must cover [0, 1]")
         for a, b in zip(segs, segs[1:]):
@@ -437,6 +450,8 @@ class Nonlinearity:
     def __post_init__(self):
         if self.kind not in ("prototype", "smoothed", "table"):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.p, self.q, self.M, self.delta or 0.0)):
+            raise ValueError("p, q, M and delta must be finite")
         if self.p <= 0 or not (0 < self.q < 1) or self.M <= 0:
             raise ValueError("need p > 0, q in (0, 1), M > 0")
         if self.kind == "smoothed" and self.delta is None:
@@ -450,6 +465,8 @@ class Nonlinearity:
             f = np.asarray(self.f_nodes, float)
             if u.ndim != 1 or u.shape != f.shape or len(u) < 2:
                 raise ValueError("table nodes must be two equal-length vectors")
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(f))):
+                raise ValueError("table nodes must be finite")
             if np.any(np.diff(u) <= 0) or np.any(u <= 0) or np.any(f <= 0):
                 raise ValueError("table nodes must be positive and increasing in u")
 

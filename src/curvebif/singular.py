@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .model import curvature_residual
 from .quadrature import ExtendedReal, criterion_integral
@@ -288,7 +289,9 @@ def classify(pb, u=None):
     integral of the weight, then (when both are finite and a solution trace
     is supplied) a search for a jump witness.  Without a trace the jump can
     never be certified, because the witness inequality needs solution
-    values; the verdict is then Inconclusive.
+    values; the verdict is then Inconclusive.  The trace is a
+    SingularSolution or any object with increasing mesh arrays ``xs`` and
+    ``us`` on both sides of the node (a regular solution, for one).
     """
     if not pb.weight.has_sign_split:
         raise ValueError("classification needs a sign-split weight")
@@ -311,77 +314,73 @@ def classify(pb, u=None):
     return RegularityVerdict("Inconclusive", i_left, i_right)
 
 
-def _trace_arrays(u):
+def _trace_sides(pb, u):
+    """Per side, outward from the node: distance d, u, h = lam |a| f(u) and H.
+
+    d is z - x on the left and x - z on the right (a piece end may lie a
+    hair past z); a is taken on the side's own segment; H, the cumulative
+    trapezoid of h in d, is lam |int_x^z a f(u)|.
+    """
+    z = pb.weight.z
     if isinstance(u, SingularSolution):
-        xs = np.concatenate([u.xs_left, u.xs_right])
-        us = np.concatenate([u.us_left, u.us_right])
-        return xs, us
-    if hasattr(u, "xs") and hasattr(u, "us"):
-        return np.asarray(u.xs, float), np.asarray(u.us, float)
-    xs, us = u
-    return np.asarray(xs, float), np.asarray(us, float)
+        xl, ul, xr, ur = u.xs_left, u.us_left, u.xs_right, u.us_right
+    else:
+        xs, us = np.asarray(u.xs, float), np.asarray(u.us, float)
+        k = np.searchsorted(xs, z)
+        xl, ul, xr, ur = xs[:k], us[:k], xs[k:], us[k:]
+    if xl.size == 0 or xr.size == 0:
+        raise ValueError("the trace must reach both sides of the node")
+    below = np.nextafter(z, 0.0)  # Weight.eval looks up [lo, hi): keep x < z on the left
+    left = (z - xl[::-1], ul[::-1], np.clip(xl[::-1], 0.0, below))
+    right = (xr - z, ur, np.clip(xr, z, 1.0))
+    sides = []
+    for d, us, xa in (left, right):
+        h = pb.lam * np.abs(pb.weight.eval(xa)) * pb.f(us)
+        sides.append((d, us, h, cumulative_trapezoid(h, d, initial=0.0)))
+    return sides
 
 
 def _find_witness(pb, u):
-    """Scan witness pairs approaching the node; first certified pair wins."""
-    xs, us = _trace_arrays(u)
+    """Scan pairs z -+ off toward the node; the first certified pair wins.
+
+    u is a SingularSolution, whose two pieces are used as they are, or a
+    trace with increasing xs and us, split at z.  A pair is certified when
+    int H^(-1/2) over it, with H(x) = lam |int_x^z a f(u)| integrated once
+    per side by _trace_sides and each half graded as d = t^2, is at most
+    0.99 of u(z - off) - u(z + off).
+    """
+    sides = _trace_sides(pb, u)
     z = pb.weight.z
-    lam = pb.lam
 
     # flux lower bound near the node: needed to transfer integrability of
     # the weight integrals to the solution-weighted ones
     eta = 0.5 * min(z, 1.0 - z)
-    near = (np.abs(xs - z) < eta) & (np.abs(xs - z) > 1e-12)
-    if not np.any(near):
-        return None
-    m_low = float(np.min(lam * pb.f(us[near])))
-    if m_low <= 0.0:
+    near = np.concatenate([us[(d > 1e-12) & (d < eta)] for d, us, _, _ in sides])
+    if near.size == 0 or np.min(pb.lam * pb.f(near)) <= 0.0:
         return None
 
-    hvals = lam * pb.weight.eval(np.clip(xs, 0.0, 1.0)) * pb.f(us)
-
-    def H(x):
-        """lam int_x^z a f(u) from the trace, trapezoid on the mesh."""
-        if x < z:
-            m = xs >= x
-            xm = np.concatenate([[x], xs[m & (xs <= z)]])
-            hm = np.concatenate([[np.interp(x, xs, hvals)], hvals[m & (xs <= z)]])
-            return float(np.trapezoid(hm, xm))
-        m = xs <= x
-        xm = np.concatenate([xs[m & (xs >= z)], [x]])
-        hm = np.concatenate([hvals[m & (xs >= z)], [np.interp(x, xs, hvals)]])
-        return -float(np.trapezoid(hm, xm))
-
-    def outer(x1, x2, n=4001):
-        """int_x1^x2 H^(-1/2), sqrt-graded at the node from both sides."""
+    def outer(off):
+        """int_{z-off}^{z+off} H^(-1/2), sqrt-graded at the node from both sides."""
+        t = np.linspace(0.0, math.sqrt(off), 2001)
         total = 0.0
-        for lo, hi, left_side in ((x1, z, True), (z, x2, False)):
-            width = hi - lo
-            if width <= 0:
-                continue
-            t = np.linspace(0.0, math.sqrt(width), n)
-            d = t ** 2
-            xq = (z - d) if left_side else (z + d)
-            Hq = np.array([H(float(v)) for v in xq[1:]])
+        for d, _, h, H in sides:
+            Hq = np.interp(t[1:] ** 2, d, H)
             if np.any(Hq <= 0.0):
                 return None
             grad = np.empty_like(t)
             grad[1:] = 2.0 * t[1:] / np.sqrt(Hq)
-            kappa = abs(np.interp(z - 1e-9 if left_side else z + 1e-9, xs, hvals))
-            grad[0] = 2.0 / math.sqrt(kappa) if kappa > 0 else grad[1]
+            # H ~ kappa d at the node, with kappa the node value of h
+            grad[0] = 2.0 / math.sqrt(h[0]) if h[0] > 0 else grad[1]
             total += float(np.trapezoid(grad, t))
         return total
 
-    u_of = lambda x: float(np.interp(x, xs, us))
+    (dl, ul, _, _), (dr, ur, _, _) = sides
     for k in range(1, 13):
         off = eta * 0.5 ** (k - 1)
-        x1, x2 = z - off, z + off
-        drop = u_of(x1) - u_of(x2)
+        drop = float(np.interp(off, dl, ul) - np.interp(off, dr, ur))
         if drop <= 0:
             continue
-        w = outer(x1, x2, n=2001)
-        if w is None:
-            continue
-        if w <= 0.99 * drop:  # one percent slack
-            return Witness(x1, x2, w, drop)
+        w = outer(off)
+        if w is not None and w <= 0.99 * drop:  # one percent slack
+            return Witness(z - off, z + off, w, drop)
     return None

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -25,13 +26,18 @@ def test_eig_matches_oracle(tmp_path):
     assert abs(got["lambda0"] - oracle) / oracle < 1e-6
 
 
+MILD_PROBLEM = copy.deepcopy(DEFAULT_PROBLEM)
+MILD_PROBLEM["f"] = {"kind": "smoothed", "p": 1.0, "q": 0.5, "M": 0.05}
+
+
 @pytest.mark.parametrize(
     "argv",
-    # about 2 lambda0 of the default problem: at its default lambda = 0 no start descends
+    # about 2 lambda0 of the default problem: at its default lambda = 0 no start descends;
+    # solve uses the mild bump, whose one solution stores a mesh (the default problem has none)
     [
         ["eig"],
         ["minimize", "--n", "120", "--starts", "3", "--lambda", "11"],
-        ["solve", "--lambda", "11"],
+        ["solve", "--lambda", "11", "--problem", json.dumps(MILD_PROBLEM)],
         ["singular", "--lambda", "50"],
     ],
     ids=["eig", "minimize", "solve", "singular"],
@@ -201,6 +207,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["eig", "--problem", "[1]"]) == 1
     assert run_cli(["minimize", "--lambda", "11", "--starts", "0"]) == 1
     assert run_cli(["verify", "--criteria", "11"]) == 1
+    reversed_interval = copy.deepcopy(DEFAULT_PROBLEM)
+    reversed_interval["weight"]["segments"] = [
+        {"interval": ends, "form": {"kind": "constant", "c": c}}
+        for ends, c in (([0.0, 0.6], 1.0), ([0.6, 0.4], 1.0), ([0.4, 1.0], -2.0))
+    ]
+    assert run_cli(["eig", "--problem", json.dumps(reversed_interval)]) == 1
+    nan_peak = copy.deepcopy(DEFAULT_PROBLEM)
+    nan_peak["f"]["M"] = math.nan
+    assert run_cli(["classify", "--lambda", "50", "--problem", json.dumps(nan_peak)]) == 1
 
 
 def test_flags_leave_the_default_problem_alone():

@@ -81,6 +81,11 @@ def test_node_orders(jump_weight):
     assert order == 1.0 and coeff == pytest.approx(1.0)
 
 
+def test_nonfinite_power_amplitude_raises():
+    with pytest.raises(ValueError):
+        power_weight(math.nan, 0.5, 2.0, 0.5, 0.4)
+
+
 def test_zero_mean_point(jump_weight):
     assert jump_weight.zero_mean_point() == pytest.approx(0.6)
 

@@ -77,6 +77,14 @@ def test_jump_certification(jump_solution_50):
     assert w.integral <= 0.99 * w.drop
 
 
+def test_classify_needs_both_sides_of_the_node(jump_weight, bump_f):
+    from types import SimpleNamespace
+
+    xs = np.linspace(0.0, 0.3, 100)
+    with pytest.raises(ValueError):
+        classify(ProblemInstance(50.0, jump_weight, bump_f), SimpleNamespace(xs=xs, us=np.ones_like(xs)))
+
+
 def test_refusals(jump_weight, bump_f):
     small = solve_singular(ProblemInstance(0.5, jump_weight, bump_f))
     assert isinstance(small, Absent) and small.reason == "smallness"
@@ -115,3 +123,37 @@ def test_piece_values_scale_with_lambda(jump_weight, bump_f):
         sing = solve_singular(ProblemInstance(lam, jump_weight, bump_f))
         assert isinstance(sing, SingularSolution)
         assert sing.us_left[0] == pytest.approx(want, rel=2e-3)
+
+
+@pytest.mark.parametrize("lead, rel", [(0.0, 1e-9), (6e-10, 1e-4)], ids=["at-node", "right-piece-leads"])
+def test_witness_matches_closed_form(jump_weight, bump_f, lead, rel):
+    # constant pieces make H linear in the distance d from the node, so the
+    # sqrt-graded rule integrates H^(-1/2) exactly; real right pieces may
+    # start a hair before z, which the second case mimics
+    from curvebif.singular import _find_witness
+
+    lam, z, ul, ur = 50.0, 0.4, 0.9, 0.01
+    xl, xr = np.linspace(0.0, z, 200001), np.linspace(z, 1.0, 300001)
+    xr[0] -= lead
+    sing = SingularSolution(
+        lam=lam,
+        xs_left=xl,
+        us_left=np.full_like(xl, ul),
+        dus_left=np.zeros_like(xl),
+        xs_right=xr,
+        us_right=np.full_like(xr, ur),
+        dus_right=np.zeros_like(xr),
+        jump=ul - ur,
+        flux_left=1.0,
+        flux_right=1.0,
+        residual_left=0.0,
+        residual_right=0.0,
+    )
+    w = _find_witness(ProblemInstance(lam, jump_weight, bump_f), sing)
+    off = 0.1
+    assert w is not None
+    assert (w.x1, w.x2) == pytest.approx((z - off, z + off), abs=1e-15)
+    assert w.drop == pytest.approx(ul - ur, rel=1e-12)
+    want = 2.0 * math.sqrt(off / (lam * 1.0 * ul)) + 2.0 * math.sqrt(off / (lam * 2.0 * ur))
+    assert want == pytest.approx(0.72673644, rel=1e-8)
+    assert w.integral == pytest.approx(want, rel=rel)
