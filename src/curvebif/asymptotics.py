@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .shoot import find_regular
 from .singular import Absent, SingularSolution, solve_singular
+from .util import bisect_bracket, scan_brackets
 
 __all__ = [
     "RateFit",
@@ -209,18 +210,19 @@ def flatness_and_node(members, z, M):
 def semilinear_positive_solution(weight, p):
     """Positive Neumann solution of the frozen limit problem -v'' = a |v|^p sgn v.
 
-    Shot directly in x from v(0) = sigma, v'(0) = 0 for 160 log-spaced sigma
-    in [1e-4, 1e4]; returns sigma at the first bracketed root of v'(1).
-    This is an independent oracle:
-    it never touches the arclength machinery.
+    Shot directly in x from v(0) = sigma, v'(0) = 0 across the pieces of
+    weight.spans(0, 1), with a shot that crosses zero counted as negative.
+    util.scan_brackets samples 160 log-spaced sigma in [1e-4, 1e4] and
+    util.bisect_bracket refines the brackets in order until |v'(1)| <= 1e-11;
+    returns sigma at the first root.  This is an independent oracle: it
+    never touches the arclength machinery.
     """
     z = weight.z
 
-    def shoot(sigma):
+    def value(sigma):
         y = np.array([sigma, 0.0])
-        crossed = False
-        for seg in weight.segments:
-            def rhs(x, yv, form=seg.form):
+        for lo, hi, form in weight.spans(0.0, 1.0):
+            def rhs(x, yv, form=form):
                 a = float(form.value(x, z))
                 return [yv[1], -a * abs(yv[0]) ** p * math.copysign(1.0, yv[0])]
 
@@ -229,41 +231,17 @@ def semilinear_positive_solution(weight, p):
 
             ev_zero.terminal = True
             ev_zero.direction = -1.0
-            out = solve_ivp(rhs, (seg.lo, seg.hi), y, method="DOP853", rtol=1e-11, atol=1e-13, events=ev_zero)
+            out = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-13, events=ev_zero)
             y = out.y[:, -1]
-            if out.status == 1:
-                crossed = True
-                break
-        return (None if crossed else float(y[1])), crossed
+            if out.status == 1:  # v crossed zero: not a positive solution
+                return -1.0, False
+        return float(y[1]), True
 
-    sigmas = np.geomspace(1e-4, 1e4, 160)
-    residuals = []
-    for s in sigmas:
-        r, crossed = shoot(float(s))
-        residuals.append(-1.0 if crossed else (1.0 if r >= 0 else -1.0) if r is not None else None)
-    root = None
-    for i in range(len(sigmas) - 1):
-        if residuals[i] is None or residuals[i + 1] is None:
-            continue
-        if residuals[i] != residuals[i + 1]:
-            lo, hi = sigmas[i], sigmas[i + 1]
-            lo_sign = residuals[i]
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                r, crossed = shoot(mid)
-                sgn = -1.0 if crossed or r is None else (1.0 if r >= 0 else -1.0)
-                if not crossed and r is not None and abs(r) <= 1e-11:
-                    root = mid
-                    break
-                if sgn == lo_sign:
-                    lo = mid
-                else:
-                    hi = mid
-            if root is not None:
-                break
-    if root is None:
-        raise RuntimeError("no positive solution of the limit problem found in range")
-    return root
+    for lo, hi, lo_positive in scan_brackets(value, 1e-4, 1e4, 160):
+        root = bisect_bracket(value, lo, hi, lo_positive, 1e-11, 1e-15, 200)
+        if root is not None:
+            return root
+    raise RuntimeError("no positive solution of the limit problem found in range")
 
 
 def small_branch_scaling(pb_family, ladder):

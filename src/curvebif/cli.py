@@ -85,10 +85,10 @@ def _write(path, text):
 
 
 def _thin_mesh(d):
+    """Keep at most 2001 evenly indexed rows of the (n, 3) mesh array."""
     mesh = d.get("mesh")
-    if mesh and len(mesh) > 2001:
-        idx = np.unique(np.linspace(0, len(mesh) - 1, 2001).astype(int))
-        d["mesh"] = [mesh[i] for i in idx]
+    if mesh is not None and len(mesh) > 2001:
+        d["mesh"] = mesh[np.unique(np.linspace(0, len(mesh) - 1, 2001).astype(int))]
     return d
 
 
@@ -236,6 +236,8 @@ def _cmd_minimize(args):
     if args.starts < 1:
         raise UsageError("--starts must be at least 1")
     pb = _load_problem(args)
+    if pb.lam <= 0:
+        raise UsageError("minimize needs lambda > 0 (pass --lambda)")
     runs = minimize_multistart(pb, n=args.n, starts=args.starts)
     best_u, best_v, info = runs[0]
     out = {

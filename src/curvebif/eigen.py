@@ -49,15 +49,6 @@ class EigenPair:
         return float(total)
 
 
-def _segment_spans(weight, r, s):
-    spans = []
-    for seg in weight.segments:
-        lo, hi = max(seg.lo, r), min(seg.hi, s)
-        if hi > lo + 1e-15:
-            spans.append((lo, hi, seg.form))
-    return spans
-
-
 def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     """Integrate phi'' = -lam a phi across [r, s] with breakpoint hygiene.
 
@@ -65,7 +56,6 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     list of (lo, hi, OdeSolution) for dense evaluation.
     """
     z = weight.z
-    spans = _segment_spans(weight, r, s)
     y = np.array(y0, dtype=float)
     crossed = False
     sols = []
@@ -77,7 +67,7 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     zero.terminal = True
     zero.direction = -1.0  # downward crossings; ignores the Dirichlet start at zero
 
-    for lo, hi, form in spans:
+    for lo, hi, form in weight.spans(r, s):
         def rhs(x, yv, form=form):
             return [yv[1], -lam * float(form.value(x, z)) * yv[0]]
 

@@ -148,6 +148,8 @@ class Weight:
 
     Segments must partition [0, 1] and the node z must be a segment
     boundary.  All integrals are exact (per-segment antiderivatives).
+    spans(lo, hi) is the one walk over the segments: every shot, quadrature
+    and residual that must not straddle a jump of a iterates its pieces.
     """
 
     z: float
@@ -196,10 +198,22 @@ class Weight:
         """Interior segment boundaries, including the node."""
         return tuple(s.hi for s in self.segments[:-1])
 
-    def segment_at(self, x):
-        """Segment whose interval contains x ([lo, hi) convention)."""
-        i = int(np.searchsorted(self._his, x, side="right"))
-        return self.segments[min(max(i, 0), len(self.segments) - 1)]
+    def spans(self, lo, hi):
+        """(a, b, form) for each segment met on [lo, hi], clipped, in increasing x.
+
+        Pieces no wider than 1e-15 are dropped, so a walk that starts or
+        ends on a segment boundary never integrates an empty piece.  As in
+        eval, the first and last segments reach past 0 and 1, so a mesh
+        that overruns an end by roundoff keeps its end points.
+        """
+        out = []
+        last = len(self.segments) - 1
+        for i, seg in enumerate(self.segments):
+            a = lo if i == 0 else max(seg.lo, lo)
+            b = hi if i == last else min(seg.hi, hi)
+            if b > a + 1e-15:
+                out.append((a, b, seg.form))
+        return out
 
     def eval(self, x):
         xs = np.asarray(x, dtype=float)
@@ -216,11 +230,8 @@ class Weight:
         if x1 < x0:
             raise ValueError("need x0 <= x1")
         total = 0.0
-        for seg in self.segments:
-            lo = max(seg.lo, x0)
-            hi = min(seg.hi, x1)
-            if hi > lo:
-                total += float(seg.form.anti(hi, self.z) - seg.form.anti(lo, self.z))
+        for lo, hi, form in self.spans(x0, x1):
+            total += float(form.anti(hi, self.z) - form.anti(lo, self.z))
         return total
 
     @cached_property
@@ -276,12 +287,11 @@ class Weight:
                 return False
         return True
 
-    @property
-    def is_admissible(self):
-        """Negative mean with a genuine positive part."""
-        return self.mean < 0.0 and any(self._segment_sign(s) >= 0 and
-                                       np.max(s.form.value(np.linspace(s.lo, s.hi, 65), self.z)) > 0
-                                       for s in self.segments)
+    def node_segment(self, side):
+        """The segment that ends (side "left") or starts ("right") at the node."""
+        if side == "left":
+            return next(s for s in self.segments if abs(s.hi - self.z) <= 1e-12)
+        return next(s for s in self.segments if abs(s.lo - self.z) <= 1e-12)
 
     def node_order(self, side):
         """Local vanishing order and leading coefficient of |a| at the node.
@@ -289,11 +299,7 @@ class Weight:
         Returns (order, coeff) with a(x) ~ coeff * |x - z|^order near z on the
         requested side; coeff keeps the sign of a there.
         """
-        if side == "left":
-            seg = next(s for s in self.segments if abs(s.hi - self.z) <= 1e-12)
-        else:
-            seg = next(s for s in self.segments if abs(s.lo - self.z) <= 1e-12)
-        form = seg.form
+        form = self.node_segment(side).form
         if isinstance(form, ConstantForm):
             if form.c == 0.0:
                 return math.inf, 0.0
@@ -309,15 +315,6 @@ class Weight:
             if abs(c) > 1e-13 * scale:
                 return float(k), float(c)
         return math.inf, 0.0
-
-    def zero_mean_point(self):
-        """Unique x in (z, 1) where the running integral of a vanishes."""
-        if not self.has_sign_split:
-            raise ValueError("defined for sign-split weights only")
-        from scipy.optimize import brentq
-
-        f = lambda x: self.integral(0.0, x)
-        return float(brentq(f, self.z, 1.0, xtol=1e-14))
 
     def sup_positive_part(self):
         best = 0.0
@@ -395,30 +392,25 @@ def power_weight(amp_left, exp_left, amp_right, exp_right, z):
 
 
 class TableWeight:
-    """Sampled coefficient for residual diagnostics only.
+    """Sampled coefficient for curvature_residual only.
 
-    Evaluation interpolates linearly between the samples; integrals use the
-    trapezoid rule.  Not usable for criterion integrals, which need exact
-    antiderivatives.
+    Evaluation interpolates linearly between the samples.  The table is a
+    single piece: spans returns the table itself as that piece's form.
     """
 
     def __init__(self, xs, values, z=0.5):
         self.xs = np.asarray(xs, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.z = float(z)
-        self.breakpoints = ()
 
     def eval(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
-    def integral(self, x0, x1):
-        grid = np.linspace(x0, x1, 2049)
-        return float(np.trapezoid(self.eval(grid), grid))
+    def value(self, x, z):
+        return self.eval(x)
 
-    @property
-    def abs_integral(self):
-        grid = np.linspace(0.0, 1.0, 4097)
-        return float(np.trapezoid(np.abs(self.eval(grid)), grid))
+    def spans(self, lo, hi):
+        return [(lo, hi, self)]
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +671,12 @@ def curvature_residual(pb, xs, us, dus=None):
 
     Second derivatives come from centered differences on the supplied mesh
     (of dus when given, of us otherwise), so the value is a diagnostic that
-    does not reuse the ODE right-hand side.  Stencils never straddle a
-    weight breakpoint: u'' genuinely jumps where a does, and a difference
-    across the jump would report discretization noise as defect.
+    does not reuse the ODE right-hand side.  The mesh (increasing xs) is cut
+    at the pieces of pb.weight.spans, and a is evaluated with each piece's
+    own form: stencils never straddle a weight breakpoint, because u''
+    genuinely jumps where a does and a difference across the jump would
+    report discretization noise as defect.  Mesh points on a breakpoint
+    belong to both pieces; a piece with fewer than 4 points is skipped.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -692,22 +687,15 @@ def curvature_residual(pb, xs, us, dus=None):
     else:
         dus = np.asarray(dus, dtype=float)
 
-    breaks = [b for b in getattr(pb.weight, "breakpoints", ()) if xs[0] < b < xs[-1]]
-    cuts = [xs[0] - 1.0] + breaks + [xs[-1] + 1.0]
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi, form in pb.weight.spans(xs[0], xs[-1]):
         m = (xs >= lo) & (xs <= hi)
         if np.count_nonzero(m) < 4:
             continue
         xp, up, dp = xs[m], us[m], dus[m]
         d2 = np.gradient(dp, xp, edge_order=2)
         g = (1.0 + dp ** 2) ** 1.5
-        # evaluate a with the form owning this piece, not the boundary lookup
-        if hasattr(pb.weight, "segment_at"):
-            form = pb.weight.segment_at(0.5 * (xp[0] + xp[-1])).form
-            a_vals = np.asarray(form.value(xp, pb.weight.z), dtype=float)
-        else:
-            a_vals = np.asarray(pb.weight.eval(xp), dtype=float)
+        a_vals = np.asarray(form.value(xp, pb.weight.z), dtype=float)
         r = d2 + pb.lam * a_vals * pb.f(up) * g
         total += float(np.trapezoid(np.abs(r), xp))
     return total

@@ -184,14 +184,13 @@ def criterion_integral(w, side, method="auto"):
         return ExtendedReal.diverging(e)
 
     z = w.z
+    near_seg = w.node_segment(side)
     if side == "left":
-        near_seg = next(s for s in w.segments if abs(s.hi - z) <= 1e-12)
         length = z - near_seg.lo
-        far = [(s.lo, s.hi) for s in w.segments if s.hi <= near_seg.lo + 1e-12]
+        far = w.spans(0.0, near_seg.lo)
     else:
-        near_seg = next(s for s in w.segments if abs(s.lo - z) <= 1e-12)
         length = near_seg.hi - z
-        far = [(s.lo, s.hi) for s in w.segments if s.lo >= near_seg.hi - 1e-12]
+        far = w.spans(near_seg.hi, 1.0)
 
     closed = _near_closed_form(near_seg.form, length, side)
     if method == "closed":
@@ -206,7 +205,7 @@ def criterion_integral(w, side, method="auto"):
     inner = _inner(w, side)
     far_total = 0.0
     abs_tol = max(1e-13, _CRITERION_TOL * max(near, 1.0) * 1e-2)
-    for lo, hi in far:
+    for lo, hi, _ in far:
         far_total += integrate(lambda x: inner(x) ** -0.5, lo, hi, tol=abs_tol)
     return ExtendedReal.finite(near + far_total)
 

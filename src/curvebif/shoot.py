@@ -94,10 +94,10 @@ class RegularSolution:
         return np.interp(x, self.xs, self.us)
 
     def to_dict(self):
-        mesh = [[float(x), float(u), float(d)] for x, u, d in zip(self.xs, self.us, self.dus)]
+        """Summary with "mesh" as one (n, 3) float array of rows (x, u, u')."""
         return {
             "lambda": self.lam,
-            "mesh": mesh,
+            "mesh": np.column_stack([self.xs, self.us, self.dus]),
             "residual": self.residual,
             "kind": "regular",
             "jump": 0.0,
@@ -105,19 +105,6 @@ class RegularSolution:
             "sup_norm": self.sup_norm,
             "dead_core": self.dead_core,
         }
-
-
-def _spans_from(weight, x_start, direction):
-    """Weight segments to traverse from x_start in the given direction."""
-    spans = []
-    for seg in weight.segments:
-        if direction > 0 and seg.hi > x_start + 1e-15:
-            spans.append((max(seg.lo, x_start), seg.hi, seg.form))
-        elif direction < 0 and seg.lo < x_start - 1e-15:
-            spans.append((seg.lo, min(seg.hi, x_start), seg.form))
-    if direction < 0:
-        spans.reverse()
-    return spans
 
 
 def _nudge_to_x(rhs, y, target):
@@ -147,7 +134,9 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     """
     w, f, lam = pb.weight, pb.f, pb.lam
     direction = 1.0 if x_target > x_start else -1.0
-    spans = _spans_from(w, x_start, direction)
+    spans = w.spans(min(x_start, x_target), max(x_start, x_target))
+    if direction < 0:
+        spans.reverse()
     z = w.z
 
     y = np.array([x_start, u_start, theta_start], dtype=float)
@@ -163,11 +152,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     theta_end = None
 
     for lo, hi, form in spans:
-        if direction > 0 and (lo > x_target - 1e-15 or y[0] >= x_target - 1e-15):
-            break
-        if direction < 0 and (hi < x_target + 1e-15 or y[0] <= x_target + 1e-15):
-            break
-        edge = min(hi, x_target) if direction > 0 else max(lo, x_target)
+        edge = hi if direction > 0 else lo
 
         def rhs(s, yv, form=form):
             return np.array(

@@ -112,14 +112,14 @@ class SingularSolution:
         return float(out) if out.ndim == 0 else out
 
     def to_dict(self):
-        mesh = [
-            [float(x), float(u), float(d)]
-            for x, u, d in zip(
+        """Summary with "mesh" as one (n, 3) float array of rows (x, u, u'), left piece first."""
+        mesh = np.column_stack(
+            [
                 np.concatenate([self.xs_left, self.xs_right]),
                 np.concatenate([self.us_left, self.us_right]),
                 np.concatenate([self.dus_left, self.dus_right]),
-            )
-        ]
+            ]
+        )
         return {
             "lambda": self.lam,
             "mesh": mesh,

@@ -156,20 +156,3 @@ def minimize_multistart(pb, n=240, starts=6, height_scale=None):
     runs.sort(key=lambda r: r[1])
     return runs
 
-
-def coercivity_probe(pb, direction, offsets=(1.0, 10.0, 100.0, 1000.0)):
-    """Functional values along a ray r + t*w, for growth checks."""
-    out = []
-    for t in offsets:
-        vals = t * np.asarray(direction, dtype=float)
-        r = float(np.mean(vals))
-        w = vals - r
-        out.append(
-            {
-                "t": t,
-                "value": functional_value(pb, vals),
-                "variation": float(np.sum(np.abs(np.diff(w)))),
-                "mean_abs": abs(r),
-            }
-        )
-    return out

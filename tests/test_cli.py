@@ -206,6 +206,7 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["eig", "--tol", "nan"]) == 1
     assert run_cli(["eig", "--problem", "[1]"]) == 1
     assert run_cli(["minimize", "--lambda", "11", "--starts", "0"]) == 1
+    assert run_cli(["minimize", "--n", "16", "--starts", "1"]) == 1  # lambda defaults to 0
     assert run_cli(["verify", "--criteria", "11"]) == 1
     reversed_interval = copy.deepcopy(DEFAULT_PROBLEM)
     reversed_interval["weight"]["segments"] = [

@@ -59,7 +59,6 @@ def test_integral_additivity(x0, x1, xm, amp, alpha):
 
 def test_sign_split_and_admissibility(jump_weight):
     assert jump_weight.has_sign_split
-    assert jump_weight.is_admissible
     flipped = two_constant_weight(2.0, 1.0, 0.6)  # mean 1.2 - 0.4 > 0
     assert not flipped.has_sign_split
 
@@ -86,8 +85,29 @@ def test_nonfinite_power_amplitude_raises():
         power_weight(math.nan, 0.5, 2.0, 0.5, 0.4)
 
 
-def test_zero_mean_point(jump_weight):
-    assert jump_weight.zero_mean_point() == pytest.approx(0.6)
+@settings(max_examples=60, deadline=None)
+@given(ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
+def test_spans_cover_the_interval(jump_weight, ramp_weight, ends):
+    lo, hi = sorted(ends)
+    for w in (jump_weight, ramp_weight):
+        pieces = w.spans(lo, hi)
+        # only pieces no wider than 1e-15 may be dropped: one at either end
+        if not pieces:
+            assert hi - lo <= 2e-15
+            continue
+        assert pieces[0][0] - lo <= 1e-15 and hi - pieces[-1][1] <= 1e-15
+        assert all(lo <= a < b <= hi for a, b, _ in pieces)
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        for a, b, form in pieces:
+            mid = 0.5 * (a + b)
+            assert form.value(mid, w.z) == w.eval(mid)
+
+
+def test_spans_reach_past_the_ends(jump_weight):
+    # as in eval, a mesh that overruns x = 1 by roundoff keeps its end point
+    over = np.nextafter(1.0, 2.0)
+    assert jump_weight.spans(0.5, over) == [(0.5, over, jump_weight.segments[-1].form)]
+    assert jump_weight.spans(-1e-16, 0.3)[0][0] == -1e-16
 
 
 def test_weight_json_roundtrip(jump_weight):
