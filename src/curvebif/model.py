@@ -424,11 +424,15 @@ _GAUSS4_WEIGHTS = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0
 class Nonlinearity:
     """Bump nonlinearity: power p growth at zero, power q decay at infinity.
 
-    kind "prototype":  f(u) = u^p for u <= M, M^(p+q) u^(-q) beyond (continuous
-    at M, kinked).  kind "smoothed": same tails, cubic Hermite blend on
-    [M - delta, M + delta] so f is C1 across the peak.  kind "table": sampled
-    values with power tails glued on.  For u < 0 the odd extension is used;
-    the potential F is extended evenly.
+    Every kind is one three-piece law for u >= 0: f(u) = c u^p below a, a
+    middle piece on [a, b], and h u^(-q) above b.  kind "prototype":
+    a = b = M, c = 1 and no middle piece (f is continuous at M, kinked).
+    kind "smoothed": a = M - delta, b = M + delta, c = 1, and a cubic
+    Hermite blend in the middle, so f is C1 across the peak.  kind "table":
+    a and b are the first and last u nodes, c = f_0 / u_0^p, and the middle
+    interpolates the nodes linearly.  The potential F is the exact integral
+    of f from 0.  For u < 0 the odd extension of f is used and F is
+    extended evenly.
     """
 
     kind: str = "prototype"
@@ -472,8 +476,37 @@ class Nonlinearity:
         return self.M ** (self.p + self.q)
 
     @cached_property
-    def _blend(self):
-        """(a, b, cubic coefficients in (u - a)) for the smoothed peak."""
+    def _law(self):
+        """(a, b, c, middle f, middle F, peak candidates) of the three-piece law.
+
+        The middle F integrates the middle f from a; both are None when the
+        law has no middle piece.  The peak candidates are points that
+        include a maximizer of f.
+        """
+        if self.kind == "prototype":
+            return self.M, self.M, 1.0, None, None, (self.M,)
+        if self.kind == "table":
+            un = np.asarray(self.u_nodes, float)
+            fn = np.asarray(self.f_nodes, float)
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(un))])
+            # slope per cell, padded so the last node is a cell of its own
+            slope = np.append(np.diff(fn) / np.diff(un), 0.0)
+
+            def mid_F(u):
+                # exact integral of the linear interpolant: node sum plus partial cell
+                j = np.searchsorted(un, u, side="right") - 1
+                s = u - un[j]
+                return cum[j] + s * (fn[j] + 0.5 * s * slope[j])
+
+            return (
+                un[0],
+                un[-1],
+                fn[0] / un[0] ** self.p,
+                lambda u: np.interp(u, un, fn),
+                mid_F,
+                (*self.u_nodes, self.M),
+            )
+        # cubic Hermite blend in s = u - a, matching value and slope at a and b
         a = self.M - self.delta
         b = self.M + self.delta
         w = b - a
@@ -481,27 +514,26 @@ class Nonlinearity:
         fb = self.h * b ** (-self.q)
         da = self.p * a ** (self.p - 1.0)
         db = -self.q * self.h * b ** (-self.q - 1.0)
-        c0 = fa
-        c1 = da
         c2 = (3.0 * (fb - fa) / w - 2.0 * da - db) / w
         c3 = (da + db - 2.0 * (fb - fa) / w) / w ** 2
-        return a, b, (c0, c1, c2, c3)
+
+        def mid_f(u):
+            s = u - a
+            return fa + s * (da + s * (c2 + s * c3))
+
+        def mid_F(u):
+            s = u - a
+            return s * (fa + s * (da / 2 + s * (c2 / 3 + s * c3 / 4)))
+
+        # the blend peaks at a root of its derivative inside (a, b)
+        roots = np.roots([3.0 * c3, 2.0 * c2, da])
+        peaks = [a + r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < w]
+        return a, b, 1.0, mid_f, mid_F, (a, b, *peaks)
 
     @cached_property
     def sup_norm(self):
-        if self.kind == "prototype":
-            return self.M ** self.p
-        if self.kind == "table":
-            top = float(np.max(self.f_nodes))
-            return max(top, self._f_pos(np.array([self.M]))[0])
-        a, b, (c0, c1, c2, c3) = self._blend
-        # peak of the cubic blend: root of the derivative inside (a, b)
-        roots = np.roots([3.0 * c3, 2.0 * c2, c1])
-        cand = [a, b]
-        for r in roots:
-            if abs(r.imag) < 1e-12 and 0 < r.real < b - a:
-                cand.append(a + r.real)
-        return float(max(self._f_pos(np.array([c]))[0] for c in cand))
+        *_, peaks = self._law
+        return float(np.max(self._f_pos(np.array(peaks))))
 
     @property
     def d2_zero(self):
@@ -519,31 +551,17 @@ class Nonlinearity:
     # -- evaluation ----------------------------------------------------------
 
     def _f_pos(self, u):
-        out = np.zeros_like(u)
-        if self.kind == "prototype":
-            m = u <= self.M
-            out[m] = u[m] ** self.p
-            out[~m] = self.h * u[~m] ** (-self.q)
-            return out
-        if self.kind == "smoothed":
-            a, b, (c0, c1, c2, c3) = self._blend
-            m0 = u < a
-            m2 = u > b
-            m1 = ~(m0 | m2)
-            out[m0] = u[m0] ** self.p
-            s = u[m1] - a
-            out[m1] = c0 + s * (c1 + s * (c2 + s * c3))
-            out[m2] = self.h * u[m2] ** (-self.q)
-            return out
-        un = np.asarray(self.u_nodes, float)
-        fn = np.asarray(self.f_nodes, float)
-        lo, hi = un[0], un[-1]
-        m0 = u < lo
-        m2 = u > hi
-        m1 = ~(m0 | m2)
-        out[m0] = (fn[0] / lo ** self.p) * u[m0] ** self.p
-        out[m1] = np.interp(u[m1], un, fn)
-        out[m2] = self.h * u[m2] ** (-self.q)
+        a, b, c, mid_f, _, _ = self._law
+        u = np.asarray(u)
+        # the head on the whole array, capped at b so that the part the tail
+        # overwrites cannot overflow; the base stays an ndarray, because a
+        # numpy scalar's ** calls libm pow where the array power squares exactly
+        out = np.asarray(c * np.asarray(np.minimum(u, b)) ** self.p)
+        m = u > b
+        out[m] = self.h * u[m] ** (-self.q)
+        if mid_f is not None:
+            m = (a <= u) & (u <= b)
+            out[m] = mid_f(u[m])
         return out
 
     def __call__(self, u):
@@ -553,44 +571,18 @@ class Nonlinearity:
         return float(val) if np.isscalar(u) or val.ndim == 0 else val
 
     def _F_pos(self, u):
-        out = np.zeros_like(u)
+        a, b, c, _, mid_F, _ = self._law
         p1 = self.p + 1.0
         q1 = 1.0 - self.q
-        if self.kind == "prototype":
-            FM = self.M ** p1 / p1
-            m = u <= self.M
-            out[m] = u[m] ** p1 / p1
-            out[~m] = FM + self.h * (u[~m] ** q1 - self.M ** q1) / q1
-            return out
-        if self.kind == "smoothed":
-            a, b, (c0, c1, c2, c3) = self._blend
-            Fa = a ** p1 / p1
-            s_full = b - a
-            Fb = Fa + s_full * (c0 + s_full * (c1 / 2 + s_full * (c2 / 3 + s_full * c3 / 4)))
-            m0 = u < a
-            m2 = u > b
-            m1 = ~(m0 | m2)
-            out[m0] = u[m0] ** p1 / p1
-            s = u[m1] - a
-            out[m1] = Fa + s * (c0 + s * (c1 / 2 + s * (c2 / 3 + s * c3 / 4)))
-            out[m2] = Fb + self.h * (u[m2] ** q1 - b ** q1) / q1
-            return out
-        return self._table_potential(u)
-
-    def _table_potential(self, u):
-        un = np.asarray(self.u_nodes, float)
-        fn = np.asarray(self.f_nodes, float)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(un))])
-        F0 = (fn[0] / un[0] ** self.p) * un[0] ** (self.p + 1.0) / (self.p + 1.0)
-        out = np.zeros_like(u)
-        lo, hi = un[0], un[-1]
-        m0 = u < lo
-        m2 = u > hi
-        m1 = ~(m0 | m2)
-        out[m0] = (fn[0] / lo ** self.p) * u[m0] ** (self.p + 1.0) / (self.p + 1.0)
-        out[m1] = F0 + np.interp(u[m1], un, cum)
-        q1 = 1.0 - self.q
-        out[m2] = F0 + cum[-1] + self.h * (u[m2] ** q1 - hi ** q1) / q1
+        u = np.asarray(u)
+        out = np.asarray(c * np.asarray(np.minimum(u, b)) ** p1 / p1)
+        Fa = c * a ** p1 / p1
+        Fb = Fa if mid_F is None else Fa + mid_F(b)
+        m = u > b
+        out[m] = Fb + self.h * (u[m] ** q1 - b ** q1) / q1
+        if mid_F is not None:
+            m = (a <= u) & (u <= b)
+            out[m] = Fa + mid_F(u[m])
         return out
 
     def potential(self, u):

@@ -205,7 +205,8 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         )
         nfev += out.nfev
 
-        if collect and len(out.t) > 1:
+        stored = collect and len(out.t) > 1
+        if stored:
             ss_seg, ys_seg = _subsample(out, *collect)
             ss_parts.append(ss_seg)
             ys_parts.append(ys_seg)
@@ -230,6 +231,9 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
             if abs(edge - x_target) < 1e-14:
                 terminal = "reached"
                 theta_end = float(y[2])
+                if stored:
+                    # the stored path ends on the target, not at the event sample
+                    ys_parts[-1][:, -1] = y
                 break
             continue  # next weight segment
         if which in (1, 2):

@@ -1,11 +1,18 @@
+"""Session fixtures shared with the acceptance suite.
+
+The problem data and the costly solutions come from curvebif.acceptance's
+cached producers, so a tier-1 run builds each of them once, whichever of
+the unit tests and the criteria asks first.
+"""
+
 import pytest
 
-from curvebif import Nonlinearity, ProblemFamily, ProblemInstance, power_weight, two_constant_weight
+from curvebif import ProblemFamily, acceptance, power_weight
 
 
 @pytest.fixture(scope="session")
 def jump_weight():
-    return two_constant_weight(1.0, 2.0, 0.4)
+    return acceptance.jump_weight()
 
 
 @pytest.fixture(scope="session")
@@ -16,19 +23,17 @@ def ramp_weight():
 
 @pytest.fixture(scope="session")
 def bump_f():
-    return Nonlinearity(kind="prototype", p=1.0, q=0.5, M=1.0)
+    return acceptance.bump_f()
 
 
 @pytest.fixture(scope="session")
 def mild_f():
-    return Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.05)
+    return acceptance.mild_f()
 
 
 @pytest.fixture(scope="session")
-def lam0_jump(jump_weight):
-    from curvebif.eigen import principal_neumann
-
-    return principal_neumann(jump_weight).eigenvalue
+def lam0_jump():
+    return acceptance.lam0_jump()
 
 
 @pytest.fixture(scope="session")
@@ -37,19 +42,12 @@ def mild_family(jump_weight, mild_f):
 
 
 @pytest.fixture(scope="session")
-def mild_solution(mild_family, lam0_jump):
-    from curvebif.shoot import find_regular
-
-    pb = mild_family.at(2.0 * lam0_jump)
-    sols = find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64)
+def mild_solution():
+    pb, sols = acceptance.mild_solution_2lam0()
     assert sols, "expected a regular solution at 2*lam0 in the mild regime"
     return pb, sols[0]
 
 
 @pytest.fixture(scope="session")
-def jump_solution_50(jump_weight, bump_f):
-    from curvebif.singular import solve_singular
-
-    pb = ProblemInstance(50.0, jump_weight, bump_f)
-    sing = solve_singular(pb)
-    return pb, sing
+def jump_solution_50():
+    return acceptance.singular_50()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemFamily
+from curvebif import ProblemFamily, acceptance
 from curvebif.asymptotics import (
     _loglog_fit,
     build_family,
@@ -13,9 +13,10 @@ from curvebif.asymptotics import (
 
 
 @pytest.fixture(scope="module")
-def rate_members(jump_weight, bump_f):
-    fam = ProblemFamily(jump_weight, bump_f)
-    return build_family(fam, (1e2, 10 ** 2.5, 1e3, 10 ** 3.5))
+def rate_members():
+    # build_family solves rung k from rungs < k only, so the first four
+    # members of criterion 5's ladder are the family on (1e2, ..., 10^3.5)
+    return acceptance.rates_family()[1][:4]
 
 
 def test_loglog_fit_recovers_exact_power():
@@ -86,9 +87,9 @@ def test_semilinear_oracle_scaling(jump_weight):
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_small_branch_scaling(jump_weight, p):
-    fam = ProblemFamily(jump_weight, Nonlinearity(kind="prototype", p=p, q=0.5, M=1.0))
-    rep = small_branch_scaling(fam, (1e2, 10 ** 2.5, 1e3, 10 ** 3.5))
+def test_small_branch_scaling(p):
+    # criterion 6's solutions on the ladder (1e2, 10^2.5, 1e3, 10^3.5)
+    _, rep, _ = acceptance.small_branch(p)
     want = -1.0 / (p - 1.0)
     assert rep["r2"] >= 0.98
     assert rep["slope"] == pytest.approx(want, rel=0.15)

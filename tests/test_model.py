@@ -137,8 +137,10 @@ def test_growth_scales(p, q, M):
     for u in (1e-3, 1e-4):
         assert f(u) / u ** p == pytest.approx(1.0, rel=1e-2)
         assert f.potential(u) / u ** (p + 1) == pytest.approx(1.0 / (p + 1), rel=1e-2)
-    for u in (1e3, 1e4):
+    # 1e200: the head power must not overflow where the tail takes over
+    for u in (1e3, 1e4, 1e200):
         assert f(u) / u ** (-q) == pytest.approx(f.h, rel=1e-2)
+        assert math.isfinite(f.potential(u))
     # the potential converges with an O(u^(q-1)) constant correction, so the
     # increment between the probes isolates the limit cleanly
     inc = (f.potential(1e4) - f.potential(1e3)) / (1e4 ** (1 - q) - 1e3 ** (1 - q))
@@ -159,11 +161,43 @@ def test_smoothed_blend_is_c1_and_unimodal():
         assert left == pytest.approx(right, rel=1e-4, abs=1e-6)
 
 
-def test_smoothed_potential_matches_quadrature():
-    f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=1.0)
+_TABLE_U = np.geomspace(0.01, 10.0, 50)
+
+KINDS = {
+    "prototype": dict(kind="prototype", p=2.0, q=0.5, M=1.0),
+    "smoothed": dict(kind="smoothed", p=1.0, q=0.5, M=1.0),
+    "table": dict(
+        kind="table",
+        p=1.0,
+        q=0.5,
+        M=1.0,
+        u_nodes=tuple(_TABLE_U),
+        f_nodes=tuple(Nonlinearity(kind="prototype", p=1.0, q=0.5, M=1.0)(_TABLE_U)),
+    ),
+}
+
+
+def _zoomed_max(f, lo, hi):
+    """Largest f on a 1001-point grid zoomed six times around its best point."""
+    best = -math.inf
+    for _ in range(6):
+        us = np.linspace(lo, hi, 1001)
+        vals = f(us)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        lo, hi = us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)]
+    return best
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_potential_matches_quadrature(kind):
+    f = Nonlinearity(**KINDS[kind])
     us = np.linspace(0.0, 3.0, 301)
     brute = np.concatenate([[0.0], np.cumsum(0.5 * (f(us)[1:] + f(us)[:-1]) * np.diff(us))])
     assert np.max(np.abs(f.potential(us) - brute)) < 5e-5
+    # the sup norm bounds f on the grid and is attained up to roundoff
+    assert f.sup_norm >= np.max(f(us))
+    assert abs(f.sup_norm - _zoomed_max(f, 0.0, 3.0)) <= 1e-12
 
 
 def test_table_nonlinearity_tails():

@@ -116,6 +116,20 @@ def test_find_regular_mild_existence(mild_solution):
     assert np.min(sol.us) > 0
 
 
+def test_stored_path_ends_on_the_target(mild_solution):
+    # the event sample may land a few ulp either side of x = 1: before the
+    # nudged end state was stored, the first path ended at 0.9999999999999999
+    # and the second at 1.0000000000000004
+    _, sol = mild_solution
+    w = two_constant_weight(1.0, 2.342010133698566, 0.37040024626536244)
+    f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.03356745758157939)
+    path = integrate_path(ProblemInstance(10.281649141641557, w, f), 0.04459407076655844)
+    assert path.terminal == "reached"
+    for xs in (sol.xs, path.xs):
+        assert xs[-1] == 1.0
+        assert np.all(xs <= 1.0)
+
+
 def test_find_regular_empty_below_lam0(mild_family, lam0_jump):
     pb = mild_family.at(0.5 * lam0_jump)
     assert find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64) == []
