@@ -88,11 +88,11 @@ def _partials(pb_family, lam, s0, r):
 def _corrector(pb_family, lam, s0, tangent, ref):
     """Damped Newton on (residual, arclength normalization), at most 10 steps."""
     sl, ss = _scales(*ref)
+    r = _residual(pb_family, lam, s0)
+    if math.isnan(r):
+        return None
     for _ in range(10):
-        r = _residual(pb_family, lam, s0)
         n = tangent[0] * (lam - ref[0]) / sl + tangent[1] * (s0 - ref[1]) / ss
-        if math.isnan(r):
-            return None
         if abs(r) <= _CORRECTOR_TOL and abs(n) <= 1e-9:
             return lam, s0
         j00, j01 = _partials(pb_family, lam, s0, r)
@@ -112,20 +112,20 @@ def _corrector(pb_family, lam, s0, tangent, ref):
             rc = _residual(pb_family, cand[0], cand[1])
             nc = tangent[0] * (cand[0] - ref[0]) / sl + tangent[1] * (cand[1] - ref[1]) / ss
             if not math.isnan(rc) and abs(rc) + abs(nc) < base:
-                lam, s0 = cand
+                (lam, s0), r = cand, rc
                 break
             damp *= 0.5
         else:
             return None
-    r = _residual(pb_family, lam, s0)
-    if not math.isnan(r) and abs(r) <= _CORRECTOR_TOL:
+    if abs(r) <= _CORRECTOR_TOL:
         return lam, s0
     return None
 
 
-def _tangent_fd(pb_family, lam, s0):
+def _tangent_fd(pb_family, lam, s0, r):
+    """Unit tangent of the residual's zero curve at (lam, s0), whose residual is r."""
     sl, ss = _scales(lam, s0)
-    rl, rs = _partials(pb_family, lam, s0, _residual(pb_family, lam, s0))
+    rl, rs = _partials(pb_family, lam, s0, r)
     rl, rs = rl * sl, rs * ss
     norm = math.hypot(rl, rs)
     if norm == 0 or math.isnan(norm):
@@ -168,7 +168,7 @@ def trace(
     if first is None:
         raise ValueError("start point does not integrate to x = 1")
     points = [first]
-    tangent = _tangent_fd(pb_family, lam, s0)
+    tangent = _tangent_fd(pb_family, lam, s0, r0)
     if tangent[0] * direction[0] + tangent[1] * direction[1] < 0:
         tangent = (-tangent[0], -tangent[1])
 

@@ -41,7 +41,13 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# segment forms
+# segment forms: each states its value, antiderivative, scaling, checks and
+# node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node
+
+def _check_finite(*numbers):
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError("form parameters must be finite")
+
 
 @dataclass(frozen=True)
 class ConstantForm:
@@ -51,14 +57,33 @@ class ConstantForm:
 
     kind = "constant"
 
+    def __post_init__(self):
+        _check_finite(self.c)
+
     def value(self, x, z):
         return np.full_like(np.asarray(x, dtype=float), self.c)
 
     def anti(self, x, z):
         return self.c * np.asarray(x, dtype=float)
 
+    def node_terms(self, side, z):
+        return [(self.c, 0.0)]
+
+    def scaled(self, k):
+        return ConstantForm(k * self.c)
+
     def to_dict(self):
         return {"kind": "constant", "c": self.c}
+
+
+def _poly_compose_affine(coeffs, shift, sgn):
+    """Coefficients of p(shift + sgn*d) in powers of d."""
+    out = np.zeros(len(coeffs))
+    for k, c in enumerate(coeffs):
+        # (shift + sgn d)^k expanded by binomial
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * shift ** (k - j) * sgn ** j
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -69,11 +94,23 @@ class PolynomialForm:
 
     kind = "poly"
 
+    def __post_init__(self):
+        if len(self.coeffs) == 0:
+            raise ValueError("a polynomial needs at least one coefficient")
+        _check_finite(*self.coeffs)
+
     def value(self, x, z):
         return npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     def anti(self, x, z):
         return npoly.polyval(np.asarray(x, dtype=float), npoly.polyint(self.coeffs))
+
+    def node_terms(self, side, z):
+        sgn = -1.0 if side == "left" else 1.0
+        return [(c, float(k)) for k, c in enumerate(_poly_compose_affine(self.coeffs, z, sgn))]
+
+    def scaled(self, k):
+        return PolynomialForm(tuple(k * c for c in self.coeffs))
 
     def to_dict(self):
         return {"kind": "poly", "coeffs": list(self.coeffs)}
@@ -83,9 +120,9 @@ class PolynomialForm:
 class PowerForm:
     """Power-law profile anchored at the node z.
 
-    On the left of the node the value is amplitude * (z - x)^exponent > 0,
-    on the right it is -amplitude * (x - z)^exponent < 0.  The amplitude is
-    always stored positive; the side fixes the sign.
+    The value is sign * amplitude * d^exponent in the distance d = |x - z|,
+    clipped at 0 on the far side.  The amplitude is always stored positive;
+    the side fixes the sign, +1 left of the node and -1 right of it.
     """
 
     amplitude: float
@@ -94,22 +131,31 @@ class PowerForm:
 
     kind = "power"
 
-    def value(self, x, z):
+    def __post_init__(self):
+        _check_finite(self.amplitude, self.exponent)
+        if not (self.amplitude > 0.0 and self.exponent > -1.0 and self.side in ("left", "right")):
+            raise ValueError("a power form needs amplitude > 0, exponent > -1 and side 'left' or 'right'")
+
+    @property
+    def sign(self):
+        return 1.0 if self.side == "left" else -1.0
+
+    def _distance(self, x, z):
         x = np.asarray(x, dtype=float)
-        if self.side == "left":
-            d = np.maximum(z - x, 0.0)
-            return self.amplitude * d ** self.exponent
-        d = np.maximum(x - z, 0.0)
-        return -self.amplitude * d ** self.exponent
+        return np.maximum(z - x if self.side == "left" else x - z, 0.0)
+
+    def value(self, x, z):
+        return self.sign * self.amplitude * self._distance(x, z) ** self.exponent
 
     def anti(self, x, z):
-        x = np.asarray(x, dtype=float)
         e1 = self.exponent + 1.0
-        if self.side == "left":
-            d = np.maximum(z - x, 0.0)
-            return -self.amplitude * d ** e1 / e1
-        d = np.maximum(x - z, 0.0)
-        return -self.amplitude * d ** e1 / e1
+        return -self.amplitude * self._distance(x, z) ** e1 / e1
+
+    def node_terms(self, side, z):
+        return [(self.sign * self.amplitude, self.exponent)]
+
+    def scaled(self, k):
+        return PowerForm(k * self.amplitude, self.exponent, self.side)
 
     def to_dict(self):
         return {"kind": "power", "amplitude": self.amplitude, "exponent": self.exponent}
@@ -120,19 +166,13 @@ def _form_from_dict(d, lo, hi, z):
     if kind == "constant":
         return ConstantForm(float(d["c"]))
     if kind == "poly":
+        if not isinstance(d["coeffs"], (list, tuple)):
+            raise ValueError("poly coeffs must be a list of numbers")
         return PolynomialForm(tuple(float(c) for c in d["coeffs"]))
     if kind == "power":
         side = "left" if hi <= z + 1e-12 else "right"
         return PowerForm(float(d["amplitude"]), float(d["exponent"]), side)
     raise ValueError(f"unknown weight form kind {kind!r}")
-
-
-def _form_numbers(form):
-    if isinstance(form, ConstantForm):
-        return (form.c,)
-    if isinstance(form, PolynomialForm):
-        return form.coeffs
-    return (form.amplitude, form.exponent)
 
 
 @dataclass(frozen=True)
@@ -161,8 +201,8 @@ class Weight:
         if not segs:
             raise ValueError("weight needs at least one segment")
         for s in segs:
-            if not all(math.isfinite(v) for v in (s.lo, s.hi, *_form_numbers(s.form))):
-                raise ValueError("segment ends and form parameters must be finite")
+            if not (math.isfinite(s.lo) and math.isfinite(s.hi)):
+                raise ValueError("segment ends must be finite")
             if not s.lo < s.hi:
                 raise ValueError("segment intervals must have lo < hi")
         if abs(segs[0].lo) > 1e-12 or abs(segs[-1].hi - 1.0) > 1e-12:
@@ -170,22 +210,15 @@ class Weight:
         for a, b in zip(segs, segs[1:]):
             if abs(a.hi - b.lo) > 1e-12:
                 raise ValueError("segments must be contiguous")
-        if not any(abs(s.hi - self.z) <= 1e-12 for s in segs[:-1]) and not (
-            abs(segs[-1].hi - self.z) <= 1e-12
-        ):
+        if not any(abs(s.hi - self.z) <= 1e-12 for s in segs[:-1]):
             raise ValueError("node z must be a segment boundary")
         if not 0.0 < self.z < 1.0:
             raise ValueError("node z must lie in (0, 1)")
         for s in segs:
             if isinstance(s.form, PowerForm):
-                if s.form.exponent <= -1.0:
-                    raise ValueError("power exponent must exceed -1")
-                if s.form.amplitude <= 0.0:
-                    raise ValueError("power amplitude must be positive")
-                if s.form.side == "left" and abs(s.hi - self.z) > 1e-12:
-                    raise ValueError("left power segment must end at the node")
-                if s.form.side == "right" and abs(s.lo - self.z) > 1e-12:
-                    raise ValueError("right power segment must start at the node")
+                end = s.hi if s.form.side == "left" else s.lo
+                if abs(end - self.z) > 1e-12:
+                    raise ValueError("a power segment must end (left) or start (right) at the node")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -297,23 +330,15 @@ class Weight:
         """Local vanishing order and leading coefficient of |a| at the node.
 
         Returns (order, coeff) with a(x) ~ coeff * |x - z|^order near z on the
-        requested side; coeff keeps the sign of a there.
+        requested side; coeff keeps the sign of a there.  This is the first
+        of the node segment's node_terms whose coefficient is not roundoff
+        (above 1e-13 times the largest); (inf, 0) when a vanishes there.
         """
-        form = self.node_segment(side).form
-        if isinstance(form, ConstantForm):
-            if form.c == 0.0:
-                return math.inf, 0.0
-            return 0.0, form.c
-        if isinstance(form, PowerForm):
-            amp = form.amplitude if side == "left" else -form.amplitude
-            return form.exponent, amp
-        # polynomial: expand in powers of the distance to the node
-        sgn = -1.0 if side == "left" else 1.0
-        shifted = _poly_compose_affine(form.coeffs, self.z, sgn)
-        scale = max(abs(c) for c in shifted) or 1.0
-        for k, c in enumerate(shifted):
+        terms = self.node_segment(side).form.node_terms(side, self.z)
+        scale = max(abs(c) for c, _ in terms) or 1.0
+        for c, e in terms:
             if abs(c) > 1e-13 * scale:
-                return float(k), float(c)
+                return float(e), float(c)
         return math.inf, 0.0
 
     def sup_positive_part(self):
@@ -327,17 +352,7 @@ class Weight:
         """Weight c * a for c > 0."""
         if c <= 0:
             raise ValueError("scale must be positive")
-        segs = []
-        for s in self.segments:
-            f = s.form
-            if isinstance(f, ConstantForm):
-                nf = ConstantForm(c * f.c)
-            elif isinstance(f, PolynomialForm):
-                nf = PolynomialForm(tuple(c * k for k in f.coeffs))
-            else:
-                nf = PowerForm(c * f.amplitude, f.exponent, f.side)
-            segs.append(Segment(s.lo, s.hi, nf))
-        return Weight(self.z, tuple(segs))
+        return Weight(self.z, tuple(Segment(s.lo, s.hi, s.form.scaled(c)) for s in self.segments))
 
     # -- serialization -------------------------------------------------------
 
@@ -357,16 +372,6 @@ class Weight:
             lo, hi = (float(v) for v in sd["interval"])
             segs.append(Segment(lo, hi, _form_from_dict(sd["form"], lo, hi, z)))
         return cls(z, tuple(segs))
-
-
-def _poly_compose_affine(coeffs, shift, sgn):
-    """Coefficients of p(shift + sgn*d) in powers of d."""
-    out = np.zeros(len(coeffs))
-    for k, c in enumerate(coeffs):
-        # (shift + sgn d)^k expanded by binomial
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * shift ** (k - j) * sgn ** j
-    return out.tolist()
 
 
 def two_constant_weight(pos, neg, z):

@@ -1,11 +1,13 @@
 """Adaptive quadrature and the node-singular criterion integrals.
 
 The regularity criterion needs integrals of (int_x^z a)^(-1/2) up to the
-node z, where the inner integral vanishes.  Divergence is decided
-symbolically from the local vanishing order of the weight at the node, and
-convergent cases are computed from closed forms (pure power segments) or a
-graded substitution that removes the endpoint singularity before the
-adaptive rule sees it.
+node z, where the inner integral vanishes.  One law covers every weight
+form: near the node, a is the sum of terms c d^e in the distance
+d = |x - z| (the node segment's node_terms).  The leading term gives the
+vanishing order, from which divergence is decided symbolically.  A
+convergent side with one term has a closed form; with more terms, a graded
+substitution removes the endpoint singularity before the adaptive rule
+sees it.
 """
 
 from __future__ import annotations
@@ -98,50 +100,30 @@ def _inner(w, side):
     return lambda x: -w.integral(z, x)
 
 
-def _near_closed_form(form, length, side):
-    """Exact near-node part for constant and pure power segments, else None."""
-    from .model import ConstantForm, PowerForm
-
-    if isinstance(form, ConstantForm):
-        c = abs(form.c)
-        return 2.0 * math.sqrt(length / c)
-    if isinstance(form, PowerForm):
-        a = form.exponent
-        return math.sqrt((a + 1.0) / form.amplitude) * 2.0 / (1.0 - a) * length ** ((1.0 - a) / 2.0)
-    return None
+def _near_closed_form(terms, length):
+    """Exact near-node part when a is one term c d^e there, else None."""
+    if len(terms) != 1:
+        return None
+    ((c, e),) = terms
+    if e == 0.0:  # the same value with fewer roundings
+        return 2.0 * math.sqrt(length / abs(c))
+    return math.sqrt((e + 1.0) / abs(c)) * 2.0 / (1.0 - e) * length ** ((1.0 - e) / 2.0)
 
 
-def _inner_from_distance(form, z, side):
+def _inner_from_distance(terms):
     """|int over the last d units before the node| as an exact function of d.
 
-    Works in distance coordinates so no cancellation occurs for tiny d.
+    a = sum c d^e near the node gives sum c d^(e+1) / (e+1); working in
+    distance coordinates, no cancellation occurs for tiny d.
     """
-    from .model import ConstantForm, PowerForm, _poly_compose_affine
-
-    if isinstance(form, ConstantForm):
-        c = abs(form.c)
-        return lambda d: c * d
-    if isinstance(form, PowerForm):
-        amp, e1 = form.amplitude, form.exponent + 1.0
-        return lambda d: amp * d ** e1 / e1
-    sgn = -1.0 if side == "left" else 1.0
-    shifted = _poly_compose_affine(form.coeffs, z, sgn)
-    int_coeffs = [c / (k + 1.0) for k, c in enumerate(shifted)]
-
-    def val(d):
-        acc = 0.0
-        for c in reversed(int_coeffs):
-            acc = acc * d + c
-        return abs(acc * d)
-
-    return val
+    lifted = [(c, e + 1.0) for c, e in terms]
+    return lambda d: abs(math.fsum(c * d ** e1 / e1 for c, e1 in lifted))
 
 
-def _near_graded(w, seg, side, order, coeff, tol):
+def _near_graded(terms, length, order, coeff, tol):
     """Near-node part via the graded substitution t = |x - z|^((1-order)/2)."""
     gamma = (1.0 - order) / 2.0
-    length = (w.z - seg.lo) if side == "left" else (seg.hi - w.z)
-    inner_d = _inner_from_distance(seg.form, w.z, side)
+    inner_d = _inner_from_distance(terms)
     amp = abs(coeff)
     limit = math.sqrt((order + 1.0) / amp) / gamma
 
@@ -168,8 +150,8 @@ def criterion_integral(w, side, method="auto"):
     is decided from the vanishing order of a at the node: local order alpha
     gives integrand exponent (alpha + 1)/2, infinite iff that is >= 1.
 
-    method "closed" forces the closed form on power or constant adjacent
-    segments, "adaptive" forces the graded-substitution quadrature, "auto"
+    method "closed" forces the closed form, which needs a node segment with
+    one term; "adaptive" forces the graded-substitution quadrature; "auto"
     prefers the closed form when available.
     """
     if side not in ("left", "right"):
@@ -192,13 +174,14 @@ def criterion_integral(w, side, method="auto"):
         length = near_seg.hi - z
         far = w.spans(near_seg.hi, 1.0)
 
-    closed = _near_closed_form(near_seg.form, length, side)
+    terms = near_seg.form.node_terms(side, z)
+    closed = _near_closed_form(terms, length)
     if method == "closed":
         if closed is None:
             raise ValueError("no closed form for this adjacent segment")
         near = closed
     elif method == "adaptive" or closed is None:
-        near = _near_graded(w, near_seg, side, order, coeff, tol=_CRITERION_TOL * 1e-3)
+        near = _near_graded(terms, length, order, coeff, tol=_CRITERION_TOL * 1e-3)
     else:
         near = closed
 

@@ -136,10 +136,9 @@ def minimize(pb, init=None, n=240, max_iter=30000):
     return DiscreteBVFunction(v), fval, {"iterations": int(res.nit), "history": history}
 
 
-def minimize_multistart(pb, n=240, starts=6, height_scale=None):
+def minimize_multistart(pb, n=240, starts=6):
     """Deterministic multi-start minimization; returns runs sorted by value."""
-    if height_scale is None:
-        height_scale = 2.0 * pb.f.M
+    height_scale = 2.0 * pb.f.M
     rng = np.random.default_rng(0)
     xs = np.linspace(0.0, 1.0, n + 1)
     inits = [

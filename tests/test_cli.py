@@ -217,6 +217,12 @@ def test_usage_errors_exit_one(tmp_path):
     nan_peak = copy.deepcopy(DEFAULT_PROBLEM)
     nan_peak["f"]["M"] = math.nan
     assert run_cli(["classify", "--lambda", "50", "--problem", json.dumps(nan_peak)]) == 1
+    # polynomial coefficients must be a nonempty list: a string is not read digit by digit
+    for coeffs in ("12", []):
+        poly = copy.deepcopy(DEFAULT_PROBLEM)
+        poly["weight"]["segments"][0]["form"] = {"kind": "poly", "coeffs": coeffs}
+        for cmd in (["eig"], ["classify", "--lambda", "50"]):
+            assert run_cli([*cmd, "--problem", json.dumps(poly)]) == 1
 
 
 def test_flags_leave_the_default_problem_alone():

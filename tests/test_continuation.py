@@ -123,6 +123,25 @@ def test_trace_rejects_unconverged_start(ramp_family):
         trace(ramp_family, (1.0, 5.0))
 
 
+def test_trace_never_shoots_a_point_twice_in_a_row(ramp_family, monkeypatch):
+    # the corrector carries an accepted step's residual forward, and the
+    # start's tangent reuses the start's residual
+    from curvebif import continuation
+
+    seed = seed_from_lambda0(ramp_family)
+    shots = []
+    shoot = continuation.shoot_residual
+
+    def recording(pb, s0, *args, **kwargs):
+        shots.append((pb.lam, s0))
+        return shoot(pb, s0, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "shoot_residual", recording)
+    br = trace(ramp_family, seed, step=0.1, max_points=6)
+    assert len(br.points) == 6
+    assert all(a != b for a, b in zip(shots, shots[1:]))
+
+
 def test_solve_lambda_at_height_matches_branch(ramp_family):
     pair = principal_neumann(ramp_family.weight)
     lam = solve_lambda_at_height(ramp_family, 1e-4, pair.eigenvalue)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvebif import ConstantForm, PolynomialForm, Segment, Weight, power_weight, two_constant_weight
+from curvebif import ConstantForm, PolynomialForm, PowerForm, Segment, Weight, power_weight, two_constant_weight
 from curvebif.quadrature import (
     ExtendedReal,
     QuadratureBudgetError,
+    _inner_from_distance,
     criterion_integral,
     criterion_pair,
     integrate,
@@ -89,9 +90,45 @@ def test_vanishing_polynomial_is_divergent():
 @given(scale=st.floats(0.2, 50.0), alpha=st.floats(0.0, 0.8))
 def test_amplitude_scaling_law(scale, alpha):
     w = power_weight(1.0, alpha, 2.0, alpha, 0.4) if alpha > 1e-3 else two_constant_weight(1.0, 2.0, 0.4)
-    base = criterion_integral(w, "left").value
-    scaled = criterion_integral(w.scaled(scale), "left").value
-    assert scaled == pytest.approx(base / math.sqrt(scale), rel=1e-8)
+    # a polynomial node segment takes the graded quadrature
+    wp = Weight(0.4, (Segment(0.0, 0.4, PolynomialForm((1.0, -1.0, alpha))), Segment(0.4, 1.0, ConstantForm(-2.0))))
+    for weight in (w, wp):
+        base = criterion_integral(weight, "left").value
+        scaled = criterion_integral(weight.scaled(scale), "left").value
+        assert scaled == pytest.approx(base / math.sqrt(scale), rel=1e-8)
+
+
+def _form(kind, side, c, e, tilt):
+    sign = 1.0 if side == "left" else -1.0
+    if kind == "constant":
+        return ConstantForm(sign * c)
+    if kind == "power":
+        return PowerForm(c, e, side)
+    # c + 2 outweighs the tilt terms on [0, 1], so a keeps one sign on the segment
+    return PolynomialForm((sign * (c + 2.0), tilt, -tilt / 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("constant", "poly", "power")),
+    side=st.sampled_from(("left", "right")),
+    c=st.floats(0.1, 5.0),
+    e=st.floats(-0.9, 3.0),
+    tilt=st.floats(-1.0, 1.0),
+    z=st.floats(0.2, 0.8),
+    frac=st.floats(0.01, 1.0),
+)
+def test_node_terms_integrate_to_the_weight(kind, side, c, e, tilt, z, frac):
+    # the node expansion's integral over the last d before the node is the
+    # exact integral of a there, for every form kind on either side
+    other = "right" if side == "left" else "left"
+    forms = {side: _form(kind, side, c, e, tilt), other: _form("constant", other, 1.0, 0.0, 0.0)}
+    w = Weight(z, (Segment(0.0, z, forms["left"]), Segment(z, 1.0, forms["right"])))
+    seg = w.node_segment(side)
+    d = frac * (seg.hi - seg.lo)
+    exact = abs(w.integral(z - d, z) if side == "left" else w.integral(z, z + d))
+    got = _inner_from_distance(seg.form.node_terms(side, z))(d)
+    assert got == pytest.approx(exact, rel=1e-12)
 
 
 def test_scaling_never_flips_certificate():

@@ -95,7 +95,7 @@ def test_steep_transition_for_jump_weight(jump_weight, bump_f, jump_solution_50)
     # at lam = 50 the minimizer emulates the jump with one steep cell whose
     # drop carries most of the singular solution's jump
     pb = ProblemInstance(50.0, jump_weight, bump_f)
-    runs = minimize_multistart(pb, n=160, starts=4, height_scale=400.0)
+    runs = minimize_multistart(pb, n=160, starts=4)
     u, val, _ = runs[0]
     assert val < 0
     drops = -np.diff(u.values)
