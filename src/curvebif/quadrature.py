@@ -121,11 +121,16 @@ def _inner_from_distance(terms):
 
 
 def _near_graded(terms, length, order, coeff, tol):
-    """Near-node part via the graded substitution t = |x - z|^((1-order)/2)."""
+    """Near-node part via the graded substitution t = |x - z|^((1-order)/2).
+
+    The terms are divided by the leading amplitude |coeff| before the
+    adaptive rule sees them, so its refinement does not depend on the scale
+    of a and the value follows the law near(k a) = near(a) / sqrt(k).
+    """
     gamma = (1.0 - order) / 2.0
-    inner_d = _inner_from_distance(terms)
     amp = abs(coeff)
-    limit = math.sqrt((order + 1.0) / amp) / gamma
+    inner_d = _inner_from_distance([(c / amp, e) for c, e in terms])
+    limit = math.sqrt(order + 1.0) / gamma
 
     def integrand(t):
         if t <= 0.0:
@@ -139,7 +144,7 @@ def _near_graded(terms, length, order, coeff, tol):
             raise QuadratureBudgetError("inner integral not positive near the node")
         return val ** -0.5 * (1.0 / gamma) * t ** (1.0 / gamma - 1.0)
 
-    return integrate(integrand, 0.0, length ** gamma, tol=tol)
+    return integrate(integrand, 0.0, length ** gamma, tol=tol) / math.sqrt(amp)
 
 
 def criterion_integral(w, side, method="auto"):
