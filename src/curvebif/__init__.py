@@ -18,27 +18,18 @@ with a sign-changing weight a and a bump nonlinearity f.  Modules:
                  singular, minimize, rates, diagram, verify)
 """
 
-from .model import (
-    ConstantForm,
-    Nonlinearity,
-    PolynomialForm,
-    PowerForm,
-    ProblemFamily,
-    ProblemInstance,
-    Segment,
-    TableWeight,
-    Weight,
-    curvature_residual,
-    neumann_balance,
-    power_weight,
-    two_constant_weight,
-)
-from .quadrature import ExtendedReal, criterion_integral, criterion_pair, integrate
-from .eigen import EigenPair, bif_direction, principal_dirichlet, principal_neumann
-from .shoot import ArcPath, Blocked, RegularSolution, find_regular, integrate_path, shoot_residual
-from .singular import Absent, RegularityVerdict, SingularSolution, classify, smallness_guard, solve_singular
-from .continuation import Branch, diagram, seed_from_lambda0, singular_sweep, trace
-from .varmin import DiscreteBVFunction, functional_value, minimize, minimize_multistart
-from .asymptotics import build_family, grow_decay_rates, flatness_and_node, small_branch_scaling
+from . import asymptotics, continuation, eigen, model, quadrature, shoot, singular, varmin
+from .asymptotics import *
+from .continuation import *
+from .eigen import *
+from .model import *
+from .quadrature import *
+from .shoot import *
+from .singular import *
+from .varmin import *
+
+# the package exports what its modules export
+_MODULES = (model, quadrature, eigen, shoot, singular, continuation, varmin, asymptotics)
+__all__ = [name for module in _MODULES for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -221,7 +221,7 @@ def check_4():
 def check_5():
     t0 = time.perf_counter()
     fam, members = rates_family()
-    sl, sr, fits = grow_decay_rates(members)
+    sl, sr, fits = grow_decay_rates(members, fam.weight.z)
     flat = flatness_and_node(members, fam.weight.z, fam.f.M)
     elapsed = time.perf_counter() - t0
     left_ok = abs(sl - 2.0) <= 0.3 and fits["left"].r2 >= 0.98
@@ -396,7 +396,7 @@ def check_10():
 
     worst_piece, worst_flux = 0.0, 0.0
     singles = [s for s in (sing, sing3) if isinstance(s, SingularSolution)]
-    singles += [m.solution for m in members if isinstance(m.solution, SingularSolution)]
+    singles += [m for m in members if isinstance(m, SingularSolution)]
     for s in singles:
         worst_piece = max(worst_piece, s.residual_left, s.residual_right)
         worst_flux = max(worst_flux, abs(s.flux_left - 1.0), abs(s.flux_right - 1.0))

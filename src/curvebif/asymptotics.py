@@ -19,13 +19,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .shoot import find_regular
-from .singular import Absent, SingularSolution, solve_singular
+from .singular import Absent, solve_singular
 from .util import bisect_bracket, scan_brackets
 
 __all__ = [
     "RateFit",
-    "FamilyMember",
     "build_family",
+    "max_slope_on",
+    "level_crossing",
     "grow_decay_rates",
     "flatness_and_node",
     "small_branch_scaling",
@@ -51,46 +52,29 @@ class RateFit:
         }
 
 
-@dataclass
-class FamilyMember:
-    lam: float
-    kind: str  # "regular" | "singular"
-    solution: object
-    node: float = 0.5
+def max_slope_on(sol, lo, hi):
+    """Largest |u'| of the solution's mesh points in [lo, hi], 0 when there are none."""
+    best = 0.0
+    for xs, _, dus in sol.pieces:
+        m = (xs >= lo) & (xs <= hi)
+        if np.any(m):
+            best = max(best, float(np.max(np.abs(dus[m]))))
+    return best
 
-    def u_at(self, x):
-        return self.solution.u_at(x)
 
-    @property
-    def sup_norm(self):
-        return self.solution.sup_norm
+def level_crossing(sol, level):
+    """Largest x with u(x) >= level, or the node when the jump spans the level.
 
-    def max_slope_on(self, lo, hi):
-        if isinstance(self.solution, SingularSolution):
-            best = 0.0
-            for xs, dus in (
-                (self.solution.xs_left, self.solution.dus_left),
-                (self.solution.xs_right, self.solution.dus_right),
-            ):
-                m = (xs >= lo) & (xs <= hi)
-                if np.any(m):
-                    best = max(best, float(np.max(np.abs(dus[m]))))
-            return best
-        m = (self.solution.xs >= lo) & (self.solution.xs <= hi)
-        return float(np.max(np.abs(self.solution.dus[m]))) if np.any(m) else 0.0
-
-    def level_crossing(self, level):
-        """Largest x with u(x) >= level (the node itself when the jump spans it)."""
-        if isinstance(self.solution, SingularSolution):
-            s = self.solution
-            if s.us_left[-1] >= level >= s.us_right[0]:
-                return float(s.xs_left[-1])
-            xs, us = (s.xs_left, s.us_left) if s.us_left[-1] > level else (s.xs_right, s.us_right)
-        else:
-            xs, us = self.solution.xs, self.solution.us
-        rev_u = us[::-1]
-        rev_x = xs[::-1]
-        return float(np.interp(level, rev_u, rev_x))
+    Walks the pieces from the right; each decreases in u.  A piece whose
+    right end is at or above the level gives that end, one that starts
+    above it gives the crossing, and a level above every piece gives x = 0.
+    """
+    for xs, us, _ in reversed(sol.pieces):
+        if us[-1] >= level:
+            return float(xs[-1])
+        if us[0] > level:
+            return float(np.interp(level, us[::-1], xs[::-1]))
+    return float(sol.pieces[0][0][0])
 
 
 def _loglog_fit(lams, vals):
@@ -132,24 +116,18 @@ def build_family(pb_family, ladder):
         else:
             hi = prev_sup * (lam / members[-1].lam) ** (1.0 / q) * 1e2
         hi = max(hi, 10 * lo)
-        member = None
         sols = find_regular(pb, s_min=lo, s_max=hi, n_scan=48)
         sols = [s for s in sols if np.all(np.diff(s.us) <= 1e-9 * max(1.0, s.sup_norm))]
-        if sols:
-            member = FamilyMember(lam, "regular", sols[-1], node=pb_family.weight.z)
-        else:
-            sing = solve_singular(pb)
-            if not isinstance(sing, Absent):
-                member = FamilyMember(lam, "singular", sing, node=pb_family.weight.z)
-        if member is None:
+        member = sols[-1] if sols else solve_singular(pb)
+        if isinstance(member, Absent):
             raise RuntimeError(f"no solution separated from zero at lam = {lam}")
         members.append(member)
         prev_sup = member.sup_norm
     return members
 
 
-def grow_decay_rates(members, eta=None):
-    """Log-log slopes of u at one probe point per side of the node.
+def grow_decay_rates(members, z, eta=None):
+    """Log-log slopes of u at one probe point per side of the node z.
 
     Returns (slope_left, slope_right, fits) where fits carry the r^2
     diagnostics; a fit below r^2 = 0.98 should be treated as inconclusive,
@@ -157,7 +135,6 @@ def grow_decay_rates(members, eta=None):
     """
     if len(members) < 4:
         raise ValueError("rate fits need at least four ladder rungs")
-    z = members[0].node
     if eta is None:
         eta = 0.1 * min(z, 1.0 - z)
     if not (0 < eta < min(z, 1.0 - z) / 2):
@@ -186,10 +163,10 @@ def flatness_and_node(members, z, M):
     """
     eta = 0.1 * min(z, 1.0 - z)
     lams = [m.lam for m in members]
-    slopes = [m.max_slope_on(0.0, z - eta) for m in members]
-    slopes_r = [m.max_slope_on(z + eta, 1.0) for m in members]
+    slopes = [max_slope_on(m, 0.0, z - eta) for m in members]
+    slopes_r = [max_slope_on(m, z + eta, 1.0) for m in members]
     outer = [max(a, b) for a, b in zip(slopes, slopes_r)]
-    crossings = [m.level_crossing(M) for m in members]
+    crossings = [level_crossing(m, M) for m in members]
     ratios = [m.u_at((z - eta) / 2.0) / m.u_at(0.0) for m in members]
     trend_slope, _, trend_r2 = _loglog_fit(lams, [max(v, 1e-30) for v in outer])
     return {

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .emit import csv_text, json_text, svg_plot
-from .model import Nonlinearity, ProblemFamily, ProblemInstance, Weight
+from .model import Nonlinearity, ProblemFamily, ProblemInstance, Weight, _number
 
 __all__ = ["main", "build_parser"]
 
@@ -67,7 +67,7 @@ def _load_problem(args):
     lam = getattr(args, "lam", None)
     try:
         if lam is None:
-            lam = float(spec.get("lambda", 0.0))
+            lam = _number(spec.get("lambda", 0.0))
         weight = Weight.from_dict(spec["weight"])
         f = Nonlinearity.from_dict(spec["f"])
     except (KeyError, ValueError, TypeError) as e:
@@ -271,7 +271,7 @@ def _cmd_rates(args):
     fam = ProblemFamily(pb.weight, pb.f)
     ladder = _parse_ladder(args.ladder)
     members = build_family(fam, ladder)
-    sl, sr, fits = grow_decay_rates(members)
+    sl, sr, fits = grow_decay_rates(members, pb.weight.z)
     flat = flatness_and_node(members, pb.weight.z, pb.f.M)
     out = {
         "ladder": [m.lam for m in members],

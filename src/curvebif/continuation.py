@@ -18,7 +18,16 @@ import numpy as np
 
 from .shoot import Blocked, integrate_path, shoot_residual, solution_from_path
 
-__all__ = ["BranchPoint", "Branch", "trace", "seed_from_lambda0", "solve_lambda_at_height", "diagram", "DiagramRecord"]
+__all__ = [
+    "BranchPoint",
+    "Branch",
+    "trace",
+    "singular_sweep",
+    "seed_from_lambda0",
+    "solve_lambda_at_height",
+    "diagram",
+    "DiagramRecord",
+]
 
 NEAR_SINGULAR_COS = 1e-3
 _TRACE_MESH = (2e-3, 5e-3)  # stored-path spacing (max angle change, max x advance)
@@ -232,7 +241,7 @@ def singular_sweep(pb_family, lams):
         got = solve_singular(pb_family.at(lam))
         if isinstance(got, Absent):
             continue
-        deriv = float(max(np.max(np.abs(got.dus_left)), np.max(np.abs(got.dus_right))))
+        deriv = max(float(np.max(np.abs(dus))) for _, _, dus in got.pieces)
         points.append(BranchPoint(lam, got.us_left[0], got.sup_norm, deriv, "near-singular", 0.0))
     return Branch(points=points, origin="SingularSweep", terminated_by="sweep-end")
 

@@ -13,6 +13,9 @@ import numpy as np
 
 __all__ = ["fmt", "json_text", "csv_text", "svg_plot"]
 
+_WIDTH, _HEIGHT, _MARGIN = 820, 560, 64  # SVG canvas and plot-frame inset, px
+_N_TICKS = 5
+
 
 def fmt(x):
     """17-significant-digit rendering of a float."""
@@ -60,14 +63,13 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
+    return np.linspace(lo, hi, _N_TICKS)
 
 
-def svg_plot(series, *, width=820, height=560, margin=64, xlabel="", ylabel="", logx=False, logy=False):
+def svg_plot(series, *, xlabel="", ylabel="", logx=False, logy=False):
     """Standalone SVG polyline plot.
 
     series: list of {"x": ..., "y": ..., "dashed": bool}; dashed curves are
@@ -100,6 +102,7 @@ def svg_plot(series, *, width=820, height=560, margin=64, xlabel="", ylabel="", 
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1e-300:
         y_hi = y_lo + 1.0
+    width, height, margin = _WIDTH, _HEIGHT, _MARGIN
     iw = width - 2 * margin
     ih = height - 2 * margin
 

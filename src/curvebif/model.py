@@ -33,6 +33,7 @@ __all__ = [
     "TableWeight",
     "Nonlinearity",
     "ProblemInstance",
+    "ProblemFamily",
     "two_constant_weight",
     "power_weight",
     "curvature_residual",
@@ -47,6 +48,13 @@ __all__ = [
 def _check_finite(*numbers):
     if not all(math.isfinite(v) for v in numbers):
         raise ValueError("form parameters must be finite")
+
+
+def _number(v):
+    """A JSON number as a float; a string, a boolean or anything else is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,7 @@ class PolynomialForm:
     kind = "poly"
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("a polynomial needs at least one coefficient")
         _check_finite(*self.coeffs)
@@ -164,14 +173,12 @@ class PowerForm:
 def _form_from_dict(d, lo, hi, z):
     kind = d["kind"]
     if kind == "constant":
-        return ConstantForm(float(d["c"]))
+        return ConstantForm(_number(d["c"]))
     if kind == "poly":
-        if not isinstance(d["coeffs"], (list, tuple)):
-            raise ValueError("poly coeffs must be a list of numbers")
-        return PolynomialForm(tuple(float(c) for c in d["coeffs"]))
+        return PolynomialForm(tuple(_number(c) for c in d["coeffs"]))
     if kind == "power":
         side = "left" if hi <= z + 1e-12 else "right"
-        return PowerForm(float(d["amplitude"]), float(d["exponent"]), side)
+        return PowerForm(_number(d["amplitude"]), _number(d["exponent"]), side)
     raise ValueError(f"unknown weight form kind {kind!r}")
 
 
@@ -366,10 +373,10 @@ class Weight:
 
     @classmethod
     def from_dict(cls, d):
-        z = float(d["z"])
+        z = _number(d["z"])
         segs = []
         for sd in d["segments"]:
-            lo, hi = (float(v) for v in sd["interval"])
+            lo, hi = (_number(v) for v in sd["interval"])
             segs.append(Segment(lo, hi, _form_from_dict(sd["form"], lo, hi, z)))
         return cls(z, tuple(segs))
 
@@ -542,16 +549,13 @@ class Nonlinearity:
 
     @property
     def d2_zero(self):
-        """f''(0), available for the p = 1 families (identically zero there)."""
-        if self.kind in ("prototype", "smoothed") and self.p == 1.0:
-            return 0.0
-        return None
+        """f''(0): every kind is c u^p below a, so 0 for p = 1 and None otherwise."""
+        return 0.0 if self.p == 1.0 else None
 
     @property
     def d3_zero(self):
-        if self.kind in ("prototype", "smoothed") and self.p == 1.0:
-            return 0.0
-        return None
+        """The third derivative of f at 0, by the same rule as d2_zero."""
+        return 0.0 if self.p == 1.0 else None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -612,15 +616,15 @@ class Nonlinearity:
         kind = d.get("kind", "prototype")
         kw = dict(
             kind=kind,
-            p=float(d.get("p", 1.0)),
-            q=float(d.get("q", 0.5)),
-            M=float(d.get("M", 1.0)),
+            p=_number(d.get("p", 1.0)),
+            q=_number(d.get("q", 0.5)),
+            M=_number(d.get("M", 1.0)),
         )
         if kind == "smoothed" and "delta" in d:
-            kw["delta"] = float(d["delta"])
+            kw["delta"] = _number(d["delta"])
         if kind == "table":
-            kw["u_nodes"] = tuple(float(v) for v in d["u"])
-            kw["f_nodes"] = tuple(float(v) for v in d["f"])
+            kw["u_nodes"] = tuple(_number(v) for v in d["u"])
+            kw["f_nodes"] = tuple(_number(v) for v in d["f"])
         return cls(**kw)
 
 
@@ -648,7 +652,7 @@ class ProblemInstance:
     @classmethod
     def from_dict(cls, d, lam=None):
         if lam is None:
-            lam = float(d.get("lambda", 0.0))
+            lam = _number(d.get("lambda", 0.0))
         return cls(float(lam), Weight.from_dict(d["weight"]), Nonlinearity.from_dict(d["f"]))
 
 

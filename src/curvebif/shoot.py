@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp
 from .model import curvature_residual, neumann_balance
 from .util import bisect_bracket, scan_brackets
 
-__all__ = ["ArcPath", "Blocked", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
+__all__ = ["ArcPath", "Blocked", "Solution", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
 
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
@@ -46,8 +46,6 @@ class ArcPath:
     "cap" (budget exhausted) or "failure".
     """
 
-    lam: float
-    s0: float
     ss: np.ndarray
     xs: np.ndarray
     us: np.ndarray
@@ -59,10 +57,6 @@ class ArcPath:
     min_cos: float
     nfev: int
 
-    @property
-    def dus(self):
-        return np.tan(self.thetas)
-
 
 @dataclass(frozen=True)
 class Blocked:
@@ -73,15 +67,61 @@ class Blocked:
     state: tuple
 
 
+class Solution:
+    """The one shape of a solution: its pieces, left to right.
+
+    A piece is a monotone graph as (xs, us, dus) arrays, increasing in x.
+    A regular solution is one piece on [0, 1]; a jump solution is two,
+    meeting the node with vertical tangents.  Subclasses define pieces.
+    """
+
+    @property
+    def sup_norm(self):
+        return max(float(np.max(us)) for _, us, _ in self.pieces)
+
+    def u_at(self, x):
+        """u at x, taken on the first piece that reaches x (the last one past all ends)."""
+        x = np.asarray(x, dtype=float)
+        *inner, (xs, us, _) = self.pieces
+        out = np.interp(x, xs, us)
+        for xs, us, _ in reversed(inner):
+            out = np.where(x <= xs[-1], np.interp(x, xs, us), out)
+        return float(out) if out.ndim == 0 else out
+
+
+def _mesh(pieces):
+    """The pieces in order as one (n, 3) float array of rows (x, u, u')."""
+    rows = np.empty((sum(len(xs) for xs, _, _ in pieces), 3))
+    for j, column in enumerate(zip(*pieces)):
+        np.concatenate(column, out=rows[:, j])
+    return rows
+
+
+def _path_piece(path):
+    """A stored path as one (xs, us, dus) piece, increasing in x.
+
+    In march order, a point within 1e-14 in x of the point before it is
+    dropped.  theta is clipped to [-pi/2, pi/2] before its tangent is
+    taken: a vertical event lands within roundoff of +-pi/2, and the clip
+    keeps the infinite slope's sign.
+    """
+    xs, us, thetas = path.xs, path.us, path.thetas
+    keep = np.concatenate([[True], np.abs(np.diff(xs)) > 1e-14])
+    if xs[-1] < xs[0]:  # a backward march
+        xs, us, thetas, keep = xs[::-1], us[::-1], thetas[::-1], keep[::-1]
+    dus = thetas[keep]
+    np.clip(dus, -math.pi / 2.0, math.pi / 2.0, out=dus)
+    return xs[keep], us[keep], np.tan(dus, out=dus)
+
+
 @dataclass
-class RegularSolution:
-    """Converged Neumann solution on its reporting mesh."""
+class RegularSolution(Solution):
+    """Converged Neumann solution on its reporting mesh: one piece."""
 
     lam: float
     xs: np.ndarray
     us: np.ndarray
     dus: np.ndarray
-    sup_norm: float
     deriv_norm: float
     residual: float
     balance: float
@@ -90,14 +130,15 @@ class RegularSolution:
     dead_core: bool = False
     kind: str = "regular"
 
-    def u_at(self, x):
-        return np.interp(x, self.xs, self.us)
+    @property
+    def pieces(self):
+        return ((self.xs, self.us, self.dus),)
 
     def to_dict(self):
         """Summary with "mesh" as one (n, 3) float array of rows (x, u, u')."""
         return {
             "lambda": self.lam,
-            "mesh": np.column_stack([self.xs, self.us, self.dus]),
+            "mesh": _mesh(self.pieces),
             "residual": self.residual,
             "kind": "regular",
             "jump": 0.0,
@@ -288,8 +329,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         thetas = np.array([theta_start, y[2]])
 
     return ArcPath(
-        lam=lam,
-        s0=u_start,
         ss=ss,
         xs=xs,
         us=us,
@@ -364,13 +403,12 @@ def _classify(pb, s0):
 
 
 def solution_from_path(pb, path):
-    xs, us, dus = _clean_mesh(path)
+    xs, us, dus = _path_piece(path)
     return RegularSolution(
         lam=pb.lam,
         xs=xs,
         us=us,
         dus=dus,
-        sup_norm=float(np.max(us)),
         deriv_norm=float(np.max(np.abs(dus))),
         residual=curvature_residual(pb, xs, us, dus),
         balance=neumann_balance(pb, xs, us),
@@ -378,13 +416,6 @@ def solution_from_path(pb, path):
         min_cos=path.min_cos,
         dead_core=path.dead_core,
     )
-
-
-def _clean_mesh(path):
-    xs, us, thetas = path.xs, path.us, path.thetas
-    keep = np.concatenate([[True], np.diff(xs) > 1e-14])
-    xs, us, thetas = xs[keep], us[keep], thetas[keep]
-    return xs, us, np.tan(thetas)
 
 
 def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):

@@ -25,7 +25,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .model import curvature_residual
 from .quadrature import ExtendedReal, criterion_integral
-from .shoot import _march
+from .shoot import Solution, _march, _mesh, _path_piece
 from .util import bisect_bracket, scan_brackets
 
 __all__ = [
@@ -79,7 +79,7 @@ class Absent:
 
 
 @dataclass
-class SingularSolution:
+class SingularSolution(Solution):
     """Two monotone pieces with vertical tangents at the node and a jump."""
 
     lam: float
@@ -97,32 +97,18 @@ class SingularSolution:
     kind: str = "singular"
 
     @property
-    def sup_norm(self):
-        return float(max(np.max(self.us_left), np.max(self.us_right)))
+    def pieces(self):
+        return (self.xs_left, self.us_left, self.dus_left), (self.xs_right, self.us_right, self.dus_right)
 
     @property
     def residual(self):
         return max(self.residual_left, self.residual_right)
 
-    def u_at(self, x):
-        x = np.asarray(x, dtype=float)
-        left = np.interp(x, self.xs_left, self.us_left)
-        right = np.interp(x, self.xs_right, self.us_right)
-        out = np.where(x <= self.xs_left[-1], left, right)
-        return float(out) if out.ndim == 0 else out
-
     def to_dict(self):
         """Summary with "mesh" as one (n, 3) float array of rows (x, u, u'), left piece first."""
-        mesh = np.column_stack(
-            [
-                np.concatenate([self.xs_left, self.xs_right]),
-                np.concatenate([self.us_left, self.us_right]),
-                np.concatenate([self.dus_left, self.dus_right]),
-            ]
-        )
         return {
             "lambda": self.lam,
-            "mesh": mesh,
+            "mesh": _mesh(self.pieces),
             "residual": self.residual,
             "kind": "singular",
             "jump": self.jump,
@@ -236,39 +222,28 @@ def solve_singular(pb):
     z = pb.weight.z
     left = _march(pb, 0.0, s_left, 0.0, z, collect=_PIECE_MESH)
     right = _march(pb, 1.0, s_right, 0.0, z, collect=_PIECE_MESH, atol=_RIGHT_ATOL)
-
-    # the vertical events land within roundoff of -pi/2; clamp so the node
-    # endpoints report the correct branch of the (infinite) slope
-    xl, ul, tl = left.xs, left.us, np.clip(left.thetas, -math.pi / 2.0, math.pi / 2.0)
-    xr, ur, tr = right.xs[::-1], right.us[::-1], np.clip(right.thetas[::-1], -math.pi / 2.0, math.pi / 2.0)
-    if ul[-1] < ur[0] - 1e-9 * max(1.0, ul[-1]):
+    if left.us[-1] < right.us[-1] - 1e-9 * max(1.0, left.us[-1]):
         return Absent("inadmissible-jump", "left height at the node fell below the right one")
 
     flux_left = _flux_quadrature(pb, left, "left")
     flux_right = _flux_quadrature(pb, right, "right")
-
-    keep_l = np.concatenate([[True], np.diff(xl) > 1e-14])
-    keep_r = np.concatenate([np.diff(xr) > 1e-14, [True]])
-    xl, ul, tl = xl[keep_l], ul[keep_l], tl[keep_l]
-    xr, ur, tr = xr[keep_r], ur[keep_r], tr[keep_r]
+    xl, ul, dl = _path_piece(left)
+    xr, ur, dr = _path_piece(right)
 
     eps = 1e-3
-    res_l = _piece_residual(pb, xl, ul, np.tan(tl), 0.0, z - eps)
-    res_r = _piece_residual(pb, xr, ur, np.tan(tr), z + eps, 1.0)
-
     return SingularSolution(
         lam=pb.lam,
         xs_left=xl,
         us_left=ul,
-        dus_left=np.tan(tl),
+        dus_left=dl,
         xs_right=xr,
         us_right=ur,
-        dus_right=np.tan(tr),
+        dus_right=dr,
         jump=float(ul[-1] - ur[0]),
         flux_left=flux_left,
         flux_right=flux_right,
-        residual_left=res_l,
-        residual_right=res_r,
+        residual_left=_piece_residual(pb, xl, ul, dl, 0.0, z - eps),
+        residual_right=_piece_residual(pb, xr, ur, dr, z + eps, 1.0),
     )
 
 

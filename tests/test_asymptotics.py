@@ -7,6 +7,7 @@ from curvebif.asymptotics import (
     build_family,
     flatness_and_node,
     grow_decay_rates,
+    level_crossing,
     semilinear_positive_solution,
     small_branch_scaling,
 )
@@ -34,7 +35,7 @@ def test_family_members_are_separated(rate_members, bump_f):
 
 
 def test_left_growth_rate_saturates(rate_members):
-    sl, _, fits = grow_decay_rates(rate_members)
+    sl, _, fits = grow_decay_rates(rate_members, 0.4)
     assert fits["left"].r2 >= 0.98
     assert sl == pytest.approx(2.0, abs=0.3)  # 1/q
 
@@ -42,14 +43,14 @@ def test_left_growth_rate_saturates(rate_members):
 def test_right_probe_obeys_decay_bound_monotonically(rate_members):
     # the decay law is one-sided: u(probe) lam^(1/p) decreases along the
     # ladder (at fixed probes the tail decays faster than the bound)
-    _, _, fits = grow_decay_rates(rate_members)
+    _, _, fits = grow_decay_rates(rate_members, 0.4)
     probe = fits["right"].probe_x
     scaled = [m.u_at(probe) * m.lam for m in rate_members]
     assert all(b <= a * 1.05 for a, b in zip(scaled, scaled[1:]))
 
 
 def test_growth_lower_bound_monotone(rate_members):
-    _, _, fits = grow_decay_rates(rate_members)
+    _, _, fits = grow_decay_rates(rate_members, 0.4)
     probe = fits["left"].probe_x
     scaled = [m.u_at(probe) * m.lam ** (-2.0) for m in rate_members]
     assert all(b >= 0.95 * a for a, b in zip(scaled, scaled[1:]))
@@ -57,9 +58,9 @@ def test_growth_lower_bound_monotone(rate_members):
 
 def test_rate_fit_preconditions(rate_members):
     with pytest.raises(ValueError):
-        grow_decay_rates(rate_members[:3])
+        grow_decay_rates(rate_members[:3], 0.4)
     with pytest.raises(ValueError):
-        grow_decay_rates(rate_members, eta=0.5)
+        grow_decay_rates(rate_members, 0.4, eta=0.5)
 
 
 def test_flatness_and_level_crossing(rate_members, bump_f):
@@ -70,6 +71,21 @@ def test_flatness_and_level_crossing(rate_members, bump_f):
     floor = 1e-6
     assert rep["crossing_gap_last"] <= max(rep["crossing_gap_first"], floor)
     assert rep["plateau_ratio"][-1] == pytest.approx(1.0, abs=0.05)
+
+
+def test_level_crossing_walks_the_pieces(jump_solution_50):
+    # a level below the jump crosses on the right piece, one above it on
+    # the left piece; a level the jump spans gives the node
+    _, sing = jump_solution_50
+    z = 0.4
+    below = 0.5 * sing.us_right[0]
+    above = 0.5 * (sing.us_left[-1] + sing.us_left[0])
+    for level, on_piece in ((below, lambda x: x > z), (above, lambda x: x < z)):
+        x = level_crossing(sing, level)
+        assert on_piece(x)
+        assert sing.u_at(x) == pytest.approx(level, rel=1e-6)
+    spanned = 0.5 * (sing.us_left[-1] + sing.us_right[0])
+    assert level_crossing(sing, spanned) == sing.xs_left[-1]
 
 
 def test_family_requires_positive_ladder(jump_weight, bump_f):

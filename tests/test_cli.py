@@ -223,6 +223,13 @@ def test_usage_errors_exit_one(tmp_path):
         poly["weight"]["segments"][0]["form"] = {"kind": "poly", "coeffs": coeffs}
         for cmd in (["eig"], ["classify", "--lambda", "50"]):
             assert run_cli([*cmd, "--problem", json.dumps(poly)]) == 1
+    # numbers must be JSON numbers, not strings
+    string_c = copy.deepcopy(DEFAULT_PROBLEM)
+    string_c["weight"]["segments"][0]["form"]["c"] = "1"
+    assert run_cli(["eig", "--problem", json.dumps(string_c)]) == 1
+    string_p = copy.deepcopy(DEFAULT_PROBLEM)
+    string_p["f"]["p"] = "1"
+    assert run_cli(["classify", "--lambda", "50", "--problem", json.dumps(string_p)]) == 1
 
 
 def test_flags_leave_the_default_problem_alone():

@@ -92,6 +92,17 @@ def test_bif_direction_signs(jump_weight):
     assert lam2 is not None and lam2 < 0  # subcritical departure
 
 
+def test_bif_direction_for_a_linear_table_head(jump_weight):
+    # a table f with p = 1 is c u below its first node, so f'' and f''' vanish at 0
+    grid = np.geomspace(0.01, 10.0, 50)
+    proto = Nonlinearity(kind="prototype", p=1.0, q=0.5, M=1.0)
+    f = Nonlinearity(kind="table", p=1.0, q=0.5, M=1.0, u_nodes=tuple(grid), f_nodes=tuple(proto(grid)))
+    assert f.d2_zero == 0.0 and f.d3_zero == 0.0
+    lam1, lam2 = bif_direction(f, principal_neumann(jump_weight))
+    assert lam1 == 0.0
+    assert lam2 is not None and lam2 < 0
+
+
 def test_bif_direction_needs_p_equal_one(jump_weight):
     pair = principal_neumann(jump_weight)
     f = Nonlinearity(kind="prototype", p=2.0, q=0.5, M=1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemInstance, two_constant_weight
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif.eigen import principal_neumann
 from curvebif.varmin import (
     DiscreteBVFunction,
@@ -20,6 +20,17 @@ def pb_super(jump_weight, mild_f, lam0_jump):
 @pytest.fixture(scope="module")
 def pb_sub(jump_weight, mild_f, lam0_jump):
     return ProblemInstance(0.5 * lam0_jump, jump_weight, mild_f)
+
+
+def test_minimize_on_a_list_built_polynomial_weight(mild_f):
+    def weight(coeffs):
+        return Weight(0.4, (Segment(0.0, 0.4, PolynomialForm(coeffs)), Segment(0.4, 1.0, ConstantForm(-2.0))))
+
+    # the form stores its coefficients as a tuple, so the weight hashes (minimize caches by it)
+    from_list = weight([1.0, 0])
+    assert hash(from_list) == hash(weight((1.0, 0.0))) and from_list == weight((1.0, 0.0))
+    u, value, _ = minimize(ProblemInstance(20.0, from_list, mild_f), n=16)
+    assert np.isfinite(value) and np.all(np.isfinite(u.values))
 
 
 def test_zero_function_has_zero_value(pb_super):
