@@ -199,9 +199,9 @@ def semilinear_positive_solution(weight, p):
     def value(sigma):
         y = np.array([sigma, 0.0])
         for lo, hi, form in weight.spans(0.0, 1.0):
-            def rhs(x, yv, form=form):
-                a = float(form.value(x, z))
-                return [yv[1], -a * abs(yv[0]) ** p * math.copysign(1.0, yv[0])]
+            def rhs(x, yv, a=form.scalar(z)):
+                v, dv = yv.tolist()
+                return [dv, -a(x) * abs(v) ** p * math.copysign(1.0, v)]
 
             def ev_zero(x, yv):
                 return yv[0]

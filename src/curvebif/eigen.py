@@ -53,7 +53,8 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     """Integrate phi'' = -lam a phi across [r, s] with breakpoint hygiene.
 
     Returns (phi(s), dphi(s), crossed_zero, solutions) where solutions is a
-    list of (lo, hi, OdeSolution) for dense evaluation.
+    list of (lo, t_end, OdeSolution, form) for dense evaluation: one per
+    segment piece, t_end being hi or the zero crossing that stopped it.
     """
     z = weight.z
     y = np.array(y0, dtype=float)
@@ -68,8 +69,9 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     zero.direction = -1.0  # downward crossings; ignores the Dirichlet start at zero
 
     for lo, hi, form in weight.spans(r, s):
-        def rhs(x, yv, form=form):
-            return [yv[1], -lam * float(form.value(x, z)) * yv[0]]
+        def rhs(x, yv, a=form.scalar(z)):
+            phi, dphi = yv.tolist()
+            return [dphi, -lam * a(x) * phi]
 
         out = solve_ivp(
             rhs,

@@ -18,6 +18,7 @@ identity any Neumann solution must satisfy).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # segment forms: each states its value, antiderivative, scaling, checks and
-# node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node
+# node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node,
+# and scalar(z), its value as a float -> float closure for ODE right-hand sides
 
 def _check_finite(*numbers):
     if not all(math.isfinite(v) for v in numbers):
@@ -70,6 +72,10 @@ class ConstantForm:
 
     def value(self, x, z):
         return np.full_like(np.asarray(x, dtype=float), self.c)
+
+    def scalar(self, z):
+        c = self.c
+        return lambda x: c
 
     def anti(self, x, z):
         return self.c * np.asarray(x, dtype=float)
@@ -110,6 +116,19 @@ class PolynomialForm:
 
     def value(self, x, z):
         return npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
+
+    def scalar(self, z):
+        *rest, top = self.coeffs
+        rest.reverse()
+
+        def a(x):
+            # Horner's rule in polyval's order of operations
+            acc = top
+            for c in rest:
+                acc = c + acc * x
+            return acc
+
+        return a
 
     def anti(self, x, z):
         return npoly.polyval(np.asarray(x, dtype=float), npoly.polyint(self.coeffs))
@@ -155,6 +174,17 @@ class PowerForm:
 
     def value(self, x, z):
         return self.sign * self.amplitude * self._distance(x, z) ** self.exponent
+
+    def scalar(self, z):
+        k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
+        # the value at and past the node, where float ** refuses 0.0 ** e for e < 0
+        at_node = k * (0.0 ** e if e >= 0.0 else math.inf)
+
+        def a(x):
+            d = z - x if left else x - z
+            return k * d ** e if d > 0.0 else at_node
+
+        return a
 
     def anti(self, x, z):
         e1 = self.exponent + 1.0
@@ -428,6 +458,37 @@ class TableWeight:
 # ---------------------------------------------------------------------------
 # nonlinearity
 
+def _scalar_power(p):
+    """u -> u^p on floats, rounded as numpy's array power rounds u^1, u^2 and u^(1/2)."""
+    if p == 1.0:
+        return lambda u: u
+    if p == 2.0:
+        return lambda u: u * u
+    if p == 0.5:
+        return math.sqrt
+    return lambda u: u ** p
+
+
+def _scalar_interp(xp, fp):
+    """Linear interpolation on increasing nodes as a float -> float closure.
+
+    For xp[0] <= u <= xp[-1] only; it finds the cell with bisect and rounds
+    as np.interp does: a node returns its value exactly, and inside a cell
+    the value is slope * (u - xp[j]) + fp[j].
+    """
+    xp, fp = tuple(map(float, xp)), tuple(map(float, fp))
+    slopes = tuple((f1 - f0) / (x1 - x0) for x0, x1, f0, f1 in zip(xp, xp[1:], fp, fp[1:]))
+    last = len(xp) - 1
+
+    def interp(u):
+        j = bisect_right(xp, u) - 1
+        if j == last or xp[j] == u:
+            return fp[j]
+        return slopes[j] * (u - xp[j]) + fp[j]
+
+    return interp
+
+
 _GAUSS4_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GAUSS4_WEIGHTS = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538)
 
@@ -558,6 +619,35 @@ class Nonlinearity:
         return 0.0 if self.p == 1.0 else None
 
     # -- evaluation ----------------------------------------------------------
+
+    @cached_property
+    def scalar(self):
+        """f as a float -> float closure of the one law, for ODE right-hand sides.
+
+        Built from math and Python floats, with no numpy per call: the head
+        c u^p, the middle piece (the smoothed blend itself, a table's
+        interpolant by _scalar_interp) and the tail h u^(-q), extended
+        oddly.  The head and the middle round as __call__ does; the tail's
+        power is libm's, which can differ from numpy's array power in the
+        last ulp.
+        """
+        a, b, c, mid_f, _, _ = self._law
+        a, b, c = float(a), float(b), float(c)  # a table's law holds numpy floats
+        if self.kind == "table":
+            mid_f = _scalar_interp(self.u_nodes, self.f_nodes)
+        power, h, mq = _scalar_power(self.p), self.h, -self.q
+
+        def f(v):
+            u = -v if v < 0.0 else v
+            if u > b:
+                r = h * u ** mq
+            elif mid_f is not None and u >= a:
+                r = mid_f(u)
+            else:
+                r = c * power(u)
+            return -r if v < 0.0 else r
+
+        return f
 
     def _f_pos(self, u):
         a, b, c, mid_f, _, _ = self._law

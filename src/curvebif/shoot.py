@@ -31,10 +31,14 @@ __all__ = ["ArcPath", "Blocked", "Solution", "RegularSolution", "integrate_path"
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
 _U_MAX = 1e15  # height at which a shot stops with terminal "cap"
-_NFEV_MAX = 4_000_000  # checked after the shot, so it does not bound the work
+_NFEV_MAX = 4_000_000  # right-hand-side calls per march; past it the march ends on "cap"
 _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
 # stored-path spacing (max angle change, max x advance) per mesh interval
 _SHOOT_MESH = (5e-4, 2e-3)
+
+
+class _BudgetSpent(Exception):
+    """Raised by a march's right-hand side past _NFEV_MAX calls; args[0] is its state."""
 
 
 @dataclass
@@ -43,7 +47,8 @@ class ArcPath:
 
     terminal is one of "reached" (hit the target x), "vertical" (tangent
     angle reached -pi/2 or +pi/2), "u_zero" (height hit zero while sloped),
-    "cap" (budget exhausted) or "failure".
+    "cap" (height past _U_MAX, or the arclength or right-hand-side budget
+    spent) or "failure".  nfev counts right-hand-side calls.
     """
 
     ss: np.ndarray
@@ -173,8 +178,10 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     overrides the per-component absolute tolerances; passing 0 for the
     height keeps relative control over exponentially small heights.
     """
-    w, f, lam = pb.weight, pb.f, pb.lam
+    w, f = pb.weight, pb.f
+    fs = f.scalar
     direction = 1.0 if x_target > x_start else -1.0
+    lam_dir = -direction * pb.lam
     spans = w.spans(min(x_start, x_target), max(x_start, x_target))
     if direction < 0:
         spans.reverse()
@@ -183,7 +190,8 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     y = np.array([x_start, u_start, theta_start], dtype=float)
     s_accum = 0.0
     s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
-    nfev = 0
+    nfev = 0  # right-hand-side calls, counted by rhs
+    nfev_max = _NFEV_MAX
     min_cos = math.cos(theta_start)
     dead_core = False
     ss_parts, ys_parts = [], []
@@ -192,131 +200,131 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     terminal = "reached"
     theta_end = None
 
-    for lo, hi, form in spans:
-        edge = hi if direction > 0 else lo
+    try:
+        for lo, hi, form in spans:
+            edge = hi if direction > 0 else lo
 
-        def rhs(s, yv, form=form):
-            return np.array(
-                [
-                    direction * math.cos(yv[2]),
-                    direction * math.sin(yv[2]),
-                    -direction * lam * float(form.value(yv[0], z)) * f(yv[1]),
-                ]
+            def rhs(s, yv, a=form.scalar(z)):
+                nonlocal nfev
+                nfev += 1
+                x, u, th = yv.tolist()
+                if nfev > nfev_max:
+                    raise _BudgetSpent((x, u, th))
+                return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
+
+            def ev_edge(s, yv):
+                return yv[0] - edge
+
+            ev_edge.terminal = True
+            ev_edge.direction = direction
+
+            def ev_vert_dn(s, yv):
+                return yv[2] + math.pi / 2.0
+
+            ev_vert_dn.terminal = True
+            ev_vert_dn.direction = -1.0
+
+            def ev_vert_up(s, yv):
+                return yv[2] - math.pi / 2.0
+
+            ev_vert_up.terminal = True
+            ev_vert_up.direction = 1.0
+
+            def ev_uzero(s, yv):
+                return yv[1] + _EPS_NEG
+
+            ev_uzero.terminal = True
+            ev_uzero.direction = -1.0
+
+            def ev_ucap(s, yv):
+                return abs(yv[1]) - _U_MAX
+
+            ev_ucap.terminal = True
+            ev_ucap.direction = 1.0
+
+            out = solve_ivp(
+                rhs,
+                (s_accum, s_budget),
+                y,
+                method="DOP853",
+                rtol=_RTOL,
+                atol=atol,
+                dense_output=collect is not None,
+                events=(ev_edge, ev_vert_dn, ev_vert_up, ev_uzero, ev_ucap),
             )
 
-        def ev_edge(s, yv):
-            return yv[0] - edge
+            stored = collect and len(out.t) > 1
+            if stored:
+                ss_seg, ys_seg = _subsample(out, *collect)
+                ss_parts.append(ss_seg)
+                ys_parts.append(ys_seg)
+                min_cos = min(min_cos, float(np.min(np.cos(ys_seg[2]))))
+            else:
+                min_cos = min(min_cos, float(np.min(np.cos(out.y[2]))))
 
-        ev_edge.terminal = True
-        ev_edge.direction = direction
+            y = out.y[:, -1]
+            s_accum = out.t[-1]
 
-        def ev_vert_dn(s, yv):
-            return yv[2] + math.pi / 2.0
-
-        ev_vert_dn.terminal = True
-        ev_vert_dn.direction = -1.0
-
-        def ev_vert_up(s, yv):
-            return yv[2] - math.pi / 2.0
-
-        ev_vert_up.terminal = True
-        ev_vert_up.direction = 1.0
-
-        def ev_uzero(s, yv):
-            return yv[1] + _EPS_NEG
-
-        ev_uzero.terminal = True
-        ev_uzero.direction = -1.0
-
-        def ev_ucap(s, yv):
-            return abs(yv[1]) - _U_MAX
-
-        ev_ucap.terminal = True
-        ev_ucap.direction = 1.0
-
-        out = solve_ivp(
-            rhs,
-            (s_accum, s_budget),
-            y,
-            method="DOP853",
-            rtol=_RTOL,
-            atol=atol,
-            dense_output=collect is not None,
-            events=(ev_edge, ev_vert_dn, ev_vert_up, ev_uzero, ev_ucap),
-        )
-        nfev += out.nfev
-
-        stored = collect and len(out.t) > 1
-        if stored:
-            ss_seg, ys_seg = _subsample(out, *collect)
-            ss_parts.append(ss_seg)
-            ys_parts.append(ys_seg)
-            min_cos = min(min_cos, float(np.min(np.cos(ys_seg[2]))))
-        else:
-            min_cos = min(min_cos, float(np.min(np.cos(out.y[2]))))
-
-        y = out.y[:, -1]
-        s_accum = out.t[-1]
-
-        if out.status == -1:
-            terminal = "failure"
-            break
-        if out.status == 0:
+            if out.status == -1:
+                terminal = "failure"
+                break
+            if out.status == 0:
+                terminal = "cap"
+                break
+            fired = [i for i, te in enumerate(out.t_events) if len(te)]
+            which = fired[0] if fired else 0
+            if which == 0:
+                y = _nudge_to_x(rhs, np.array(out.y_events[0][-1]), edge)
+                s_accum = out.t_events[0][-1]
+                if abs(edge - x_target) < 1e-14:
+                    terminal = "reached"
+                    theta_end = float(y[2])
+                    if stored:
+                        # the stored path ends on the target, not at the event sample
+                        ys_parts[-1][:, -1] = y
+                    break
+                continue  # next weight segment
+            if which in (1, 2):
+                y = np.array(out.y_events[which][-1])
+                terminal = "vertical"
+                break
+            if which == 3:
+                y = np.array(out.y_events[3][-1])
+                # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
+                # grazing crossings arrive well inside this angle tolerance
+                if (
+                    f.p < 1.0
+                    and direction > 0
+                    and y[0] > z
+                    and abs(y[2]) <= 1e-5
+                    and abs(y[1]) <= 10 * _EPS_NEG
+                ):
+                    # dead core: f(0) = 0 makes u == 0 an exact continuation
+                    dead_core = True
+                    terminal = "reached"
+                    theta_end = 0.0
+                    if collect:
+                        tail_x = np.linspace(y[0], x_target, 65)
+                        ss_parts.append(s_accum + (tail_x - y[0]))
+                        ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
+                    y = np.array([x_target, 0.0, 0.0])
+                    break
+                terminal = "u_zero"
+                break
             terminal = "cap"
             break
-        fired = [i for i, te in enumerate(out.t_events) if len(te)]
-        which = fired[0] if fired else 0
-        if which == 0:
-            y = _nudge_to_x(rhs, np.array(out.y_events[0][-1]), edge)
-            s_accum = out.t_events[0][-1]
-            if abs(edge - x_target) < 1e-14:
-                terminal = "reached"
-                theta_end = float(y[2])
-                if stored:
-                    # the stored path ends on the target, not at the event sample
-                    ys_parts[-1][:, -1] = y
-                break
-            continue  # next weight segment
-        if which in (1, 2):
-            y = np.array(out.y_events[which][-1])
-            terminal = "vertical"
-            break
-        if which == 3:
-            y = np.array(out.y_events[3][-1])
-            # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
-            # grazing crossings arrive well inside this angle tolerance
-            if (
-                f.p < 1.0
-                and direction > 0
-                and y[0] > z
-                and abs(y[2]) <= 1e-5
-                and abs(y[1]) <= 10 * _EPS_NEG
-            ):
-                # dead core: f(0) = 0 makes u == 0 an exact continuation
-                dead_core = True
-                terminal = "reached"
-                theta_end = 0.0
-                if collect:
-                    tail_x = np.linspace(y[0], x_target, 65)
-                    ss_parts.append(s_accum + (tail_x - y[0]))
-                    ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
-                y = np.array([x_target, 0.0, 0.0])
-                break
-            terminal = "u_zero"
-            break
-        terminal = "cap"
-        break
 
-    else:
-        if abs(y[0] - x_target) < 1e-12:
-            terminal = "reached"
         else:
-            terminal = "failure"
+            if abs(y[0] - x_target) < 1e-12:
+                terminal = "reached"
+            else:
+                terminal = "failure"
+    except _BudgetSpent as spent:
+        terminal = "cap"
+        y = np.array(spent.args[0])
 
     if terminal == "reached" and theta_end is None:
         theta_end = float(y[2])
-    if nfev > _NFEV_MAX:
-        terminal = "cap"
 
     if collect and ss_parts:
         ss = np.concatenate(ss_parts)

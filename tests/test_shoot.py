@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
+from curvebif import shoot
 from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_residual
 from curvebif.varmin import functional_value
 
@@ -104,6 +105,21 @@ def test_blocked_is_a_value(jump_weight, mild_f, lam0_jump):
     got = shoot_residual(pb, 1e-6)
     assert isinstance(got, Blocked)
     assert got.event in ("u_zero", "vertical")
+
+
+def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch):
+    pb = ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f)
+    free = integrate_path(pb, 0.05)
+    assert free.terminal == "u_zero" and free.nfev > 400
+    budget = 250
+    monkeypatch.setattr(shoot, "_NFEV_MAX", budget)
+    for collect in (None, (5e-4, 2e-3)):
+        path = integrate_path(pb, 0.05, collect=collect)
+        assert path.terminal == "cap"
+        # the right-hand side stops the march inside the step that passes
+        # the budget; a DOP853 step takes 12 evaluations
+        assert budget < path.nfev <= budget + 12
+    assert shoot_residual(pb, 0.05).event == "cap"
 
 
 def test_find_regular_mild_existence(mild_solution):
