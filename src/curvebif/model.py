@@ -18,7 +18,6 @@ identity any Neumann solution must satisfy).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -469,26 +468,6 @@ def _scalar_power(p):
     return lambda u: u ** p
 
 
-def _scalar_interp(xp, fp):
-    """Linear interpolation on increasing nodes as a float -> float closure.
-
-    For xp[0] <= u <= xp[-1] only; it finds the cell with bisect and rounds
-    as np.interp does: a node returns its value exactly, and inside a cell
-    the value is slope * (u - xp[j]) + fp[j].
-    """
-    xp, fp = tuple(map(float, xp)), tuple(map(float, fp))
-    slopes = tuple((f1 - f0) / (x1 - x0) for x0, x1, f0, f1 in zip(xp, xp[1:], fp, fp[1:]))
-    last = len(xp) - 1
-
-    def interp(u):
-        j = bisect_right(xp, u) - 1
-        if j == last or xp[j] == u:
-            return fp[j]
-        return slopes[j] * (u - xp[j]) + fp[j]
-
-    return interp
-
-
 _GAUSS4_NODES = (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526)
 _GAUSS4_WEIGHTS = (0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538)
 
@@ -624,17 +603,15 @@ class Nonlinearity:
     def scalar(self):
         """f as a float -> float closure of the one law, for ODE right-hand sides.
 
-        Built from math and Python floats, with no numpy per call: the head
-        c u^p, the middle piece (the smoothed blend itself, a table's
-        interpolant by _scalar_interp) and the tail h u^(-q), extended
+        The head c u^p and the tail h u^(-q) are built from math and Python
+        floats, with no numpy per call; the middle piece is the law's own,
+        so a table's middle still calls np.interp.  The law is extended
         oddly.  The head and the middle round as __call__ does; the tail's
         power is libm's, which can differ from numpy's array power in the
         last ulp.
         """
         a, b, c, mid_f, _, _ = self._law
         a, b, c = float(a), float(b), float(c)  # a table's law holds numpy floats
-        if self.kind == "table":
-            mid_f = _scalar_interp(self.u_nodes, self.f_nodes)
         power, h, mq = _scalar_power(self.p), self.h, -self.q
 
         def f(v):
@@ -642,7 +619,7 @@ class Nonlinearity:
             if u > b:
                 r = h * u ** mq
             elif mid_f is not None and u >= a:
-                r = mid_f(u)
+                r = float(mid_f(u))
             else:
                 r = c * power(u)
             return -r if v < 0.0 else r

@@ -38,7 +38,7 @@ _SHOOT_MESH = (5e-4, 2e-3)
 
 
 class _BudgetSpent(Exception):
-    """Raised by a march's right-hand side past _NFEV_MAX calls; args[0] is its state."""
+    """Raised by a march's right-hand side past _NFEV_MAX calls."""
 
 
 @dataclass
@@ -207,9 +207,9 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
             def rhs(s, yv, a=form.scalar(z)):
                 nonlocal nfev
                 nfev += 1
-                x, u, th = yv.tolist()
                 if nfev > nfev_max:
-                    raise _BudgetSpent((x, u, th))
+                    raise _BudgetSpent
+                x, u, th = yv.tolist()
                 return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
 
             def ev_edge(s, yv):
@@ -319,9 +319,9 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 terminal = "reached"
             else:
                 terminal = "failure"
-    except _BudgetSpent as spent:
+    except _BudgetSpent:
+        # the march ends where its last finished segment or nudge left it
         terminal = "cap"
-        y = np.array(spent.args[0])
 
     if terminal == "reached" and theta_end is None:
         theta_end = float(y[2])

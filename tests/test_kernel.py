@@ -10,15 +10,17 @@ in the last ulp at about 5 % of points.
 """
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvebif import ConstantForm, Nonlinearity, PolynomialForm
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemInstance, Segment, Weight, shoot
+from curvebif.asymptotics import semilinear_positive_solution
+from curvebif.eigen import _shoot_linear
 from curvebif.model import PowerForm
+from curvebif.shoot import integrate_path
 
 _ULPS = 4  # allowed where the two sides take a power by different routines
 _EXACT_P = (0.5, 1.0, 2.0)  # numpy's array power takes sqrt(u), u and u*u here
@@ -106,8 +108,28 @@ def test_head_power_rounds_as_numpy_at_exact_p(p):
     assert [f.scalar(u) for u in us.tolist()] == f(us).tolist()
 
 
-def test_right_hand_sides_evaluate_no_numpy_form():
-    # the shooting right-hand sides call form.scalar(z); form.value is for arrays
-    src = Path(__file__).resolve().parents[1] / "src"
-    hits = [p.name for p in sorted(src.rglob("*.py")) if "float(form.value(" in p.read_text()]
-    assert hits == []
+def test_shots_call_no_numpy_path(monkeypatch):
+    # the shooting right-hand sides call form.scalar(z) and f.scalar;
+    # form.value and f(u) are for meshes, residuals and quadrature
+    w = Weight(
+        0.5,
+        (
+            Segment(0.0, 0.25, ConstantForm(1.0)),
+            Segment(0.25, 0.5, PolynomialForm((2.0, -4.0))),
+            Segment(0.5, 1.0, PowerForm(3.0, 0.5, "right")),
+        ),
+    )
+    f = Nonlinearity("smoothed", 1.0, 0.5, 0.5, delta=0.2)
+    pb = ProblemInstance(20.0, w, f)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a right-hand side called a numpy path")
+
+    for cls in (ConstantForm, PolynomialForm, PowerForm):
+        monkeypatch.setattr(cls, "value", refuse)
+    monkeypatch.setattr(Nonlinearity, "__call__", refuse)
+    for collect in (None, shoot._SHOOT_MESH):
+        assert integrate_path(pb, 0.6, collect=collect).nfev > 0
+    phi, *_ = _shoot_linear(w, 5.0, 0.0, 1.0, (1.0, 0.0))
+    assert math.isfinite(phi)
+    assert semilinear_positive_solution(w, 2.0) > 0.0

@@ -119,6 +119,9 @@ def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch)
         # the right-hand side stops the march inside the step that passes
         # the budget; a DOP853 step takes 12 evaluations
         assert budget < path.nfev <= budget + 12
+        # it ends on a state it accepted, so its arclength covers its x travel
+        assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
+        assert path.ss[-1] - path.ss[0] >= abs(path.xs[-1] - path.xs[0])
     assert shoot_residual(pb, 0.05).event == "cap"
 
 
