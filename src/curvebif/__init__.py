@@ -7,7 +7,7 @@ Solves, continues, and classifies positive solutions of
 with a sign-changing weight a and a bump nonlinearity f.  Modules:
 
   model          weights, nonlinearities, residual diagnostics
-  quadrature     adaptive rules and the node criterion integrals
+  quadrature     node criterion integrals by QUADPACK
   eigen          principal eigenvalues, bifurcation directions
   shoot          arclength shooting, regular solutions by height scan
   singular       regularity dichotomy and jump-solution construction

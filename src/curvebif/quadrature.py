@@ -1,13 +1,13 @@
-"""Adaptive quadrature and the node-singular criterion integrals.
+"""The node-singular criterion integrals.
 
 The regularity criterion needs integrals of (int_x^z a)^(-1/2) up to the
 node z, where the inner integral vanishes.  One law covers every weight
 form: near the node, a is the sum of terms c d^e in the distance
 d = |x - z| (the node segment's node_terms).  The leading term gives the
-vanishing order, from which divergence is decided symbolically.  A
-convergent side with one term has a closed form; with more terms, a graded
-substitution removes the endpoint singularity before the adaptive rule
-sees it.
+vanishing order, from which divergence is decided symbolically.  Every
+convergent side takes one path: on the node segment the integrand is
+d^(-(e0+1)/2) times a smooth factor, which QUADPACK's QAWS rule integrates
+with the power as its weight; each far segment is a plain QAGS integral.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExtendedReal", "QuadratureBudgetError", "integrate", "criterion_integral", "criterion_pair"]
+from scipy.integrate import quad
 
-_CRITERION_TOL = 1e-6  # absolute error target of the criterion integrals
+__all__ = ["ExtendedReal", "criterion_integral"]
 
-
-class QuadratureBudgetError(RuntimeError):
-    """Raised when the adaptive rule runs out of subdivision depth."""
+_EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-12, 200  # QUADPACK targets of every criterion integral
 
 
 @dataclass(frozen=True)
@@ -53,44 +51,15 @@ class ExtendedReal:
         return {"finite": True, "value": self.value}
 
 
-def _adaptive(g, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if not math.isfinite(delta):
-        raise QuadratureBudgetError("non-finite integrand")
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureBudgetError("adaptive quadrature budget exhausted")
-    return _adaptive(g, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive(
-        g, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+def _quad(g, lo, hi, side, **weight):
+    """QUADPACK's estimate of int_lo^hi g; a reported failure is a ValueError."""
+    value, _, _, *message = quad(
+        g, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=_LIMIT, full_output=1, **weight
     )
+    if message:
+        raise ValueError(f"{side} criterion integral failed: {message[0]}")
+    return value
 
-
-def integrate(g, x0, x1, tol=1e-8, max_depth=48):
-    """Adaptive Simpson estimate of int_x0^x1 g with absolute error <= tol."""
-    x0 = float(x0)
-    x1 = float(x1)
-    if x0 == x1:
-        return 0.0
-    sign = 1.0
-    if x1 < x0:
-        x0, x1 = x1, x0
-        sign = -1.0
-    fa, fb = g(x0), g(x1)
-    fm = g(0.5 * (x0 + x1))
-    whole = (x1 - x0) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _adaptive(g, x0, x1, fa, fm, fb, whole, tol, max_depth)
-
-
-# ---------------------------------------------------------------------------
-# criterion integrals
 
 def _inner(w, side):
     """int_x^z a as an exact function of x on the requested side."""
@@ -98,16 +67,6 @@ def _inner(w, side):
     if side == "left":
         return lambda x: w.integral(x, z)
     return lambda x: -w.integral(z, x)
-
-
-def _near_closed_form(terms, length):
-    """Exact near-node part when a is one term c d^e there, else None."""
-    if len(terms) != 1:
-        return None
-    ((c, e),) = terms
-    if e == 0.0:  # the same value with fewer roundings
-        return 2.0 * math.sqrt(length / abs(c))
-    return math.sqrt((e + 1.0) / abs(c)) * 2.0 / (1.0 - e) * length ** ((1.0 - e) / 2.0)
 
 
 def _inner_from_distance(terms):
@@ -120,44 +79,33 @@ def _inner_from_distance(terms):
     return lambda d: abs(math.fsum(c * d ** e1 / e1 for c, e1 in lifted))
 
 
-def _near_graded(terms, length, order, coeff, tol):
-    """Near-node part via the graded substitution t = |x - z|^((1-order)/2).
+def _near(terms, length, order, coeff, side):
+    """int_0^length of inner(d)^(-1/2) by QAWS with the weight d^(-(order+1)/2).
 
-    The terms are divided by the leading amplitude |coeff| before the
-    adaptive rule sees them, so its refinement does not depend on the scale
-    of a and the value follows the law near(k a) = near(a) / sqrt(k).
+    The terms are divided by the leading amplitude |coeff| first, so the
+    smooth factor is sqrt(order + 1) at the node whatever the scale of a,
+    and the value follows the law near(k a) = near(a) / sqrt(k).
     """
-    gamma = (1.0 - order) / 2.0
     amp = abs(coeff)
     inner_d = _inner_from_distance([(c / amp, e) for c, e in terms])
-    limit = math.sqrt(order + 1.0) / gamma
+    at_node = math.sqrt(order + 1.0)
 
-    def integrand(t):
-        if t <= 0.0:
-            return limit
-        d = t ** (1.0 / gamma)
-        if d < 1e-130:
-            # below this the inner power underflows; leading order is exact
-            return limit
-        val = inner_d(d)
-        if val <= 0.0:
-            raise QuadratureBudgetError("inner integral not positive near the node")
-        return val ** -0.5 * (1.0 / gamma) * t ** (1.0 / gamma - 1.0)
+    def smooth(d):
+        return (inner_d(d) / d ** (order + 1.0)) ** -0.5 if d > 0.0 else at_node
 
-    return integrate(integrand, 0.0, length ** gamma, tol=tol) / math.sqrt(amp)
+    wvar = (-(order + 1.0) / 2.0, 0.0)
+    return _quad(smooth, 0.0, length, side, weight="alg", wvar=wvar) / math.sqrt(amp)
 
 
-def criterion_integral(w, side, method="auto"):
+def criterion_integral(w, side):
     """int over one side of (int_x^z a)^(-1/2), or a divergence certificate.
 
     side "left" integrates over (0, z), side "right" over (z, 1).  The weight
     must be positive left of its node and negative right of it.  Divergence
     is decided from the vanishing order of a at the node: local order alpha
-    gives integrand exponent (alpha + 1)/2, infinite iff that is >= 1.
-
-    method "closed" forces the closed form, which needs a node segment with
-    one term; "adaptive" forces the graded-substitution quadrature; "auto"
-    prefers the closed form when available.
+    gives integrand exponent (alpha + 1)/2, infinite iff that is >= 1.  A
+    finite side is the QAWS integral over the node segment plus one QAGS
+    integral per far segment; a QUADPACK failure raises ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -179,24 +127,7 @@ def criterion_integral(w, side, method="auto"):
         length = near_seg.hi - z
         far = w.spans(near_seg.hi, 1.0)
 
-    terms = near_seg.form.node_terms(side, z)
-    closed = _near_closed_form(terms, length)
-    if method == "closed":
-        if closed is None:
-            raise ValueError("no closed form for this adjacent segment")
-        near = closed
-    elif method == "adaptive" or closed is None:
-        near = _near_graded(terms, length, order, coeff, tol=_CRITERION_TOL * 1e-3)
-    else:
-        near = closed
-
+    near = _near(near_seg.form.node_terms(side, z), length, order, coeff, side)
     inner = _inner(w, side)
-    far_total = 0.0
-    abs_tol = max(1e-13, _CRITERION_TOL * max(near, 1.0) * 1e-2)
-    for lo, hi, _ in far:
-        far_total += integrate(lambda x: inner(x) ** -0.5, lo, hi, tol=abs_tol)
+    far_total = sum(_quad(lambda x: inner(x) ** -0.5, lo, hi, side) for lo, hi, _ in far)
     return ExtendedReal.finite(near + far_total)
-
-
-def criterion_pair(w):
-    return criterion_integral(w, "left"), criterion_integral(w, "right")

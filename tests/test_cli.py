@@ -240,3 +240,14 @@ def test_flags_leave_the_default_problem_alone():
 
 def test_verify_subset_exit_codes():
     assert run_cli(["verify", "--criteria", "1,2"]) == 0
+
+
+def test_failed_criterion_quadrature_exits_one(monkeypatch, capsys):
+    from curvebif import quadrature
+
+    def failing(*args, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved."
+
+    monkeypatch.setattr(quadrature, "quad", failing)
+    assert run_cli(["classify", "--lambda", "50"]) == 1
+    assert "criterion integral failed" in capsys.readouterr().err

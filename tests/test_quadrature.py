@@ -6,30 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvebif import ConstantForm, PolynomialForm, PowerForm, Segment, Weight, power_weight, two_constant_weight
-from curvebif.quadrature import (
-    ExtendedReal,
-    QuadratureBudgetError,
-    _inner_from_distance,
-    criterion_integral,
-    criterion_pair,
-    integrate,
-)
-
-
-def test_integrate_basics():
-    assert integrate(lambda x: 1.0, 0, 1) == pytest.approx(1.0)
-    assert integrate(lambda x: x * x, 0, 1) == pytest.approx(1.0 / 3.0, abs=1e-10)
-    assert integrate(lambda x: math.sin(x), 0, math.pi) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_integrate_orientation_and_empty():
-    assert integrate(lambda x: x, 1, 0) == pytest.approx(-0.5)
-    assert integrate(lambda x: x, 0.3, 0.3) == 0.0
-
-
-def test_integrate_budget_exhaustion():
-    with pytest.raises(QuadratureBudgetError):
-        integrate(lambda x: abs(x - 0.3) ** -0.95, 0.0, 1.0, tol=1e-12, max_depth=8)
+from curvebif import quadrature
+from curvebif.quadrature import ExtendedReal, _inner_from_distance, criterion_integral
 
 
 def test_constant_criterion_closed_form(jump_weight):
@@ -40,14 +18,14 @@ def test_constant_criterion_closed_form(jump_weight):
     assert right.value == pytest.approx(2.0 * math.sqrt(0.6 / 2.0), rel=1e-10)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9, -0.5, -0.9])
 def test_power_criterion_matches_adaptive(alpha):
-    w = power_weight(1.0, alpha, 2.0, alpha, 0.4) if alpha > 0 else two_constant_weight(1.0, 2.0, 0.4)
-    closed = criterion_integral(w, "left", method="closed")
-    adaptive = criterion_integral(w, "left", method="adaptive")
+    # the QAWS rule against the one-term closed form, also for a weight that
+    # blows up at the node (alpha < 0: weight exponent above -1/2)
+    w = power_weight(1.0, alpha, 2.0, alpha, 0.4) if alpha != 0 else two_constant_weight(1.0, 2.0, 0.4)
+    got = criterion_integral(w, "left")
     want = math.sqrt(alpha + 1.0) * 2.0 / (1.0 - alpha) * 0.4 ** ((1.0 - alpha) / 2.0)
-    assert closed.value == pytest.approx(want, rel=1e-12)
-    assert abs(closed.value - adaptive.value) <= 10 * 1e-6 * closed.value
+    assert got.value == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha,expo", [(1.0, 1.0), (1.5, 1.25), (3.0, 2.0)])
@@ -144,8 +122,56 @@ def test_requires_sign_split(bump_f):
 
 
 def test_pair_helper(ramp_weight):
-    left, right = criterion_pair(ramp_weight)
+    left, right = (criterion_integral(ramp_weight, side) for side in ("left", "right"))
     assert left.infinite and right.infinite
+
+
+def _step_weight(z, left, right):
+    """Piecewise-constant weight: (width, |a|) pairs outward from the node on each side."""
+    segs, x = [], z
+    for width, c in left:
+        segs.insert(0, Segment(x - width, x, ConstantForm(c)))
+        x -= width
+    x = z
+    for width, c in right:
+        segs.append(Segment(x, x + width, ConstantForm(-c)))
+        x += width
+    return Weight(z, tuple(segs))
+
+
+def _exact_steps(pieces):
+    # on a constant piece the inner integral runs linearly from A to B, so
+    # the piece contributes 2 (sqrt(B) - sqrt(A)) / c
+    total, inner = 0.0, 0.0
+    for width, c in pieces:
+        total += 2.0 * (math.sqrt(inner + c * width) - math.sqrt(inner)) / c
+        inner += c * width
+    return total
+
+
+@pytest.mark.parametrize(
+    "z,left,right",
+    [
+        (0.5, ((0.15, 1.0), (0.15, 1.5), (0.2, 3.0)), ((0.1, 4.0), (0.2, 0.5), (0.2, 6.0))),
+        (0.3, ((0.1, 2.0), (0.05, 0.2), (0.15, 7.0)), ((0.3, 1.0), (0.1, 9.0), (0.2, 0.3), (0.1, 5.0))),
+        (0.7, ((0.2, 0.1), (0.3, 2.5), (0.1, 0.4), (0.1, 1.0)), ((0.1, 3.0), (0.1, 0.7), (0.1, 8.0))),
+    ],
+    ids=["3-3", "3-4", "4-3"],
+)
+def test_far_segments_match_piecewise_sum(z, left, right):
+    w = _step_weight(z, left, right)
+    for side, pieces in (("left", left), ("right", right)):
+        want = _exact_steps(pieces)
+        assert criterion_integral(w, side).value == pytest.approx(want, rel=1e-12)
+
+
+def test_failed_quadrature_is_an_error(monkeypatch, jump_weight):
+    def failing(*args, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (200) has been achieved."
+
+    monkeypatch.setattr(quadrature, "quad", failing)
+    with pytest.raises(ValueError, match="right criterion integral failed"):
+        criterion_integral(jump_weight, "right")
 
 
 def test_extended_real_serialization():
