@@ -190,9 +190,10 @@ def semilinear_positive_solution(weight, p):
     Shot directly in x from v(0) = sigma, v'(0) = 0 across the pieces of
     weight.spans(0, 1), with a shot that crosses zero counted as negative.
     util.scan_brackets samples 160 log-spaced sigma in [1e-4, 1e4] and
-    util.bisect_bracket refines the brackets in order until |v'(1)| <= 1e-11;
-    returns sigma at the first root.  This is an independent oracle: it
-    never touches the arclength machinery.
+    util.bisect_bracket refines the brackets in order, by regula falsi in
+    log sigma between exact ends, until |v'(1)| <= 1e-11; returns sigma at
+    the first root.  This is an independent oracle: it never touches the
+    arclength machinery.
     """
     z = weight.z
 

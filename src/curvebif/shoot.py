@@ -395,9 +395,10 @@ def _classify(pb, s0):
     Paths that hit the trivial line while sloped are undershoots (negative
     surrogate), downward vertical tangents are deeper undershoots, upward
     ones are overshoots (positive surrogate).  Surrogates only steer the
-    bisection: they are never exact and never smaller than 0.1 in size, so
-    a root is accepted only at a path that truly reaches x = 1 with a tiny
-    residual, and a surrogate can never mint a solution.
+    refinement, which bisects while an end is one: they are never exact
+    and never smaller than 0.1 in size, so a root is accepted only at a
+    path that truly reaches x = 1 with a tiny residual, and a surrogate can
+    never mint a solution.
     """
     path = integrate_path(pb, s0, collect=None)
     if path.terminal == "reached":
@@ -430,9 +431,10 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     """All regular Neumann solutions with initial height in [s_min, s_max].
 
     Scans log-spaced heights, brackets sign changes of the shooting
-    residual, refines each bracket by bisection to |theta(1)| <= theta_tol
-    (or, when the bracket collapses first, to its best reaching path within
-    1e-6), and deduplicates by sup norm.  An empty list is meaningful: no
+    residual, refines each bracket (util.bisect_bracket: regula falsi in
+    log height between exact ends) to |theta(1)| <= theta_tol (or, when
+    the bracket collapses first, to its best reaching path within 1e-6),
+    and deduplicates by sup norm.  An empty list is meaningful: no
     regular solution has its height in the scanned window.
     """
     if not (0 <= pb.lam < math.inf):

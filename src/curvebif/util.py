@@ -1,10 +1,10 @@
-"""Scan-and-bisect root search in a positive height.
+"""Scan-and-refine root search in a positive height.
 
 Regular heights and jump-piece heights are both found this way: sample a
-classifier on log-spaced heights, bracket its sign changes, then bisect a
-bracket geometrically.  A classifier value(s) returns (v, exact): v is the
+classifier on log-spaced heights, bracket its sign changes, then refine a
+bracket in log height.  A classifier value(s) returns (v, exact): v is the
 signed value, or None where s gives no sign; exact is False for surrogate
-values that only steer the bisection.  v >= 0 counts as positive.
+values that only steer the refinement.  v >= 0 counts as positive.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ __all__ = ["scan_brackets", "bisect_bracket"]
 
 # a collapsed bracket keeps its best exact point only this close to a root
 FALLBACK_TOL = 1e-6
+# an interpolated height stays this share of the log width inside the bracket
+_CLIP = 1e-3
 
 
 def scan_brackets(value, lo, hi, n):
@@ -35,16 +37,33 @@ def scan_brackets(value, lo, hi, n):
 
 
 def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
-    """Geometric bisection of a bracket in heights 0 < lo < hi.
+    """Refine a bracket in heights 0 < lo < hi by safeguarded regula falsi.
 
-    Returns the first midpoint with |v| <= tol, and None as soon as a
-    midpoint has no sign.  When the bracket collapses to hi - lo <= rtol * hi
-    or max_iter midpoints are spent, returns the exact midpoint with the
-    smallest |v| if that is within FALLBACK_TOL, else None.
+    While both ends hold exact values the routine evaluated itself, the next
+    height interpolates them linearly in log height (the Illinois variant:
+    an end kept twice in a row has its value halved), clipped away from the
+    ends; while either end is a surrogate or not yet evaluated, and after
+    two interpolation steps in a row that fail to halve the log width, it
+    takes the geometric midpoint.  Returns the first height with |v| <= tol,
+    and None as soon as a height has no sign.  When the bracket collapses to
+    hi - lo <= rtol * hi or max_iter heights are spent, returns the exact
+    height with the smallest |v| if that is within FALLBACK_TOL, else None.
     """
     best = None
+    v_lo = v_hi = None  # exact values at the ends, None for surrogate or unseen
+    kept = None  # the end the last step kept
+    slow = 0  # interpolation steps in a row that failed to halve the log width
     for _ in range(max_iter):
-        mid = math.sqrt(lo * hi)
+        width = math.log(hi / lo)
+        interpolate = v_lo is not None and v_hi is not None and slow < 2
+        if interpolate:
+            t = min(max(v_lo / (v_lo - v_hi), _CLIP), 1.0 - _CLIP)
+            mid = lo * math.exp(t * width)
+            # a bracket a few ulp wide can round the step onto an end
+            interpolate = lo < mid < hi
+        if not interpolate:
+            mid = math.sqrt(lo * hi)
+            slow = 0
         v, exact = value(mid)
         if v is None:
             return None
@@ -53,9 +72,17 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
         if exact and (best is None or abs(v) < abs(best[0])):
             best = (v, mid)
         if (v >= 0.0) == lo_positive:
-            lo = mid
+            lo, v_lo = mid, v if exact else None
+            if kept == "hi" and v_hi is not None:
+                v_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, v_hi = mid, v if exact else None
+            if kept == "lo" and v_lo is not None:
+                v_lo *= 0.5
+            kept = "lo"
+        if interpolate:
+            slow = slow + 1 if math.log(hi / lo) > 0.5 * width else 0
         if hi - lo <= rtol * hi:
             break
     if best is not None and abs(best[0]) <= FALLBACK_TOL:

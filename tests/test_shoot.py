@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif import shoot
@@ -51,14 +52,20 @@ def test_scan_preconditions(jump_weight, bump_f):
 
 
 def test_stalled_bracket_keeps_its_root():
-    # theta(1) is noisy at 1e-9 near this root, so bisection collapses the
-    # bracket above the default theta_tol; the best reaching path is kept
-    w = two_constant_weight(1.0, 1.9047457604562859, 0.4169952921108211)
-    f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.059638553452812194)
-    sols = find_regular(ProblemInstance(7.513497307218249, w, f), 1e-6, 1e3, 64)
-    assert len(sols) == 1
-    assert sols[0].sup_norm == pytest.approx(0.0804258350, rel=1e-8)
-    assert sols[0].residual <= 1e-5 and abs(sols[0].balance) <= 1e-5
+    # theta(1) is noisy at 1e-9 near these roots.  The refine reaches the
+    # default theta_tol on the first; on the second the bracket collapses
+    # above it, and the best reaching path is kept
+    cases = (
+        (7.513497307218249, 1.9047457604562859, 0.4169952921108211, 0.059638553452812194, 0.0804258350),
+        (8.168059186542854, 2.1882432186696805, 0.41343389348168486, 0.0480474076243459, 0.0648003894),
+    )
+    for lam, neg, z, peak, sup in cases:
+        f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=peak)
+        sols = find_regular(ProblemInstance(lam, two_constant_weight(1.0, neg, z), f), 1e-6, 1e3, 64)
+        assert len(sols) == 1
+        assert sols[0].sup_norm == pytest.approx(sup, rel=1e-8)
+        assert sols[0].residual <= 1e-5 and abs(sols[0].balance) <= 1e-5
+    assert abs(sols[0].theta_end) > 1e-10  # the second bracket did collapse
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,6 +140,15 @@ def test_find_regular_mild_existence(mild_solution):
     assert sol.sup_norm == pytest.approx(sol.us[0])  # max at the left end
     assert np.all(np.diff(sol.us) <= 1e-12)  # non-increasing
     assert np.min(sol.us) > 0
+
+
+def test_default_tolerance_root_matches_brentq(mild_solution):
+    # an independent root of the same residual near the returned height
+    pb, sol = mild_solution
+    height = float(sol.us[0])
+    assert abs(shoot_residual(pb, height)) <= 1e-10
+    root = brentq(lambda s: shoot_residual(pb, s), height - 1e-4, height + 1e-4, xtol=1e-15)
+    assert root == pytest.approx(height, rel=1e-9)
 
 
 def test_stored_path_ends_on_the_target(mild_solution):

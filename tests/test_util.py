@@ -1,6 +1,6 @@
 import math
 
-from curvebif.util import bisect_bracket, scan_brackets
+from curvebif.util import FALLBACK_TOL, bisect_bracket, scan_brackets
 
 
 def exact(fn):
@@ -44,3 +44,84 @@ def test_bisect_gives_up_on_a_midpoint_without_sign():
 
     assert bisect_bracket(value, 1.0, 4.0, False, 1e-10, 1e-15, 200) is None
     assert calls == [2.0]
+
+
+def reference_bisection(value, lo, hi, lo_positive, tol, rtol, max_iter):
+    """The plain geometric bisection, as the heights it visits and its result."""
+    heights, best = [], None
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi)
+        heights.append(mid)
+        v, is_exact = value(mid)
+        if v is None:
+            return heights, None
+        if abs(v) <= tol:
+            return heights, mid
+        if is_exact and (best is None or abs(v) < abs(best[0])):
+            best = (v, mid)
+        if (v >= 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rtol * hi:
+            break
+    return heights, best[1] if best is not None and abs(best[0]) <= FALLBACK_TOL else None
+
+
+def recorded(value):
+    calls = []
+
+    def wrapped(s):
+        calls.append(s)
+        return value(s)
+
+    return wrapped, calls
+
+
+def test_exact_ends_converge_superlinearly():
+    # bisection takes 40 evaluations here
+    value, calls = recorded(exact(lambda s: s * s - 2.0))
+    root = bisect_bracket(value, 1.0, 3.0, False, 1e-12, 1e-15, 200)
+    assert abs(root * root - 2.0) <= 1e-12
+    assert len(calls) <= 12
+
+
+def test_surrogate_ends_keep_the_geometric_midpoints():
+    # a jump piece's positive values are gaps, never exact: its bracket always
+    # has a surrogate end and must visit the bisection's heights one for one
+    def piece(s):
+        return (s - 2.0, True) if s < 2.0 else (0.1 + (s - 2.0), False)
+
+    def step(s):
+        return (s - 2.0) + (5e-8 if s > 2.0 else -5e-8), False
+
+    for fn, tol in ((piece, 1e-9), (step, 1e-10)):
+        value, calls = recorded(fn)
+        root = bisect_bracket(value, 1.0, 3.0, False, tol, 1e-16, 220)
+        heights, want = reference_bisection(fn, 1.0, 3.0, False, tol, 1e-16, 220)
+        assert calls == heights
+        assert root == want
+
+
+def test_stalled_brackets_stay_within_three_bisections():
+    # regula falsi keeps one end for ever on a jump, a pole or a flat root;
+    # the Illinois halving and the midpoint safeguard bound the cost
+    def step(s):
+        return (s - 2.0) + (5e-8 if s > 2.0 else -5e-8)
+
+    def pole(s):
+        return 1.0 / (s - 2.0)
+
+    def flat(s):
+        return (s - 1.0) ** 5
+
+    for fn, lo, hi, tol, root_ok in (
+        (step, 1.0, 3.0, 1e-10, lambda r: abs(r - 2.0) <= 1e-12),
+        (pole, 1.0, 3.0, 1e-10, lambda r: r is None),
+        (flat, 0.5, 3.0, 1e-14, lambda r: abs(flat(r)) <= 1e-14),
+    ):
+        value, calls = recorded(exact(fn))
+        root = bisect_bracket(value, lo, hi, False, tol, 1e-15, 200)
+        n_bisect = len(reference_bisection(exact(fn), lo, hi, False, tol, 1e-15, 200)[0])
+        assert len(calls) <= min(3 * n_bisect, 200)
+        assert root_ok(root)
