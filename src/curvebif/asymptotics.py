@@ -189,11 +189,12 @@ def semilinear_positive_solution(weight, p):
 
     Shot directly in x from v(0) = sigma, v'(0) = 0 across the pieces of
     weight.spans(0, 1), with a shot that crosses zero counted as negative.
-    util.scan_brackets samples 160 log-spaced sigma in [1e-4, 1e4] and
-    util.bisect_bracket refines the brackets in order, by regula falsi in
-    log sigma between exact ends, until |v'(1)| <= 1e-11; returns sigma at
-    the first root.  This is an independent oracle: it never touches the
-    arclength machinery.
+    util.scan_brackets walks 160 log-spaced sigma up from 1e-4 toward 1e4,
+    and util.bisect_bracket refines each bracket as the walk yields it, by
+    regula falsi in log sigma between exact ends, until |v'(1)| <= 1e-11;
+    returns sigma at the first root, and shoots no sigma above its bracket.
+    This is an independent oracle: it never touches the arclength
+    machinery.
     """
     z = weight.z
 

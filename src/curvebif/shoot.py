@@ -444,9 +444,8 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     if n_scan < 16:
         raise ValueError("need n_scan >= 16")
 
-    brackets = scan_brackets(lambda s: _classify(pb, s), s_min, s_max, n_scan)
     roots = []
-    for lo, hi, lo_positive in brackets:
+    for lo, hi, lo_positive in scan_brackets(lambda s: _classify(pb, s), s_min, s_max, n_scan):
         root = _bisect_height(pb, lo, hi, lo_positive, theta_tol)
         if root is not None:
             roots.append(root)

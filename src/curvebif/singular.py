@@ -159,7 +159,13 @@ def _piece_value(pb, height, side):
 
 
 def _solve_piece(pb, side, *, n_scan):
-    """Root-find the outer height of one vertical-tangent piece, or None."""
+    """Root-find the outer height of one vertical-tangent piece, or None.
+
+    Walks n_scan log-spaced heights and refines the first bracket met: the
+    walk runs down from the top on the left and up from the floor on the
+    right, so the left piece keeps the highest bracket of the grid and the
+    right piece the lowest, and no height beyond that bracket is shot.
+    """
     z = pb.weight.z
     lam = pb.lam
     # the decaying tail of f bounds how high the budget can close
@@ -173,11 +179,11 @@ def _solve_piece(pb, side, *, n_scan):
     def value(s):
         return _piece_value(pb, s, side)
 
-    brackets = scan_brackets(value, s_lo, s_hi, n_scan)
-    if not brackets:
+    start, stop = (s_hi, s_lo) if side == "left" else (s_lo, s_hi)
+    bracket = next(scan_brackets(value, start, stop, n_scan), None)
+    if bracket is None:
         return None
-    lo, hi, lo_positive = brackets[-1] if side == "left" else brackets[0]
-    return bisect_bracket(value, lo, hi, lo_positive, 1e-9, 1e-16, 220)
+    return bisect_bracket(value, *bracket, 1e-9, 1e-16, 220)
 
 
 def _flux_quadrature(pb, path, side):

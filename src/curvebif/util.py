@@ -1,10 +1,12 @@
 """Scan-and-refine root search in a positive height.
 
-Regular heights and jump-piece heights are both found this way: sample a
-classifier on log-spaced heights, bracket its sign changes, then refine a
-bracket in log height.  A classifier value(s) returns (v, exact): v is the
-signed value, or None where s gives no sign; exact is False for surrogate
-values that only steer the refinement.  v >= 0 counts as positive.
+Regular heights and jump-piece heights are both found this way: walk a
+classifier over log-spaced heights, bracket its sign changes, then refine a
+bracket in log height.  The walk is lazy, so a caller that needs only the
+first bracket from one end stops evaluating heights there.  A classifier
+value(s) returns (v, exact): v is the signed value, or None where s gives
+no sign; exact is False for surrogate values that only steer the
+refinement.  v >= 0 counts as positive.
 """
 
 from __future__ import annotations
@@ -21,19 +23,25 @@ FALLBACK_TOL = 1e-6
 _CLIP = 1e-3
 
 
-def scan_brackets(value, lo, hi, n):
-    """Sign-change brackets (a, b, a_positive) over n log-spaced heights.
+def scan_brackets(value, start, stop, n):
+    """Yield sign-change brackets (a, b, a_positive), a < b, walking n log-spaced heights.
 
-    Every height is evaluated before the brackets are formed; neighbours
-    with no sign form no bracket.
+    The grid is geomspace(min, max, n) of the two ends, walked from start
+    toward stop: downward, when start > stop, over the same floats in
+    reverse.  Each bracket is yielded as soon as both its ends are
+    evaluated, and no height past it is evaluated until the caller asks
+    for the next one.  Neighbours of a height with no sign form no bracket.
     """
-    heights = [float(s) for s in np.geomspace(lo, hi, n)]
-    vals = [value(s)[0] for s in heights]
-    brackets = []
-    for a, b, va, vb in zip(heights, heights[1:], vals, vals[1:]):
-        if va is not None and vb is not None and (va >= 0.0) != (vb >= 0.0):
-            brackets.append((a, b, va >= 0.0))
-    return brackets
+    heights = [float(s) for s in np.geomspace(min(start, stop), max(start, stop), n)]
+    # geomspace(start, stop, n) itself would round interior heights differently
+    if start > stop:
+        heights.reverse()
+    s_prev = v_prev = None
+    for s in heights:
+        v = value(s)[0]
+        if v_prev is not None and v is not None and (v_prev >= 0.0) != (v >= 0.0):
+            yield (s_prev, s, v_prev >= 0.0) if s_prev < s else (s, s_prev, v >= 0.0)
+        s_prev, v_prev = s, v
 
 
 def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):

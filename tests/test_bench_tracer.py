@@ -6,7 +6,12 @@ surface as a broken traced benchmark run.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
+
+from curvebif import shoot, singular
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -20,3 +25,14 @@ def test_tracer_installs_and_restores():
         tracer.install()
     finally:
         tracer.restore()
+
+
+@pytest.mark.parametrize(
+    "fn, name",
+    [(shoot._march, "collect"), (singular._march, "collect"), (singular._solve_piece, "n_scan")],
+    ids=["shoot._march", "singular._march", "singular._solve_piece"],
+)
+def test_noted_keywords_exist(fn, name):
+    # the tracer's notes read these arguments from each call's keywords
+    param = inspect.signature(fn).parameters.get(name)
+    assert param is not None and param.kind in (param.KEYWORD_ONLY, param.POSITIONAL_OR_KEYWORD)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemInstance, power_weight
+from curvebif import Nonlinearity, ProblemInstance, power_weight, singular
 from curvebif.singular import Absent, SingularSolution, Witness, classify, smallness_guard, solve_singular
 
 
@@ -123,6 +123,27 @@ def test_piece_values_scale_with_lambda(jump_weight, bump_f):
         sing = solve_singular(ProblemInstance(lam, jump_weight, bump_f))
         assert isinstance(sing, SingularSolution)
         assert sing.us_left[0] == pytest.approx(want, rel=2e-3)
+
+
+def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f, monkeypatch):
+    # each piece walks its 96 heights toward the bracket it keeps and shoots
+    # none beyond it; a full scan of both grids takes 242 shots here
+    shots = []
+    march = singular._march
+
+    def counting(*args, **kwargs):
+        if kwargs["collect"] is None:
+            shots.append(args[2])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "_march", counting)
+    sing = solve_singular(ProblemInstance(50.0, jump_weight, bump_f))
+    assert isinstance(sing, SingularSolution)
+    assert len(shots) <= 160
+    # the full grids hold one left bracket, [393.8, 547.6], and two right
+    # ones, [1.1e-4, 5.6e-4] and [1.13e3, 5.67e3]: the right piece keeps the lower
+    assert 393.8 < sing.us_left[0] < 547.61
+    assert 1.1e-4 < sing.us_right[-1] < 5.6e-4
 
 
 @pytest.mark.parametrize("lead, rel", [(0.0, 1e-9), (6e-10, 1e-4)], ids=["at-node", "right-piece-leads"])

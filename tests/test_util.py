@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 from curvebif.util import FALLBACK_TOL, bisect_bracket, scan_brackets
 
 
@@ -8,12 +10,67 @@ def exact(fn):
 
 
 def test_scan_brackets_skips_heights_without_sign():
-    brackets = scan_brackets(exact(lambda s: s - 2.0), 1e-3, 1e3, 16)
+    brackets = list(scan_brackets(exact(lambda s: s - 2.0), 1e-3, 1e3, 16))
     assert len(brackets) == 1
     lo, hi, lo_positive = brackets[0]
     assert lo < 2.0 < hi and not lo_positive
     # a sign change across a height with no sign is not a bracket
-    assert scan_brackets(lambda s: (None, False) if 1.0 < s < 4.0 else (s - 2.0, True), 1e-3, 1e3, 16) == []
+    assert list(scan_brackets(lambda s: (None, False) if 1.0 < s < 4.0 else (s - 2.0, True), 1e-3, 1e3, 16)) == []
+
+
+def recording(fn):
+    calls = []
+
+    def value(s):
+        calls.append(s)
+        return fn(s), True
+
+    return value, calls
+
+
+def sign_changes(s):
+    # roots at 0.02 and 20: positive below, negative between, positive above
+    return (s - 0.02) * (s - 20.0)
+
+
+def test_upward_walk_stops_at_its_first_bracket():
+    value, calls = recording(sign_changes)
+    walk = scan_brackets(value, 1e-3, 7e2, 33)
+    lo, hi, lo_positive = next(walk)
+    assert lo < 0.02 < hi and lo_positive
+    # no height above the bracket's upper end was evaluated
+    assert calls == sorted(calls) and calls[-1] == hi
+    assert len(calls) == 9
+    # the rest of the walk picks up where it stopped
+    lo, hi, lo_positive = next(walk)
+    assert lo < 20.0 < hi and not lo_positive
+    assert next(walk, None) is None
+    assert len(calls) == 33 and len(set(calls)) == 33
+
+
+def test_downward_walk_reverses_the_grid_bit_for_bit():
+    up_value, up_calls = recording(sign_changes)
+    full = list(scan_brackets(up_value, 1e-3, 7e2, 33))
+    down_value, down_calls = recording(sign_changes)
+    assert list(scan_brackets(down_value, 7e2, 1e-3, 33)) == full[::-1]
+    assert down_calls == up_calls[::-1]
+    # np.geomspace(hi, lo, n) is not that grid: 11 of its 31 interior floats differ
+    assert sum(a != b for a, b in zip(np.geomspace(7e2, 1e-3, 33), down_calls)) == 11
+    # stopped at its first bracket, the downward walk keeps the full scan's last
+    value, calls = recording(sign_changes)
+    assert next(scan_brackets(value, 7e2, 1e-3, 33)) == full[-1]
+    assert calls == down_calls[: len(calls)] and calls[-1] == full[-1][0]
+    assert len(calls) == 10  # grid indices 32 down to 23
+
+
+def test_height_without_sign_breaks_a_bracket_both_ways():
+    def value(s):
+        return (None, False) if 0.05 < s < 0.2 else (s - 0.1, True)
+
+    for start, stop in ((1e-3, 7e2), (7e2, 1e-3)):
+        assert list(scan_brackets(value, start, stop, 33)) == []
+        # the same sign change with every height signed is one bracket
+        assert len(list(scan_brackets(exact(lambda s: s - 0.1), start, stop, 33))) == 1
 
 
 def test_bisect_accepts_first_midpoint_within_tol():
