@@ -60,6 +60,9 @@ def _load_problem(args):
             raise UsageError(f"cannot read problem file: {e}")
     if not isinstance(spec, dict):
         raise UsageError("the problem JSON must be an object")
+    # --p and --q write into "f", and Nonlinearity.from_dict reads it by key
+    if not isinstance(spec.get("f", {}), dict):
+        raise UsageError('bad problem spec: "f" must be an object')
     if getattr(args, "p", None) is not None:
         spec.setdefault("f", {})["p"] = args.p
     if getattr(args, "q", None) is not None:

@@ -135,7 +135,7 @@ _PIECE_SCAN = 96  # scan heights per piece
 
 
 def _piece_value(pb, height, side):
-    """Continuous classifier for the one-sided flux budget, as (value, exact).
+    """Continuous classifier for the one-sided flux budget, as (value, exact, settled).
 
     Zero exactly when the path from the outer boundary reaches the node
     with a vertical tangent; negative when the node is reached with flux to
@@ -143,6 +143,11 @@ def _piece_value(pb, height, side):
     the point where the tangent turned vertical, positive when it turned
     early.  Vertical events may land just past the node, so the gap keeps
     its sign: only a tangent formed within tolerance of the node converges.
+    settled is True for a negative exact value whose whole path lies on a
+    monotone side of f: u decreases toward the node on the left, so there
+    its node height must be at least the law's b, where f decays; u
+    increases toward the node on the right, so there at most the law's a,
+    where f grows.
     """
     z = pb.weight.z
     if side == "left":
@@ -152,10 +157,13 @@ def _piece_value(pb, height, side):
         path = _march(pb, 1.0, height, 0.0, z, collect=None, atol=_RIGHT_ATOL)
         gap = path.state_end[0] - z
     if path.terminal == "reached":
-        return -(1.0 + math.sin(path.state_end[2])), True
+        v = -(1.0 + math.sin(path.state_end[2]))
+        a, b = pb.f._law[:2]
+        u_node = path.state_end[1]
+        return v, True, v < 0.0 and (u_node >= b if side == "left" else u_node <= a)
     if path.terminal == "vertical" and path.state_end[2] < 0.0:
-        return gap, False
-    return None, False
+        return gap, False, False
+    return None, False, False
 
 
 def _solve_piece(pb, side, *, n_scan):
@@ -164,7 +172,21 @@ def _solve_piece(pb, side, *, n_scan):
     Walks n_scan log-spaced heights and refines the first bracket met: the
     walk runs down from the top on the left and up from the floor on the
     right, so the left piece keeps the highest bracket of the grid and the
-    right piece the lowest, and no height beyond that bracket is shot.
+    right piece the lowest, and no height beyond that bracket is shot but
+    the few the bisection below probes.
+
+    The walk skips settled heights (see _piece_value) by bisecting the grid
+    for the last of them.  No bracket lies among them, by comparison: the
+    shooting system for (u, flux) is cooperative where f is monotone with
+    the right sense, decreasing where a > 0 (left) and increasing where
+    a < 0 (right), so Kamke's comparison theorem orders its paths (Hirsch
+    and Smith, Monotone Dynamical Systems).  A settled height
+    reaches the node on that side of f; every height before it in the
+    walk, higher on the left and lower on the right, starts on the same
+    side, its path stays beyond the settled one, and it too reaches the
+    node with flux to spare, settled.  So the settled heights form a prefix
+    of the walk, and skipping them leaves the first bracket, and the
+    heights its refinement visits, as they were.
     """
     z = pb.weight.z
     lam = pb.lam
@@ -173,14 +195,15 @@ def _solve_piece(pb, side, *, n_scan):
     s_budget = (lam * pb.f.h * mass) ** (1.0 / pb.f.q) if lam * mass > 0 else 1.0
     s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
     # outer heights of the right piece shrink exponentially in lam, so the
-    # scan floor sits far below any polynomial scale
+    # walk's floor sits far below any polynomial scale; bisection over the
+    # settled heights makes the decades below the bracket cheap
     s_lo = 1e-8 if side == "left" else 1e-60
 
     def value(s):
         return _piece_value(pb, s, side)
 
     start, stop = (s_hi, s_lo) if side == "left" else (s_lo, s_hi)
-    bracket = next(scan_brackets(value, start, stop, n_scan), None)
+    bracket = next(scan_brackets(value, start, stop, n_scan, settled=lambda r: r[2]), None)
     if bracket is None:
         return None
     return bisect_bracket(value, *bracket, 1e-9, 1e-16, 220)

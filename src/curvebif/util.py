@@ -3,10 +3,12 @@
 Regular heights and jump-piece heights are both found this way: walk a
 classifier over log-spaced heights, bracket its sign changes, then refine a
 bracket in log height.  The walk is lazy, so a caller that needs only the
-first bracket from one end stops evaluating heights there.  A classifier
-value(s) returns (v, exact): v is the signed value, or None where s gives
-no sign; exact is False for surrogate values that only steer the
-refinement.  v >= 0 counts as positive.
+first bracket from one end stops evaluating heights there, and a caller
+that can tell which heights hold no bracket skips them by bisection.  A
+classifier value(s) returns (v, exact, ...): v is the signed value, or None
+where s gives no sign; exact is False for surrogate values that only steer
+the refinement; later items are the caller's own, read only by a settled
+predicate.  v >= 0 counts as positive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ FALLBACK_TOL = 1e-6
 _CLIP = 1e-3
 
 
-def scan_brackets(value, start, stop, n):
+def scan_brackets(value, start, stop, n, *, settled=None):
     """Yield sign-change brackets (a, b, a_positive), a < b, walking n log-spaced heights.
 
     The grid is geomspace(min, max, n) of the two ends, walked from start
@@ -31,14 +33,39 @@ def scan_brackets(value, start, stop, n):
     reverse.  Each bracket is yielded as soon as both its ends are
     evaluated, and no height past it is evaluated until the caller asks
     for the next one.  Neighbours of a height with no sign form no bracket.
+
+    settled(r), when given, reads a classifier result r = value(s).  It
+    must hold on a prefix of the walk whose values share one sign, so that
+    no bracket lies there.  If it holds at the first height, the walk
+    bisects the grid index for the last settled height, in at most
+    ceil(log2 n) + 1 evaluations that may lie past the first bracket, and
+    walks on from there.  Each height is evaluated at most once, and the
+    walk yields the plain walk's brackets.
     """
     heights = [float(s) for s in np.geomspace(min(start, stop), max(start, stop), n)]
     # geomspace(start, stop, n) itself would round interior heights differently
     if start > stop:
         heights.reverse()
+    seen = {}  # grid index -> classifier result
+
+    def at(i):
+        if i not in seen:
+            seen[i] = value(heights[i])
+        return seen[i]
+
+    first = 0
+    if settled is not None and heights and settled(at(0)):
+        hi = len(heights)  # settled holds at first; hi is unsettled or past the grid
+        while hi - first > 1:
+            mid = (first + hi) // 2
+            if settled(at(mid)):
+                first = mid
+            else:
+                hi = mid
     s_prev = v_prev = None
-    for s in heights:
-        v = value(s)[0]
+    for i in range(first, len(heights)):
+        s = heights[i]
+        v = at(i)[0]
         if v_prev is not None and v is not None and (v_prev >= 0.0) != (v >= 0.0):
             yield (s_prev, s, v_prev >= 0.0) if s_prev < s else (s, s_prev, v >= 0.0)
         s_prev, v_prev = s, v
@@ -72,7 +99,7 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
         if not interpolate:
             mid = math.sqrt(lo * hi)
             slow = 0
-        v, exact = value(mid)
+        v, exact = value(mid)[:2]
         if v is None:
             return None
         if abs(v) <= tol:

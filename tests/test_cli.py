@@ -232,6 +232,16 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["classify", "--lambda", "50", "--problem", json.dumps(string_p)]) == 1
 
 
+@pytest.mark.parametrize("f", ["x", ["x"]], ids=["string", "list"])
+def test_non_object_f_is_a_bad_spec(f, capsys):
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
+    spec["f"] = f
+    for cmd in (["classify", "--lambda", "50"], ["rates", "--p", "2"]):
+        assert run_cli([*cmd, "--problem", json.dumps(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvebif: bad problem spec: ") and "Traceback" not in err
+
+
 def test_flags_leave_the_default_problem_alone():
     # --p rewrites the loaded spec before the short ladder is refused
     assert run_cli(["rates", "--p", "2", "--ladder", "1e2,1e3"]) == 1

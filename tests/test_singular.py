@@ -126,8 +126,9 @@ def test_piece_values_scale_with_lambda(jump_weight, bump_f):
 
 
 def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f, monkeypatch):
-    # each piece walks its 96 heights toward the bracket it keeps and shoots
-    # none beyond it; a full scan of both grids takes 242 shots here
+    # each piece walks its 96 heights toward the bracket it keeps, bisects
+    # past the settled heights before it and shoots none beyond it: 66
+    # shots here, where the plain walks take 154 and full scans 242
     shots = []
     march = singular._march
 
@@ -139,11 +140,50 @@ def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f,
     monkeypatch.setattr(singular, "_march", counting)
     sing = solve_singular(ProblemInstance(50.0, jump_weight, bump_f))
     assert isinstance(sing, SingularSolution)
-    assert len(shots) <= 160
+    assert len(shots) <= 80
     # the full grids hold one left bracket, [393.8, 547.6], and two right
     # ones, [1.1e-4, 5.6e-4] and [1.13e3, 5.67e3]: the right piece keeps the lower
     assert 393.8 < sing.us_left[0] < 547.61
     assert 1.1e-4 < sing.us_right[-1] < 5.6e-4
+
+
+def test_settled_heights_keep_the_plain_walks_bracket(jump_weight, monkeypatch):
+    # skipping a piece's settled heights must keep the first bracket of the
+    # plain walk, and so the height its refinement keeps; shots are shared
+    # between the two walks, so the plain one costs only the skipped heights
+    power = power_weight(1.0, 0.5, 2.0, 0.5, 0.4)
+    table = Nonlinearity(kind="table", p=2.0, u_nodes=(0.5, 1.0, 2.0), f_nodes=(0.25, 0.9, 0.8))
+    cases = [
+        (jump_weight, Nonlinearity(p=0.5), 8.0),
+        (jump_weight, Nonlinearity(p=1.0), 60.0),
+        (jump_weight, Nonlinearity(p=2.0), 20.0),
+        (jump_weight, Nonlinearity(kind="smoothed", p=1.0), 60.0),
+        (jump_weight, table, 8.0),
+        (power, Nonlinearity(p=2.0), 60.0),
+        (power, Nonlinearity(kind="smoothed", p=1.0), 8.0),
+    ]
+    piece_value = singular._piece_value
+    plain_scan = singular.scan_brackets
+    shots = {}  # (height, side) -> classifier result, for the current problem
+
+    def shared(pb, height, side):
+        if (height, side) not in shots:
+            shots[height, side] = piece_value(pb, height, side)
+        return shots[height, side]
+
+    monkeypatch.setattr(singular, "_piece_value", shared)
+    skipped = 0
+    for weight, f, lam in cases:
+        pb = ProblemInstance(lam, weight, f)
+        shots.clear()
+        for side in ("left", "right"):
+            kept = singular._solve_piece(pb, side, n_scan=24)
+            n_shots = len(shots)
+            with monkeypatch.context() as m:
+                m.setattr(singular, "scan_brackets", lambda value, start, stop, n, settled: plain_scan(value, start, stop, n))
+                assert singular._solve_piece(pb, side, n_scan=24) == kept
+            skipped += len(shots) - n_shots
+    assert skipped >= 100
 
 
 @pytest.mark.parametrize("lead, rel", [(0.0, 1e-9), (6e-10, 1e-4)], ids=["at-node", "right-piece-leads"])

@@ -182,3 +182,63 @@ def test_stalled_brackets_stay_within_three_bisections():
         n_bisect = len(reference_bisection(exact(fn), lo, hi, False, tol, 1e-15, 200)[0])
         assert len(calls) <= min(3 * n_bisect, 200)
         assert root_ok(root)
+
+
+def classifier(fn, is_settled):
+    """A recording classifier (v, exact, settled) and its list of calls."""
+    calls = []
+
+    def value(s):
+        calls.append(s)
+        return fn(s), True, is_settled(s)
+
+    return value, calls
+
+
+def settled(r):
+    return r[2]
+
+
+def test_settled_walk_yields_the_plain_walks_brackets_bit_for_bit():
+    # roots at 0.02 and 20: the heights below 1e-2 and above 1e2 are positive
+    for start, stop, is_settled in ((1e-9, 7e2, lambda s: s < 1e-2), (1e9, 1e-3, lambda s: s > 1e2)):
+        value, calls = classifier(sign_changes, is_settled)
+        plain, plain_calls = recording(sign_changes)
+        brackets = list(scan_brackets(value, start, stop, 97, settled=settled))
+        assert brackets == list(scan_brackets(plain, start, stop, 97))
+        assert len(brackets) == 2
+        # settled heights are skipped; every other height is shot, once
+        assert len(calls) == len(set(calls)) < len(plain_calls) - 40
+        assert set(calls) >= {s for s in plain_calls if not is_settled(s)}
+        assert set(calls) <= set(plain_calls)
+
+
+def test_settled_prefix_costs_one_bisection():
+    n = 97
+    grid = [float(s) for s in np.geomspace(1e-3, 1e3, n)]
+    bound = math.ceil(math.log2(n)) + 2
+    for k in range(n - 4):
+        # grid[: k + 1] is settled; g unsettled negative heights follow it
+        for g in (0, 3):
+            value, calls = classifier(lambda s: -1.0 if s <= grid[k + g] else 1.0, lambda s: s <= grid[k])
+            walk = scan_brackets(value, grid[0], grid[-1], n, settled=settled)
+            assert next(walk) == (grid[k + g], grid[k + g + 1], False)
+            assert len(calls) <= bound + g
+            assert next(walk, None) is None
+            assert len(calls) == len(set(calls))
+
+
+def test_unsettled_first_height_walks_the_plain_grid():
+    # settled only away from the start: no prefix to skip
+    for start, stop in ((1e-3, 7e2), (7e2, 1e-3)):
+        value, calls = classifier(sign_changes, lambda s: 1.0 < s < 2.0)
+        plain, plain_calls = recording(sign_changes)
+        assert list(scan_brackets(value, start, stop, 33, settled=settled)) == list(scan_brackets(plain, start, stop, 33))
+        assert calls == plain_calls
+
+
+def test_fully_settled_grid_yields_no_bracket():
+    for start, stop in ((1e-3, 7e2), (7e2, 1e-3)):
+        value, calls = classifier(lambda s: -1.0, lambda s: True)
+        assert list(scan_brackets(value, start, stop, 97, settled=settled)) == []
+        assert len(calls) <= math.ceil(math.log2(97)) + 1
