@@ -297,22 +297,22 @@ def _cmd_rates(args):
 
 
 def _cmd_diagram(args):
-    rows = []
-    for path in args.inputs:
+    from .continuation import _kind_runs
+
+    rows, series = [], []
+    for path in args.inputs:  # each input is one branch
         lines = Path(path).read_text().strip().splitlines()
         if not lines or lines[0] != "lambda,sup_norm,kind":
             raise UsageError(f"{path} is not a diagram CSV")
+        branch = []
         for line in lines[1:]:
             lam, sup, kind = line.split(",")
-            rows.append((float(lam), float(sup), kind))
+            branch.append((float(lam), float(sup), kind))
+        rows.extend(branch)
+        series.extend(_kind_runs(branch))
     csv = csv_text(("lambda", "sup_norm", "kind"), rows)
     _write(args.out, csv)
     if args.svg:
-        series = []
-        for dashed in (False, True):
-            pts = [(l, s) for l, s, k in rows if (k == "near-singular") == dashed]
-            if pts:
-                series.append({"x": [p[0] for p in pts], "y": [p[1] for p in pts], "dashed": dashed})
         _write(args.svg, svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=args.log_y))
     return 0
 

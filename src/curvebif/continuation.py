@@ -166,8 +166,11 @@ def trace(
     at lam_max, when the height leaves [1e-6, 1e7] (a return to the
     trivial line records the terminal lam), or when the corrector keeps
     failing at the minimum step, which is the usual sign of a singular
-    transition ahead.
+    transition ahead.  step, the scaled predictor step, must be positive
+    and finite.
     """
+    if not (0 < step < math.inf):
+        raise ValueError("the continuation step must be positive and finite")
     lam, s0 = float(start[0]), float(start[1])
     r0 = _residual(pb_family, lam, s0)
     if math.isnan(r0) or abs(r0) > 1e-6:
@@ -188,27 +191,24 @@ def trace(
         sl, ss = _scales(lam, s0)
         pred = (lam + h * tangent[0] * sl, s0 + h * tangent[1] * ss)
         got = _corrector(pb_family, pred[0], pred[1], tangent, pred)
-        if got is None:
-            if h <= _H_MIN:
-                terminated = "corrector-failure"
+        diag = None
+        if got is not None:
+            new_lam, new_s0 = got
+            if new_s0 <= 1e-6:
+                terminated = "trivial-line"
+                terminal_lam = new_lam
                 break
-            h = max(h * 0.5, _H_MIN)
-            continue
-        new_lam, new_s0 = got
-        if new_s0 <= 1e-6:
-            terminated = "trivial-line"
-            terminal_lam = new_lam
-            break
-        if new_lam > lam_max:
-            terminated = "lambda-max"
-            break
-        if new_lam < 0.0:
-            terminated = "lambda-min"
-            break
-        if new_s0 > 1e7:
-            terminated = "height-max"
-            break
-        diag = _point_diagnostics(pb_family, new_lam, new_s0)
+            if new_lam > lam_max:
+                terminated = "lambda-max"
+                break
+            if new_lam < 0.0:
+                terminated = "lambda-min"
+                break
+            if new_s0 > 1e7:
+                terminated = "height-max"
+                break
+            diag = _point_diagnostics(pb_family, new_lam, new_s0)
+        # the corrector failed or the new point's verification run did
         if diag is None or diag.residual > 10 * _CORRECTOR_TOL:
             if h <= _H_MIN:
                 terminated = "corrector-failure"
@@ -241,8 +241,7 @@ def singular_sweep(pb_family, lams):
         got = solve_singular(pb_family.at(lam))
         if isinstance(got, Absent):
             continue
-        deriv = max(float(np.max(np.abs(dus))) for _, _, dus in got.pieces)
-        points.append(BranchPoint(lam, got.us_left[0], got.sup_norm, deriv, "near-singular", 0.0))
+        points.append(BranchPoint(lam, got.us_left[0], got.sup_norm, got.deriv_norm, "near-singular", 0.0))
     return Branch(points=points, origin="SingularSweep", terminated_by="sweep-end")
 
 
@@ -318,29 +317,36 @@ def dedupe_branches(branches):
     return kept
 
 
+def _kind_runs(rows):
+    """One branch's (lam, sup_norm, kind) rows as svg_plot series, one per kind-constant run.
+
+    Near-singular runs dash.  Each run after the first starts on the last
+    point of the run before it, so the branch stays one joined curve.
+    """
+    series, run_kind = [], None
+    for lam, sup, kind in rows:
+        if kind != run_kind:
+            run = {"x": [], "y": [], "dashed": kind == "near-singular"}
+            if series:
+                run["x"].append(series[-1]["x"][-1])
+                run["y"].append(series[-1]["y"][-1])
+            series.append(run)
+            run_kind = kind
+        series[-1]["x"].append(lam)
+        series[-1]["y"].append(sup)
+    return series
+
+
 def diagram(branches, logy=False):
     """Merge branches into one diagram: CSV rows plus a standalone SVG."""
     from .emit import csv_text, svg_plot
 
-    branches = dedupe_branches(branches)
     rows = []
     series = []
-    for b in branches:
-        rows.extend((p.lam, p.sup_norm, p.kind) for p in b.points)
-        # split each branch into kind-constant runs so singular stretches dash
-        run_kind = None
-        run_x, run_y = [], []
-        for p in b.points:
-            if run_kind is None or p.kind == run_kind:
-                run_kind = p.kind
-            else:
-                series.append({"x": run_x, "y": run_y, "dashed": run_kind == "near-singular"})
-                run_x, run_y = [run_x[-1]], [run_y[-1]]
-                run_kind = p.kind
-            run_x.append(p.lam)
-            run_y.append(p.sup_norm)
-        if run_x:
-            series.append({"x": run_x, "y": run_y, "dashed": run_kind == "near-singular"})
+    for b in dedupe_branches(branches):
+        branch_rows = [(p.lam, p.sup_norm, p.kind) for p in b.points]
+        rows.extend(branch_rows)
+        series.extend(_kind_runs(branch_rows))
     csv = csv_text(("lambda", "sup_norm", "kind"), rows)
     svg = svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=logy)
     return DiagramRecord(rows=rows, csv=csv, svg=svg)

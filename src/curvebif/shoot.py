@@ -57,10 +57,14 @@ class ArcPath:
     thetas: np.ndarray
     terminal: str
     state_end: tuple
-    theta_end: float | None
     dead_core: bool
     min_cos: float
     nfev: int
+
+    @property
+    def theta_end(self):
+        """theta at the target when the march reached it, else None."""
+        return self.state_end[2] if self.terminal == "reached" else None
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,10 @@ class Solution:
     @property
     def sup_norm(self):
         return max(float(np.max(us)) for _, us, _ in self.pieces)
+
+    @property
+    def deriv_norm(self):
+        return max(float(np.max(np.abs(dus))) for _, _, dus in self.pieces)
 
     def u_at(self, x):
         """u at x, taken on the first piece that reaches x (the last one past all ends)."""
@@ -127,11 +135,9 @@ class RegularSolution(Solution):
     xs: np.ndarray
     us: np.ndarray
     dus: np.ndarray
-    deriv_norm: float
     residual: float
     balance: float
     theta_end: float
-    min_cos: float
     dead_core: bool = False
     kind: str = "regular"
 
@@ -170,6 +176,23 @@ def _nudge_to_x(rhs, y, target):
     return y
 
 
+def _event(fn, direction):
+    fn.terminal = True
+    fn.direction = direction
+    return fn
+
+
+# the events every march watches besides its segment's x edge, with the
+# terminal each one ends the march on
+_EVENTS = (
+    (_event(lambda s, y: y[2] + math.pi / 2.0, -1.0), "vertical"),
+    (_event(lambda s, y: y[2] - math.pi / 2.0, 1.0), "vertical"),
+    (_event(lambda s, y: y[1] + _EPS_NEG, -1.0), "u_zero"),
+    (_event(lambda s, y: abs(y[1]) - _U_MAX, 1.0), "cap"),
+)
+_EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
+
+
 def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     """Integrate the arclength system from x_start toward x_target.
 
@@ -197,8 +220,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     ss_parts, ys_parts = [], []
     atol = _ATOL if atol is None else atol
 
-    terminal = "reached"
-    theta_end = None
+    terminal = "reached"  # also the end of a march with no span to cross
 
     try:
         for lo, hi, form in spans:
@@ -212,35 +234,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 x, u, th = yv.tolist()
                 return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
 
-            def ev_edge(s, yv):
-                return yv[0] - edge
-
-            ev_edge.terminal = True
-            ev_edge.direction = direction
-
-            def ev_vert_dn(s, yv):
-                return yv[2] + math.pi / 2.0
-
-            ev_vert_dn.terminal = True
-            ev_vert_dn.direction = -1.0
-
-            def ev_vert_up(s, yv):
-                return yv[2] - math.pi / 2.0
-
-            ev_vert_up.terminal = True
-            ev_vert_up.direction = 1.0
-
-            def ev_uzero(s, yv):
-                return yv[1] + _EPS_NEG
-
-            ev_uzero.terminal = True
-            ev_uzero.direction = -1.0
-
-            def ev_ucap(s, yv):
-                return abs(yv[1]) - _U_MAX
-
-            ev_ucap.terminal = True
-            ev_ucap.direction = 1.0
+            ev_edge = _event(lambda s, yv: yv[0] - edge, direction)
 
             out = solve_ivp(
                 rhs,
@@ -250,7 +244,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 rtol=_RTOL,
                 atol=atol,
                 dense_output=collect is not None,
-                events=(ev_edge, ev_vert_dn, ev_vert_up, ev_uzero, ev_ucap),
+                events=(ev_edge, *_EVENT_FNS),
             )
 
             stored = collect and len(out.t) > 1
@@ -258,9 +252,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 ss_seg, ys_seg = _subsample(out, *collect)
                 ss_parts.append(ss_seg)
                 ys_parts.append(ys_seg)
-                min_cos = min(min_cos, float(np.min(np.cos(ys_seg[2]))))
-            else:
-                min_cos = min(min_cos, float(np.min(np.cos(out.y[2]))))
+            min_cos = min(min_cos, float(np.min(np.cos((ys_seg if stored else out.y)[2]))))
 
             y = out.y[:, -1]
             s_accum = out.t[-1]
@@ -271,60 +263,40 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
             if out.status == 0:
                 terminal = "cap"
                 break
-            fired = [i for i, te in enumerate(out.t_events) if len(te)]
-            which = fired[0] if fired else 0
+            which = next(i for i, te in enumerate(out.t_events) if len(te))
             if which == 0:
                 y = _nudge_to_x(rhs, np.array(out.y_events[0][-1]), edge)
                 s_accum = out.t_events[0][-1]
                 if abs(edge - x_target) < 1e-14:
-                    terminal = "reached"
-                    theta_end = float(y[2])
                     if stored:
                         # the stored path ends on the target, not at the event sample
                         ys_parts[-1][:, -1] = y
                     break
                 continue  # next weight segment
-            if which in (1, 2):
-                y = np.array(out.y_events[which][-1])
-                terminal = "vertical"
-                break
-            if which == 3:
-                y = np.array(out.y_events[3][-1])
-                # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
-                # grazing crossings arrive well inside this angle tolerance
-                if (
-                    f.p < 1.0
-                    and direction > 0
-                    and y[0] > z
-                    and abs(y[2]) <= 1e-5
-                    and abs(y[1]) <= 10 * _EPS_NEG
-                ):
-                    # dead core: f(0) = 0 makes u == 0 an exact continuation
-                    dead_core = True
-                    terminal = "reached"
-                    theta_end = 0.0
-                    if collect:
-                        tail_x = np.linspace(y[0], x_target, 65)
-                        ss_parts.append(s_accum + (tail_x - y[0]))
-                        ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
-                    y = np.array([x_target, 0.0, 0.0])
-                    break
-                terminal = "u_zero"
-                break
-            terminal = "cap"
-            break
-
-        else:
-            if abs(y[0] - x_target) < 1e-12:
+            y = np.array(out.y_events[which][-1])
+            terminal = _EVENTS[which - 1][1]
+            # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
+            # grazing crossings arrive well inside this angle tolerance
+            if (
+                terminal == "u_zero"
+                and f.p < 1.0
+                and direction > 0
+                and y[0] > z
+                and abs(y[2]) <= 1e-5
+                and abs(y[1]) <= 10 * _EPS_NEG
+            ):
+                # dead core: f(0) = 0 makes u == 0 an exact continuation
+                dead_core = True
                 terminal = "reached"
-            else:
-                terminal = "failure"
+                if collect:
+                    tail_x = np.linspace(y[0], x_target, 65)
+                    ss_parts.append(s_accum + (tail_x - y[0]))
+                    ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
+                y = np.array([x_target, 0.0, 0.0])
+            break
     except _BudgetSpent:
         # the march ends where its last finished segment or nudge left it
         terminal = "cap"
-
-    if terminal == "reached" and theta_end is None:
-        theta_end = float(y[2])
 
     if collect and ss_parts:
         ss = np.concatenate(ss_parts)
@@ -343,7 +315,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         thetas=thetas,
         terminal=terminal,
         state_end=(float(y[0]), float(y[1]), float(y[2])),
-        theta_end=theta_end,
         dead_core=dead_core,
         min_cos=min_cos,
         nfev=nfev,
@@ -418,11 +389,9 @@ def solution_from_path(pb, path):
         xs=xs,
         us=us,
         dus=dus,
-        deriv_norm=float(np.max(np.abs(dus))),
         residual=curvature_residual(pb, xs, us, dus),
         balance=neumann_balance(pb, xs, us),
         theta_end=path.theta_end if path.theta_end is not None else float("nan"),
-        min_cos=path.min_cos,
         dead_core=path.dead_core,
     )
 

@@ -134,6 +134,13 @@ _PIECE_MESH = (1e-5, 1e-3)
 _PIECE_SCAN = 96  # scan heights per piece
 
 
+def _piece_shot(pb, height, side, collect=None):
+    """March one piece from its outer boundary, flat at the given height, to the node."""
+    if side == "left":
+        return _march(pb, 0.0, height, 0.0, pb.weight.z, collect=collect)
+    return _march(pb, 1.0, height, 0.0, pb.weight.z, collect=collect, atol=_RIGHT_ATOL)
+
+
 def _piece_value(pb, height, side):
     """Continuous classifier for the one-sided flux budget, as (value, exact, settled).
 
@@ -149,13 +156,9 @@ def _piece_value(pb, height, side):
     increases toward the node on the right, so there at most the law's a,
     where f grows.
     """
-    z = pb.weight.z
-    if side == "left":
-        path = _march(pb, 0.0, height, 0.0, z, collect=None)
-        gap = z - path.state_end[0]
-    else:
-        path = _march(pb, 1.0, height, 0.0, z, collect=None, atol=_RIGHT_ATOL)
-        gap = path.state_end[0] - z
+    path = _piece_shot(pb, height, side)
+    z, x_end = pb.weight.z, path.state_end[0]
+    gap = z - x_end if side == "left" else x_end - z
     if path.terminal == "reached":
         v = -(1.0 + math.sin(path.state_end[2]))
         a, b = pb.f._law[:2]
@@ -224,21 +227,18 @@ def _flux_quadrature(pb, path, side):
 def solve_singular(pb):
     """Construct the jump solution at the node, or report why there is none.
 
-    Refuses under the smallness bound (the solution would be regular) and
-    under a divergent criterion integral (regularity is forced for every
-    lam).  Otherwise both one-sided pieces are root-found; if the left
-    height at the node stays above the right one the assembled object is a
-    bounded-variation solution with a downward jump.
+    Refuses where classify() proves every solution regular: under the
+    smallness bound and under a divergent criterion integral.  Otherwise
+    both one-sided pieces are root-found; if the left height at the node
+    stays above the right one the assembled object is a bounded-variation
+    solution with a downward jump.
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")
-    if not pb.weight.has_sign_split:
-        raise ValueError("singular construction needs a sign-split weight")
-    if smallness_guard(pb):
+    verdict = classify(pb).tag
+    if verdict == "RegularBySmallness":
         return Absent("smallness", "lam ||f|| ||a||_1 < 1 forces regularity")
-    i_left = criterion_integral(pb.weight, "left")
-    i_right = criterion_integral(pb.weight, "right")
-    if i_left.infinite or i_right.infinite:
+    if verdict == "RegularByCriterion":
         return Absent("regular-by-criterion", "a node integral diverges; solutions are regular")
 
     s_left = _solve_piece(pb, "left", n_scan=_PIECE_SCAN)
@@ -248,9 +248,8 @@ def solve_singular(pb):
     if s_right is None:
         return Absent("no-right-piece", "no height closes the right flux budget")
 
-    z = pb.weight.z
-    left = _march(pb, 0.0, s_left, 0.0, z, collect=_PIECE_MESH)
-    right = _march(pb, 1.0, s_right, 0.0, z, collect=_PIECE_MESH, atol=_RIGHT_ATOL)
+    left = _piece_shot(pb, s_left, "left", _PIECE_MESH)
+    right = _piece_shot(pb, s_right, "right", _PIECE_MESH)
     if left.us[-1] < right.us[-1] - 1e-9 * max(1.0, left.us[-1]):
         return Absent("inadmissible-jump", "left height at the node fell below the right one")
 
@@ -259,7 +258,7 @@ def solve_singular(pb):
     xl, ul, dl = _path_piece(left)
     xr, ur, dr = _path_piece(right)
 
-    eps = 1e-3
+    z, eps = pb.weight.z, 1e-3
     return SingularSolution(
         lam=pb.lam,
         xs_left=xl,

@@ -16,11 +16,15 @@ from curvebif import shoot, singular
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_tracer_installs_and_restores():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_tracer_installs_and_restores():
+    tracer = _tracing().Tracer()
     try:
         tracer.install()
     finally:
@@ -36,3 +40,10 @@ def test_noted_keywords_exist(fn, name):
     # the tracer's notes read these arguments from each call's keywords
     param = inspect.signature(fn).parameters.get(name)
     assert param is not None and param.kind in (param.KEYWORD_ONLY, param.POSITIONAL_OR_KEYWORD)
+
+
+def test_every_march_terminal_is_counted():
+    # the traced shoot.march counts split by tracing.TERMINALS: the event
+    # table's terminals, and the ends _march sets outside it
+    ends = {"reached", "cap", "failure"} | {terminal for _, terminal in shoot._EVENTS}
+    assert ends <= set(_tracing().TERMINALS)

@@ -161,6 +161,38 @@ def test_branch_and_diagram_roundtrip(tmp_path):
     assert len(merged.read_text().strip().splitlines()) == 2 * (len(lines) - 1) + 1
 
 
+def test_diagram_svg_draws_each_input_as_its_own_branch(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("lambda,sup_norm,kind\n1,1,regular\n2,2,regular\n3,3,near-singular\n")
+    b.write_text("lambda,sup_norm,kind\n10,0.5,regular\n11,0.4,regular\n")
+    merged, svg = tmp_path / "merged.csv", tmp_path / "merged.svg"
+    assert run_cli(["diagram", "--in", str(a), str(b), "--out", str(merged), "--svg", str(svg)]) == 0
+    rows = [line.split(",") for line in merged.read_text().strip().splitlines()[1:]]
+    assert [(float(lam), float(sup), kind) for lam, sup, kind in rows] == [
+        (1, 1, "regular"), (2, 2, "regular"), (3, 3, "near-singular"), (10, 0.5, "regular"), (11, 0.4, "regular")
+    ]
+    text = svg.read_text()
+    width = float(text.split('width="', 1)[1].split('"', 1)[0])
+    lines = [
+        ([tuple(map(float, p.split(","))) for p in line.split('points="', 1)[1].split('"', 1)[0].split()],
+         "stroke-dasharray" in line)
+        for line in text.splitlines()
+        if line.startswith("<polyline")
+    ]
+    assert [(len(pts), dashed) for pts, dashed in lines] == [(2, False), (2, True), (2, False)]
+    # lambda spans [1, 11], so a's points sit left of the middle and b's right of it
+    for pts, _ in lines:
+        assert len({x < width / 2 for x, _ in pts}) == 1
+    (solid, _), (dashed, _), _ = lines
+    assert dashed[0] == solid[-1]  # the dashed run starts on the last regular point
+
+
+def test_branch_rejects_a_bad_step(capsys):
+    assert run_cli(["branch", "--step", "0"]) == 1
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
 def test_branch_origin_seed_rides_the_trivial_line(tmp_path):
     csv = tmp_path / "origin.csv"
     code = run_cli(["branch", "--seed", "origin", "--max-points", "15", "--out", str(csv)])

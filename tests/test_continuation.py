@@ -161,3 +161,10 @@ def test_dedupe_keeps_distinct_branches():
     b = Branch([BranchPoint(5.0, 2.0, 2.0, 0.0, "regular", 0.0)], "Manual", "max-points")
     assert len(dedupe_branches([a, b])) == 2
     assert len(dedupe_branches([a, a])) == 1
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+def test_trace_rejects_a_bad_step(ramp_family, step):
+    # checked before the start point is shot
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        trace(ramp_family, (1.0, 1.0), step=step)

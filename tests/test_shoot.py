@@ -132,6 +132,51 @@ def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch)
     assert shoot_residual(pb, 0.05).event == "cap"
 
 
+@pytest.mark.parametrize(
+    "case, patch, terminal",
+    [
+        ("reached", None, "reached"),
+        ("vertical-down", None, "vertical"),
+        ("vertical-up", None, "vertical"),
+        ("u_zero", None, "u_zero"),
+        # the vertical-up shot dips below its start of 50, then climbs past 50.05
+        ("cap-height", ("_U_MAX", 50.05), "cap"),
+        ("cap-budget", ("_NFEV_MAX", 250), "cap"),
+        ("dead-core", None, "reached"),
+    ],
+)
+def test_every_terminal_derives_theta_end(jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal):
+    if patch is not None:
+        monkeypatch.setattr(shoot, *patch)
+    w = Weight(0.5, (Segment(0.0, 0.5, ConstantForm(1.0)), Segment(0.5, 1.0, ConstantForm(-2.0))))
+    d = 0.05  # just under the touchdown manifold of test_dead_core_continuation_from_tangency
+    shots = {
+        "reached": lambda: integrate_path(ProblemInstance(0.0, jump_weight, bump_f), 0.7),
+        "vertical-down": lambda: integrate_path(ProblemInstance(20.0 * lam0_jump, jump_weight, bump_f), 2.0),
+        "vertical-up": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "u_zero": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
+        "cap-height": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "cap-budget": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
+        "dead-core": lambda: shoot._march(
+            ProblemInstance(1.0, w, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=10.0)),
+            0.85 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, collect=(5e-4, 2e-3),
+        ),
+    }
+    path = shots[case]()
+    assert path.terminal == terminal
+    assert path.dead_core == (case == "dead-core")
+    if terminal == "reached":
+        assert path.state_end[0] == 1.0
+        assert path.theta_end == path.state_end[2]
+    else:
+        assert path.theta_end is None
+    if case.startswith("vertical"):
+        sign = 1.0 if case == "vertical-up" else -1.0
+        assert path.state_end[2] == pytest.approx(sign * math.pi / 2.0, abs=1e-9)
+    if case == "cap-height":
+        assert path.state_end[1] == pytest.approx(50.05, rel=1e-12)
+
+
 def test_find_regular_mild_existence(mild_solution):
     pb, sol = mild_solution
     assert abs(sol.theta_end) <= 1e-10
