@@ -425,10 +425,7 @@ CHECKS = {
 }
 
 
-def run_all(subset=None, stream=None):
-    import sys
-
-    out = stream or sys.stdout
+def run_all(subset=None):
     ids = sorted(subset) if subset else sorted(CHECKS)
     unknown = [cid for cid in ids if cid not in CHECKS]
     if unknown:
@@ -438,5 +435,5 @@ def run_all(subset=None, stream=None):
         res = CHECKS[cid]()
         all_ok &= res.passed
         tag = "PASS" if res.passed else "FAIL"
-        print(f"{tag} criterion {res.cid}: {res.name} [{res.elapsed:.1f}s] :: {res.detail}", file=out)
+        print(f"{tag} criterion {res.cid}: {res.name} [{res.elapsed:.1f}s] :: {res.detail}")
     return all_ok

@@ -147,7 +147,7 @@ def _point_diagnostics(pb_family, lam, s0):
     if path.terminal != "reached":
         return None
     sol = solution_from_path(pb_family.at(lam), path)
-    kind = "near-singular" if path.min_cos < NEAR_SINGULAR_COS else "regular"
+    kind = "near-singular" if np.min(np.cos(path.thetas)) < NEAR_SINGULAR_COS else "regular"
     return BranchPoint(lam, s0, sol.sup_norm, sol.deriv_norm, kind, abs(path.theta_end), sol.residual)
 
 

@@ -24,6 +24,7 @@ __all__ = ["EigenPair", "principal_neumann", "principal_dirichlet", "bif_directi
 
 _RTOL = 1e-12
 _ATOL = 1e-14
+_MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap, as a fraction of the shot's interval
 
 
 @dataclass
@@ -49,7 +50,7 @@ class EigenPair:
         return float(total)
 
 
-def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
+def _shoot_linear(weight, lam, r, s, y0):
     """Integrate phi'' = -lam a phi across [r, s] with breakpoint hygiene.
 
     Returns (phi(s), dphi(s), crossed_zero, solutions) where solutions is a
@@ -60,7 +61,7 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     y = np.array(y0, dtype=float)
     crossed = False
     sols = []
-    max_step = (s - r) * max_step_frac
+    max_step = (s - r) * _MAX_STEP_FRAC
 
     def zero(x, yv):
         return yv[0]
@@ -94,17 +95,17 @@ def _shoot_linear(weight, lam, r, s, y0, max_step_frac=1.0 / 16.0):
     return float(y[0]), float(y[1]), crossed, sols
 
 
-def _bracket_and_bisect(classify, lam_seed, lam_max, rel_tol):
-    """First sign change of the shooting classifier above zero."""
+def _bracket_and_bisect(above, lam_seed, lam_max, rel_tol):
+    """First lam > 0 where the boolean shooting classifier above(lam) turns True."""
     lam_hi = lam_seed
     guard = 0
-    while classify(lam_hi) == "below":
+    while not above(lam_hi):
         lam_hi *= 2.0
         guard += 1
         if lam_hi > lam_max or guard > 200:
             raise ValueError("no eigenvalue bracket found below lam_max")
     lam_lo = lam_hi / 2.0
-    while classify(lam_lo) == "above":
+    while above(lam_lo):
         lam_hi = lam_lo
         lam_lo /= 2.0
         guard += 1
@@ -112,10 +113,10 @@ def _bracket_and_bisect(classify, lam_seed, lam_max, rel_tol):
             raise ValueError("no eigenvalue bracket found above zero")
     while (lam_hi - lam_lo) > rel_tol * lam_lo:
         mid = 0.5 * (lam_lo + lam_hi)
-        if classify(mid) == "below":
-            lam_lo = mid
-        else:
+        if above(mid):
             lam_hi = mid
+        else:
+            lam_lo = mid
     return 0.5 * (lam_lo + lam_hi)
 
 
@@ -163,53 +164,47 @@ def _build_pair(weight, lam, r, s, y0, boundary):
     )
 
 
-def principal_neumann(weight, tol=1e-12, max_step_frac=1.0 / 16.0):
+def _principal(weight, r, s, y0, end, lam_max, tol, boundary):
+    """The lam > 0 where the shot from y0 at r first fails to stay positive with y[end] > 0 at s."""
+
+    def above(lam):
+        *y_end, crossed, _ = _shoot_linear(weight, lam, r, s, y0)
+        return crossed or not y_end[end] > 0.0  # a crossed zero is an overshoot
+
+    lam_seed = (math.pi / (s - r)) ** 2 / max(weight.sup_positive_part(), 1e-6)
+    lam = _bracket_and_bisect(above, lam_seed, lam_max, tol)
+    return _build_pair(weight, lam, r, s, y0, boundary)
+
+
+def principal_neumann(weight, tol=1e-12):
     """Smallest lam > 0 with a positive Neumann eigenfunction on (0, 1).
 
     Shoots from phi(0) = 1, phi'(0) = 0 and bisects on the sign of phi'(1),
     treating loss of positivity as overshoot, to relative width tol < 1.
     The weight must have negative mean and a positive part; uniqueness of
     the positive eigenvalue then holds and bisection from below cannot skip
-    it.  max_step_frac bounds the integrator step as a fraction of [0, 1].
+    it.
     """
     if not (0 < tol < 1):
         raise ValueError("tolerance must lie in (0, 1)")
     if weight.mean >= 0:
         raise ValueError("weight must have negative mean")
-    if weight.sup_positive_part() <= 0:
+    if 1 not in weight.signs(0.0, 1.0):
         raise ValueError("weight must be positive somewhere")
-
-    def classify(lam):
-        phi_end, dphi_end, crossed, _ = _shoot_linear(
-            weight, lam, 0.0, 1.0, (1.0, 0.0), max_step_frac=max_step_frac
-        )
-        if crossed:
-            return "above"
-        return "below" if dphi_end > 0.0 else "above"
-
-    lam_seed = math.pi ** 2 / max(weight.sup_positive_part(), 1e-6)
-    lam0 = _bracket_and_bisect(classify, lam_seed, 1e6, tol)
-    return _build_pair(weight, lam0, 0.0, 1.0, (1.0, 0.0), "neumann")
+    return _principal(weight, 0.0, 1.0, (1.0, 0.0), 1, 1e6, tol, "neumann")
 
 
 def principal_dirichlet(weight, interval):
-    """Smallest mu > 0 with a positive Dirichlet eigenfunction on the interval."""
+    """Smallest mu > 0 with a positive Dirichlet eigenfunction on the interval.
+
+    Shoots from phi(r) = 0, phi'(r) = 1 and bisects on the sign of phi(s).
+    """
     r, s = interval
     if not (0.0 <= r < s <= 1.0):
         raise ValueError("interval must be inside [0, 1]")
-    probe = np.linspace(r, s, 257)[1:-1]
-    if np.any(weight.eval(probe) <= 0):
+    if weight.signs(r, s) != {1}:
         raise ValueError("weight must be positive on the interval")
-
-    def classify(mu):
-        phi_end, _, crossed, _ = _shoot_linear(weight, mu, r, s, (0.0, 1.0))
-        if crossed:
-            return "above"
-        return "below" if phi_end > 0.0 else "above"
-
-    mu_seed = (math.pi / (s - r)) ** 2 / max(weight.sup_positive_part(), 1e-6)
-    mu1 = _bracket_and_bisect(classify, mu_seed, 1e7, 1e-12)
-    return _build_pair(weight, mu1, r, s, (0.0, 1.0), "dirichlet")
+    return _principal(weight, r, s, (0.0, 1.0), 0, 1e7, 1e-12, "dirichlet")
 
 
 def bif_direction(f, pair):

@@ -84,11 +84,8 @@ def svg_plot(series, *, xlabel="", ylabel="", logx=False, logy=False):
     xs_all, ys_all = [], []
     clean = []
     for s in series:
-        xv = [tx(v) for v in s["x"] if not logx or v > 0]
-        yv = [ty(v) for v, xraw in zip(s["y"], s["x"]) if not logx or xraw > 0]
-        pair = [(a, b) for a, b in zip(xv, yv) if not logy or b == b]
-        if logy:
-            pair = [(a, ty(yr)) for (a, _), yr in zip(pair, s["y"]) if yr > 0]
+        # a log axis drops the whole point when its coordinate is not positive (or NaN)
+        pair = [(tx(x), ty(y)) for x, y in zip(s["x"], s["y"]) if (x > 0 or not logx) and (y > 0 or not logy)]
         if not pair:
             continue
         clean.append((pair, bool(s.get("dashed", False))))

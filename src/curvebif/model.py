@@ -42,9 +42,10 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# segment forms: each states its value, antiderivative, scaling, checks and
+# segment forms: each states its value, antiderivative, scaling, checks,
 # node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node,
-# and scalar(z), its value as a float -> float closure for ODE right-hand sides
+# sign_changes(lo, hi), the points inside (lo, hi) where a changes sign, and
+# scalar(z), its value as a float -> float closure for ODE right-hand sides
 
 def _check_finite(*numbers):
     if not all(math.isfinite(v) for v in numbers):
@@ -81,6 +82,9 @@ class ConstantForm:
 
     def node_terms(self, side, z):
         return [(self.c, 0.0)]
+
+    def sign_changes(self, lo, hi):
+        return []
 
     def scaled(self, k):
         return ConstantForm(k * self.c)
@@ -135,6 +139,17 @@ class PolynomialForm:
     def node_terms(self, side, z):
         sgn = -1.0 if side == "left" else 1.0
         return [(c, float(k)) for k, c in enumerate(_poly_compose_affine(self.coeffs, z, sgn))]
+
+    def sign_changes(self, lo, hi):
+        """The real roots strictly inside (lo, hi), increasing.
+
+        Top coefficients at or below 1e-13 of the largest are roundoff and
+        trimmed first, as in Weight.node_order; a subnormal top coefficient
+        would otherwise overflow the companion matrix.
+        """
+        c = np.array(self.coeffs)
+        roots = npoly.polyroots(npoly.polytrim(c, 1e-13 * np.max(np.abs(c))))
+        return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-12 and lo + 1e-12 < r.real < hi - 1e-12)
 
     def scaled(self, k):
         return PolynomialForm(tuple(k * c for c in self.coeffs))
@@ -191,6 +206,9 @@ class PowerForm:
 
     def node_terms(self, side, z):
         return [(self.sign * self.amplitude, self.exponent)]
+
+    def sign_changes(self, lo, hi):
+        return []
 
     def scaled(self, k):
         return PowerForm(k * self.amplitude, self.exponent, self.side)
@@ -307,54 +325,37 @@ class Weight:
     def mean(self):
         return self.integral(0.0, 1.0)
 
+    def _piece_integrals(self, lo, hi):
+        """Exact integrals of a over the pieces of spans(lo, hi), each cut where its form changes sign."""
+        for a, b, form in self.spans(lo, hi):
+            cuts = [a, *form.sign_changes(a, b), b]
+            for p, q in zip(cuts, cuts[1:]):
+                yield float(form.anti(q, self.z) - form.anti(p, self.z))
+
     @cached_property
     def abs_integral(self):
         """Exact L1 norm of a on [0, 1]."""
-        total = 0.0
-        for seg in self.segments:
-            for lo, hi in self._sign_constant_pieces(seg):
-                total += abs(float(seg.form.anti(hi, self.z) - seg.form.anti(lo, self.z)))
-        return total
-
-    def _sign_constant_pieces(self, seg):
-        if isinstance(seg.form, PolynomialForm):
-            coeffs = seg.form.coeffs
-            roots = npoly.polyroots(coeffs) if len(coeffs) > 1 else []
-            cuts = sorted(
-                float(r.real)
-                for r in np.atleast_1d(roots)
-                if abs(r.imag) < 1e-12 and seg.lo + 1e-12 < r.real < seg.hi - 1e-12
-            )
-            pts = [seg.lo] + cuts + [seg.hi]
-            return list(zip(pts, pts[1:]))
-        return [(seg.lo, seg.hi)]
+        return sum(abs(v) for v in self._piece_integrals(0.0, 1.0))
 
     # -- structure checks ----------------------------------------------------
 
-    def _segment_sign(self, seg):
-        xs = np.linspace(seg.lo, seg.hi, 129)[1:-1]
-        vals = seg.form.value(xs, self.z)
-        if np.all(vals > 1e-14):
-            return 1
-        if np.all(vals < -1e-14):
-            return -1
-        return 0
+    def signs(self, lo, hi):
+        """The signs, +1 and -1, that a takes on [lo, hi] on a set of positive measure.
+
+        Each piece between sign changes takes the sign of its exact
+        integral.  A piece whose integral is at most 1e-13 abs_integral is
+        roundoff and takes none: a ≡ 0, or the sliver between the two
+        roots that polyroots splits a touching zero such as (x - 0.2)^2 into.
+        """
+        tiny = 1e-13 * self.abs_integral
+        return {1 if v > 0 else -1 for v in self._piece_integrals(lo, hi) if abs(v) > tiny}
 
     @cached_property
     def has_sign_split(self):
-        """True when a > 0 a.e. left of the node, a < 0 right of it, mean < 0."""
+        """True when a > 0 a.e. on each segment left of the node, a < 0 on each right of it, mean < 0."""
         if self.mean >= 0.0:
             return False
-        for seg in self.segments:
-            if seg.hi <= self.z + 1e-12:
-                if self._segment_sign(seg) != 1:
-                    return False
-            elif seg.lo >= self.z - 1e-12:
-                if self._segment_sign(seg) != -1:
-                    return False
-            else:
-                return False
-        return True
+        return all(self.signs(s.lo, s.hi) == {1 if s.hi <= self.z + 1e-12 else -1} for s in self.segments)
 
     def node_segment(self, side):
         """The segment that ends (side "left") or starts ("right") at the node."""
@@ -378,6 +379,7 @@ class Weight:
         return math.inf, 0.0
 
     def sup_positive_part(self):
+        """max(a, 0) sampled at 65 points per segment: a scale, never a sign test."""
         best = 0.0
         for seg in self.segments:
             xs = np.linspace(seg.lo, seg.hi, 65)

@@ -58,7 +58,6 @@ class ArcPath:
     terminal: str
     state_end: tuple
     dead_core: bool
-    min_cos: float
     nfev: int
 
     @property
@@ -215,7 +214,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
     nfev = 0  # right-hand-side calls, counted by rhs
     nfev_max = _NFEV_MAX
-    min_cos = math.cos(theta_start)
     dead_core = False
     ss_parts, ys_parts = [], []
     atol = _ATOL if atol is None else atol
@@ -252,7 +250,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 ss_seg, ys_seg = _subsample(out, *collect)
                 ss_parts.append(ss_seg)
                 ys_parts.append(ys_seg)
-            min_cos = min(min_cos, float(np.min(np.cos((ys_seg if stored else out.y)[2]))))
 
             y = out.y[:, -1]
             s_accum = out.t[-1]
@@ -316,7 +313,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         terminal=terminal,
         state_end=(float(y[0]), float(y[1]), float(y[2])),
         dead_core=dead_core,
-        min_cos=min_cos,
         nfev=nfev,
     )
 

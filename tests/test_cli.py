@@ -94,6 +94,14 @@ def test_solve_emits_solutions(tmp_path, lam0_jump):
     assert len(sols[0]["mesh"]) <= 2001  # emitted meshes are thinned
 
 
+def test_classify_refuses_a_weight_that_dips_below_zero(capsys):
+    # the left poly segment is < 0 on (0.2006, 0.2026), so a has no sign split
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
+    spec["weight"]["segments"][0]["form"] = {"kind": "poly", "coeffs": [0.04062644140625, -0.403125, 1.0]}
+    assert run_cli(["classify", "--problem", json.dumps(spec), "--lambda", "50"]) == 1
+    assert "sign-split" in capsys.readouterr().err
+
+
 def test_singular_subcommand(tmp_path):
     out = tmp_path / "sing.json"
     assert run_cli(["singular", "--lambda", "50", "--out", str(out)]) == 0
@@ -186,6 +194,15 @@ def test_diagram_svg_draws_each_input_as_its_own_branch(tmp_path):
         assert len({x < width / 2 for x, _ in pts}) == 1
     (solid, _), (dashed, _), _ = lines
     assert dashed[0] == solid[-1]  # the dashed run starts on the last regular point
+
+
+def test_diagram_log_y_drops_a_zero_sup_norm(tmp_path):
+    csv = tmp_path / "a.csv"
+    csv.write_text("lambda,sup_norm,kind\n1,0,regular\n2,2,regular\n3,3,regular\n")
+    svg = tmp_path / "a.svg"
+    assert run_cli(["diagram", "--in", str(csv), "--out", str(tmp_path / "m.csv"), "--svg", str(svg), "--log-y"]) == 0
+    (line,) = [line for line in svg.read_text().splitlines() if line.startswith("<polyline")]
+    assert len(line.split('points="', 1)[1].split('"', 1)[0].split()) == 2
 
 
 def test_branch_rejects_a_bad_step(capsys):

@@ -142,6 +142,19 @@ def test_trace_never_shoots_a_point_twice_in_a_row(ramp_family, monkeypatch):
     assert all(a != b for a, b in zip(shots, shots[1:]))
 
 
+def test_point_kind_reads_the_steepest_angle_of_the_path(ramp_branch, ramp_family, monkeypatch):
+    # near-singular means min cos(theta) over the traced path falls below
+    # NEAR_SINGULAR_COS; deriv_norm = max |tan(theta)| gives that minimum
+    from curvebif import continuation
+
+    p = max(ramp_branch.points, key=lambda q: q.deriv_norm)
+    min_cos = 1.0 / math.hypot(1.0, p.deriv_norm)
+    monkeypatch.setattr(continuation, "NEAR_SINGULAR_COS", min_cos * (1.0 - 1e-6))
+    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0).kind == "regular"
+    monkeypatch.setattr(continuation, "NEAR_SINGULAR_COS", min_cos * (1.0 + 1e-6))
+    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0).kind == "near-singular"
+
+
 def test_solve_lambda_at_height_matches_branch(ramp_family):
     pair = principal_neumann(ramp_family.weight)
     lam = solve_lambda_at_height(ramp_family, 1e-4, pair.eigenvalue)

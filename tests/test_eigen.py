@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from curvebif import ConstantForm, Nonlinearity, Segment, Weight
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, Segment, Weight
+from curvebif import eigen
 from curvebif.eigen import bif_direction, principal_dirichlet, principal_neumann, rayleigh_identity
 
 
@@ -40,11 +41,12 @@ def test_eigenfunction_not_constant(ramp_weight):
     assert np.max(pair.phi) - np.min(pair.phi) > 0.1
 
 
-def test_refinement_invariance(jump_weight):
+def test_refinement_invariance(jump_weight, monkeypatch):
     # halving the integrator step cap leaves the eigenvalue unchanged far
     # below the stated refinement tolerance
-    a = principal_neumann(jump_weight, max_step_frac=1.0 / 16.0).eigenvalue
-    b = principal_neumann(jump_weight, max_step_frac=1.0 / 32.0).eigenvalue
+    a = principal_neumann(jump_weight).eigenvalue
+    monkeypatch.setattr(eigen, "_MAX_STEP_FRAC", eigen._MAX_STEP_FRAC / 2.0)
+    b = principal_neumann(jump_weight).eigenvalue
     assert abs(a - b) / b < 1e-7
 
 
@@ -75,6 +77,28 @@ def test_dirichlet_matrix_oracle(jump_weight):
 def test_dirichlet_requires_positive_weight(jump_weight):
     with pytest.raises(ValueError):
         principal_dirichlet(jump_weight, (0.0, 0.9))
+
+
+@pytest.mark.parametrize(
+    "coeffs,positive",
+    [((0.04062644140625, -0.403125, 1.0), False), ((0.04, -0.4, 1.0), True)],
+    ids=["dip", "touching-zero"],
+)
+def test_dirichlet_reads_the_sign_law(coeffs, positive):
+    # a dip below zero inside (0, z) refuses the interval, a touching zero does not
+    w = Weight(0.4, (Segment(0.0, 0.4, PolynomialForm(coeffs)), Segment(0.4, 1.0, ConstantForm(-2.0))))
+    assert w.has_sign_split is positive
+    if positive:
+        assert principal_dirichlet(w, (0.0, 0.4)).eigenvalue > 0
+    else:
+        with pytest.raises(ValueError, match="positive on the interval"):
+            principal_dirichlet(w, (0.0, 0.4))
+
+
+def test_neumann_needs_a_positive_part():
+    w = Weight(0.4, (Segment(0.0, 0.4, ConstantForm(0.0)), Segment(0.4, 1.0, ConstantForm(-2.0))))
+    with pytest.raises(ValueError, match="positive somewhere"):
+        principal_neumann(w)
 
 
 def test_rayleigh_identity(jump_weight):

@@ -42,3 +42,17 @@ def test_svg_plot_is_standalone_and_deterministic():
     assert "stroke-dasharray" in a
     assert "http://www.w3.org/2000/svg" in a
 
+
+
+def _polyline_points(svg):
+    (line,) = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    return [tuple(map(float, p.split(","))) for p in line.split('points="', 1)[1].split('"', 1)[0].split()]
+
+
+def test_svg_plot_log_axes_drop_whole_points():
+    # x = -1 leaves the log-log plot with its own y, so (10, 1) and (100, 10) remain
+    got = _polyline_points(svg_plot([{"x": [-1.0, 10.0, 100.0], "y": [1000.0, 1.0, 10.0]}], logx=True, logy=True))
+    want = _polyline_points(svg_plot([{"x": [10.0, 100.0], "y": [1.0, 10.0]}], logx=True, logy=True))
+    assert got == want
+    assert got[0][1] > got[1][1]  # y rises from 1 to 10: the SVG y coordinate falls
+

@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+from scipy.integrate import quad
 
 from curvebif import (
     ConstantForm,
@@ -61,6 +64,69 @@ def test_sign_split_and_admissibility(jump_weight):
     assert jump_weight.has_sign_split
     flipped = two_constant_weight(2.0, 1.0, 0.6)  # mean 1.2 - 0.4 > 0
     assert not flipped.has_sign_split
+
+
+def _left_poly(coeffs, right=-2.0):
+    """A poly segment left of the node 0.4, a constant right of it."""
+    return Weight(0.4, (Segment(0.0, 0.4, PolynomialForm(coeffs)), Segment(0.4, 1.0, ConstantForm(right))))
+
+
+def test_sign_split_refuses_a_dip():
+    # x^2 - 0.403125 x + 0.0406264... is < 0 on (0.2006, 0.2026), between
+    # the points of an even 129-point grid on the segment
+    w = _left_poly((0.04062644140625, -0.403125, 1.0))
+    assert min(w.segments[0].form.value(np.linspace(0.0, 0.4, 129), w.z)) > 0
+    assert w.signs(0.0, 0.4) == {1, -1}
+    assert not w.has_sign_split
+
+
+@pytest.mark.parametrize("root", [0.2, 0.201])
+def test_sign_split_allows_a_touching_zero(root):
+    # polyroots splits the double root of (x - 0.2)^2 into two real roots
+    # whose sliver integrates to roundoff of either sign
+    w = _left_poly((root * root, -2.0 * root, 1.0))
+    assert w.signs(0.0, 0.4) == {1}
+    assert w.has_sign_split
+
+
+def test_sign_split_refuses_a_vanishing_segment():
+    zero = Weight(
+        0.4,
+        (
+            Segment(0.0, 0.2, ConstantForm(0.0)),
+            Segment(0.2, 0.4, ConstantForm(1.0)),
+            Segment(0.4, 1.0, ConstantForm(-2.0)),
+        ),
+    )
+    assert zero.signs(0.0, 0.2) == set()
+    assert not zero.has_sign_split
+    assert not _left_poly((0.0, 0.0)).has_sign_split
+
+
+def test_abs_integral_trims_a_subnormal_top_coefficient():
+    w = _left_poly((1.0, -1.0, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w.abs_integral == pytest.approx(0.4 - 0.08 + 1.2, rel=1e-15)
+        assert w.has_sign_split
+
+
+_roots = st.lists(st.floats(-0.2, 0.6), min_size=2, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=_roots, amp=st.floats(0.5, 5.0), flip=st.booleans(), shift=st.floats(-0.01, 0.05))
+def test_sign_law_matches_a_fine_grid(roots, amp, flip, shift):
+    # a quadratic or cubic left segment with roots near and inside (0, 0.4)
+    coeffs = (-amp if flip else amp) * npoly.polyfromroots(roots)
+    coeffs[0] += shift
+    w = _left_poly(tuple(coeffs))
+    form = w.segments[0].form
+    if np.min(form.value(np.linspace(0.0, 0.4, 100_001), w.z)) < -1e-6:
+        assert not w.has_sign_split
+    inside = [r.real for r in npoly.polyroots(coeffs) if abs(r.imag) < 1e-12 and 0.0 < r.real < 0.4]
+    left, _ = quad(lambda x: abs(form.value(x, w.z)), 0.0, 0.4, points=inside or None, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert w.abs_integral == pytest.approx(left + 1.2, rel=1e-9)
 
 
 def test_node_orders(jump_weight):
