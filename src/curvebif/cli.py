@@ -238,6 +238,8 @@ def _cmd_minimize(args):
 
     if args.starts < 1:
         raise UsageError("--starts must be at least 1")
+    if args.n < 16:
+        raise UsageError("--n must be at least 16")
     pb = _load_problem(args)
     if pb.lam <= 0:
         raise UsageError("minimize needs lambda > 0 (pass --lambda)")

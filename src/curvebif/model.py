@@ -745,7 +745,8 @@ def curvature_residual(pb, xs, us, dus=None):
     at the pieces of pb.weight.spans, and a is evaluated with each piece's
     own form: stencils never straddle a weight breakpoint, because u''
     genuinely jumps where a does and a difference across the jump would
-    report discretization noise as defect.  Mesh points on a breakpoint
+    report discretization noise as defect.  Each piece is a slice (a view)
+    of the mesh found by np.searchsorted, so mesh points on a breakpoint
     belong to both pieces; a piece with fewer than 4 points is skipped.
     """
     xs = np.asarray(xs, dtype=float)
@@ -759,8 +760,8 @@ def curvature_residual(pb, xs, us, dus=None):
 
     total = 0.0
     for lo, hi, form in pb.weight.spans(xs[0], xs[-1]):
-        m = (xs >= lo) & (xs <= hi)
-        if np.count_nonzero(m) < 4:
+        m = slice(np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right"))
+        if m.stop - m.start < 4:
             continue
         xp, up, dp = xs[m], us[m], dus[m]
         d2 = np.gradient(dp, xp, edge_order=2)

@@ -110,9 +110,11 @@ def minimize(pb, init=None, n=240, max_iter=30000):
     accepted values never increases.  Iteration stops on max |g| <= 1e-9, on
     a relative value change of at most 1e-15 in one step, or at max_iter.
     The absolute value of the final iterate is returned, which cannot raise
-    the discrete functional.
+    the discrete functional.  An array init must hold n + 1 values.
     """
     v = np.zeros(n + 1) if init is None else _as_values(init, n)
+    if v.shape != (n + 1,):
+        raise ValueError(f"init has shape {v.shape}; a grid of n = {n} needs {n + 1} values")
     history = [functional_value(pb, v)]
 
     def fun(x):

@@ -246,7 +246,7 @@ def test_branch_large_lambda_seed(tmp_path):
     assert lams[-1] < lams[0]  # traced toward smaller parameters
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["classify", "--problem", "{not json"]) == 1
     assert run_cli(["solve", "--lambda", "-3"]) == 1
     assert run_cli(["eig", "--problem", "{}", "--problem-file", "x"]) == 1
@@ -255,6 +255,11 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli(["eig", "--tol", "nan"]) == 1
     assert run_cli(["eig", "--problem", "[1]"]) == 1
     assert run_cli(["minimize", "--lambda", "11", "--starts", "0"]) == 1
+    capsys.readouterr()
+    for n in ("-3", "15"):  # below the functional's coarsest grid
+        assert run_cli(["minimize", "--lambda", "11", "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert "--n must be at least 16" in err and "Traceback" not in err
     assert run_cli(["minimize", "--n", "16", "--starts", "1"]) == 1  # lambda defaults to 0
     assert run_cli(["verify", "--criteria", "11"]) == 1
     reversed_interval = copy.deepcopy(DEFAULT_PROBLEM)

@@ -298,6 +298,17 @@ def test_residual_constant_at_lambda_zero(jump_weight, bump_f):
     assert curvature_residual(pb, xs, np.full_like(xs, 0.7)) < 1e-10
 
 
+def test_residual_mesh_point_on_a_breakpoint_belongs_to_both_pieces(jump_weight, bump_f):
+    # at lam = 0 the residual of u = x^2/2 is u'' = 1, so each weight piece
+    # adds its covered length, and a point on z closes the gap between them
+    pb = ProblemInstance(0.0, jump_weight, bump_f)
+    on = np.linspace(0.0, 1.0, 101)
+    assert on[40] == jump_weight.z
+    assert curvature_residual(pb, on, on ** 2 / 2.0, on) == pytest.approx(1.0, abs=1e-12)
+    off = np.delete(on, 40)
+    assert curvature_residual(pb, off, off ** 2 / 2.0, off) == pytest.approx(0.98, abs=1e-12)
+
+
 def test_residual_rejects_coarse_mesh(jump_weight, bump_f):
     pb = ProblemInstance(0.0, jump_weight, bump_f)
     xs = np.linspace(0, 1, 5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ def test_solvers_refuse_nonfinite_lambda(jump_weight, bump_f, lam):
         solve_singular(pb)
     with pytest.raises(ValueError):
         find_regular(pb)
+
+
+def test_pieces_hold_a_lean_mesh(jump_solution_50):
+    # an angle step of 3e-5 stores about 52k points per piece, and the
+    # centred-difference residual still resolves the steep layer
+    _, sing = jump_solution_50
+    for xs, us, dus in sing.pieces:
+        assert len(xs) == len(us) == len(dus) < 60_000
+    assert sing.residual_left <= 1e-5 and sing.residual_right <= 1e-5
+
+
+def test_jump_solve_and_classify_peak_memory(jump_solution_50):
+    pb, _ = jump_solution_50
+    tracemalloc.start()
+    try:
+        sing = solve_singular(pb)
+        classify(pb, sing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_serialization(jump_solution_50):

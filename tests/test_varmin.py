@@ -33,6 +33,12 @@ def test_minimize_on_a_list_built_polynomial_weight(mild_f):
     assert np.isfinite(value) and np.all(np.isfinite(u.values))
 
 
+def test_minimize_refuses_an_init_off_the_grid(pb_super):
+    # 17 values are a grid of n = 16, not the n = 64 asked for
+    with pytest.raises(ValueError, match="n = 64 needs 65 values"):
+        minimize(pb_super, init=np.full(17, 0.05), n=64)
+
+
 def test_zero_function_has_zero_value(pb_super):
     assert functional_value(pb_super, np.zeros(241)) == 0.0
 
