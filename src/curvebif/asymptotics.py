@@ -92,6 +92,22 @@ def default_ladder():
     return tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 
 
+def _rungs(ladder, n_min):
+    """The ladder sorted, refused unless it holds n_min distinct positive rungs.
+
+    A repeated rung would let a log-log fit through fewer points than it
+    reports pass for a good one.
+    """
+    ladder = sorted(float(l) for l in ladder)
+    if len(ladder) < n_min:
+        raise ValueError(f"need at least {n_min} ladder rungs")
+    if any(l <= 0 for l in ladder):
+        raise ValueError("ladder entries must be positive")
+    if any(a == b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"ladder rungs must be distinct, got {ladder}")
+    return ladder
+
+
 def build_family(pb_family, ladder):
     """One separated-from-zero solution per ladder rung.
 
@@ -100,11 +116,7 @@ def build_family(pb_family, ladder):
     weight admits it.  Raises when a rung yields nothing, since rate fits
     need every member.
     """
-    ladder = sorted(float(l) for l in ladder)
-    if len(ladder) < 2:
-        raise ValueError("need at least two ladder rungs")
-    if any(l <= 0 for l in ladder):
-        raise ValueError("ladder entries must be positive")
+    ladder = _rungs(ladder, 2)
     members = []
     prev_sup = None
     q = pb_family.f.q
@@ -234,9 +246,7 @@ def small_branch_scaling(pb_family, ladder):
     p = pb_family.f.p
     if p <= 1.0:
         raise ValueError("small-branch scaling needs p > 1")
-    ladder = sorted(float(l) for l in ladder)
-    if len(ladder) < 4:
-        raise ValueError("need at least four ladder rungs")
+    ladder = _rungs(ladder, 4)
 
     def smallest(lam):
         sols = find_regular(pb_family.at(lam), s_min=1e-8, s_max=1e3, n_scan=64)

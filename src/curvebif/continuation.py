@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import directed_hausdorff
 
 from .shoot import Blocked, integrate_path, shoot_residual, solution_from_path
 
@@ -293,10 +294,7 @@ class DiagramRecord:
 
 def _hausdorff(a, b):
     """Symmetric Hausdorff distance between point sets in scaled coords."""
-    def one_way(p, q):
-        return max(min(math.hypot(x - u, y - v) for (u, v) in q) for (x, y) in p)
-
-    return max(one_way(a, b), one_way(b, a))
+    return max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
 
 
 def dedupe_branches(branches):

@@ -113,6 +113,8 @@ def _bracket_and_bisect(above, lam_seed, lam_max, rel_tol):
             raise ValueError("no eigenvalue bracket found above zero")
     while (lam_hi - lam_lo) > rel_tol * lam_lo:
         mid = 0.5 * (lam_lo + lam_hi)
+        if mid in (lam_lo, lam_hi):  # the ends are adjacent floats: rel_tol is below the spacing
+            break
         if above(mid):
             lam_hi = mid
         else:

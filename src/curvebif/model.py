@@ -773,8 +773,10 @@ def curvature_residual(pb, xs, us, dus=None):
 
 
 def neumann_balance(pb, xs, us):
-    """Integral of a(x) f(u(x)) over [0, 1] (zero for any Neumann solution).
+    """Integral of a(x) f(u(x)) over the mesh span [xs[0], xs[-1]].
 
+    On a regular solution's mesh on [0, 1] it is zero (the Neumann balance);
+    on one piece of a jump solution, times lam, it is that piece's flux.
     u is interpolated linearly between mesh points; each cell is split at
     the weight's breakpoints and integrated with 4-point Gauss quadrature,
     so jumps in a cost no accuracy.

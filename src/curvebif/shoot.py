@@ -51,7 +51,6 @@ class ArcPath:
     spent) or "failure".  nfev counts right-hand-side calls.
     """
 
-    ss: np.ndarray
     xs: np.ndarray
     us: np.ndarray
     thetas: np.ndarray
@@ -215,7 +214,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     nfev = 0  # right-hand-side calls, counted by rhs
     nfev_max = _NFEV_MAX
     dead_core = False
-    ss_parts, ys_parts = [], []
+    ys_parts = []
     atol = _ATOL if atol is None else atol
 
     terminal = "reached"  # also the end of a march with no span to cross
@@ -247,9 +246,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
 
             stored = collect and len(out.t) > 1
             if stored:
-                ss_seg, ys_seg = _subsample(out, *collect)
-                ss_parts.append(ss_seg)
-                ys_parts.append(ys_seg)
+                ys_parts.append(_subsample(out, *collect))
 
             y = out.y[:, -1]
             s_accum = out.t[-1]
@@ -287,7 +284,6 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 terminal = "reached"
                 if collect:
                     tail_x = np.linspace(y[0], x_target, 65)
-                    ss_parts.append(s_accum + (tail_x - y[0]))
                     ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
                 y = np.array([x_target, 0.0, 0.0])
             break
@@ -295,18 +291,14 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         # the march ends where its last finished segment or nudge left it
         terminal = "cap"
 
-    if collect and ss_parts:
-        ss = np.concatenate(ss_parts)
-        ys = np.hstack(ys_parts)
-        xs, us, thetas = ys[0], ys[1], ys[2]
+    if collect and ys_parts:
+        xs, us, thetas = np.hstack(ys_parts)
     else:
-        ss = np.array([0.0, s_accum])
         xs = np.array([x_start, y[0]])
         us = np.array([u_start, y[1]])
         thetas = np.array([theta_start, y[2]])
 
     return ArcPath(
-        ss=ss,
         xs=xs,
         us=us,
         thetas=thetas,
@@ -318,7 +310,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
 
 
 def _subsample(out, dtheta, dx):
-    """Refine the accepted steps so mesh intervals stay small in angle and x."""
+    """States on the accepted steps, refined so mesh intervals stay small in angle and x."""
     ts = out.t
     tha = out.y[2]
     xa = out.y[0]
@@ -331,8 +323,7 @@ def _subsample(out, dtheta, dx):
         )
         k = min(k, 200_000)
         pieces.append(np.linspace(ts[i], ts[i + 1], k + 1)[1:])
-    ss = np.concatenate(pieces)
-    return ss, out.sol(ss)
+    return out.sol(np.concatenate(pieces))
 
 
 def integrate_path(pb, s0, collect=_SHOOT_MESH):
@@ -404,8 +395,8 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")
-    if not (0 < s_min < s_max):
-        raise ValueError("need 0 < s_min < s_max")
+    if not (0 < s_min < s_max < math.inf):
+        raise ValueError(f"need 0 < s_min < s_max < inf for the height window, got [{s_min}, {s_max}]")
     if n_scan < 16:
         raise ValueError("need n_scan >= 16")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .model import curvature_residual
+from .model import curvature_residual, neumann_balance
 from .quadrature import ExtendedReal, criterion_integral
 from .shoot import Solution, _march, _mesh, _path_piece
 from .util import bisect_bracket, scan_brackets
@@ -216,16 +216,9 @@ def _solve_piece(pb, side, *, n_scan):
     return bisect_bracket(value, *bracket, 1e-9, 1e-16, 220)
 
 
-def _flux_quadrature(pb, path, side):
-    """lam * int a f(u) along the piece, by Simpson in arclength."""
-    from scipy.integrate import simpson
-
-    sgn = 1.0 if side == "left" else -1.0
-    wa = pb.weight.eval(np.clip(path.xs, 0.0, 1.0))
-    integrand = pb.lam * wa * pb.f(path.us) * np.cos(path.thetas)
-    # backward marches store decreasing x; ds is positive along the path
-    val = float(simpson(integrand, x=path.ss))
-    return sgn * val
+def _flux_quadrature(pb, xs, us, side):
+    """The piece's flux, lam int a f(u) dx by the balance rule, negated on the right: 1 when its budget closes."""
+    return (1.0 if side == "left" else -1.0) * pb.lam * neumann_balance(pb, xs, us)
 
 
 def solve_singular(pb):
@@ -252,16 +245,10 @@ def solve_singular(pb):
     if s_right is None:
         return Absent("no-right-piece", "no height closes the right flux budget")
 
-    left = _piece_shot(pb, s_left, "left", _PIECE_MESH)
-    right = _piece_shot(pb, s_right, "right", _PIECE_MESH)
-    if left.us[-1] < right.us[-1] - 1e-9 * max(1.0, left.us[-1]):
+    xl, ul, dl = _path_piece(_piece_shot(pb, s_left, "left", _PIECE_MESH))
+    xr, ur, dr = _path_piece(_piece_shot(pb, s_right, "right", _PIECE_MESH))
+    if ul[-1] < ur[0] - 1e-9 * max(1.0, ul[-1]):
         return Absent("inadmissible-jump", "left height at the node fell below the right one")
-
-    flux_left = _flux_quadrature(pb, left, "left")
-    flux_right = _flux_quadrature(pb, right, "right")
-    xl, ul, dl = _path_piece(left)
-    xr, ur, dr = _path_piece(right)
-    del left, right  # free the paths' meshes before the residuals allocate theirs
 
     z, eps = pb.weight.z, 1e-3
     return SingularSolution(
@@ -273,8 +260,8 @@ def solve_singular(pb):
         us_right=ur,
         dus_right=dr,
         jump=float(ul[-1] - ur[0]),
-        flux_left=flux_left,
-        flux_right=flux_right,
+        flux_left=_flux_quadrature(pb, xl, ul, "left"),
+        flux_right=_flux_quadrature(pb, xr, ur, "right"),
         residual_left=_piece_residual(pb, xl, ul, dl, 0.0, z - eps),
         residual_right=_piece_residual(pb, xr, ur, dr, z + eps, 1.0),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvebif import ProblemFamily, acceptance
+from curvebif import Nonlinearity, ProblemFamily, acceptance
 from curvebif.asymptotics import (
     _loglog_fit,
     build_family,
@@ -92,6 +92,15 @@ def test_family_requires_positive_ladder(jump_weight, bump_f):
     fam = ProblemFamily(jump_weight, bump_f)
     with pytest.raises(ValueError):
         build_family(fam, (0.0, 1e2))
+
+
+def test_ladders_refuse_repeated_rungs(jump_weight, bump_f):
+    # four copies of one rung would fit a line through a single lambda
+    with pytest.raises(ValueError, match="distinct"):
+        build_family(ProblemFamily(jump_weight, bump_f), (1e2, 1e2, 1e2, 1e2))
+    f2 = Nonlinearity(kind="prototype", p=2.0, q=0.5, M=1.0)
+    with pytest.raises(ValueError, match="distinct"):
+        small_branch_scaling(ProblemFamily(jump_weight, f2), (1e2, 1e3, 1e3, 1e4))
 
 
 def test_semilinear_oracle_scaling(jump_weight):

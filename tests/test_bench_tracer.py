@@ -47,3 +47,29 @@ def test_every_march_terminal_is_counted():
     # table's terminals, and the ends _march sets outside it
     ends = {"reached", "cap", "failure"} | {terminal for _, terminal in shoot._EVENTS}
     assert ends <= set(_tracing().TERMINALS)
+
+
+def test_traced_shots_and_jump_record_their_spans(jump_weight, bump_f):
+    # the tracer's notes read fields of what the traced functions return, so
+    # a traced run must still record them
+    from curvebif import ProblemInstance
+
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+        with tracer.op(0):
+            pb = ProblemInstance(0.0, jump_weight, bump_f)
+            shoot.integrate_path(pb, 0.7)
+            shoot.integrate_path(pb, 0.7, collect=None)
+            sing = singular.solve_singular(ProblemInstance(50.0, jump_weight, bump_f))
+    finally:
+        tracer.restore()
+    assert isinstance(sing, singular.SingularSolution)
+    notes = {}
+    for name, *_, note in tracer.spans:
+        notes.setdefault(name, []).append(note)
+    marches = notes["shoot.march"]
+    assert marches[0]["terminal"] == "reached" and marches[0]["mesh"] > 2 and marches[1]["mesh"] == 0
+    assert len(marches) > 4 and all(n is not None for n in marches)
+    assert len(notes["singular.flux"]) == 2
+    assert notes["singular.solve"] == [{"built": True}]

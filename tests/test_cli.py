@@ -262,6 +262,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "--n must be at least 16" in err and "Traceback" not in err
     assert run_cli(["minimize", "--n", "16", "--starts", "1"]) == 1  # lambda defaults to 0
     assert run_cli(["verify", "--criteria", "11"]) == 1
+    assert run_cli(["rates", "--ladder", "1e2,1e2,1e2,1e2"]) == 1
+    assert "ladder rungs must be distinct" in capsys.readouterr().err
+    assert run_cli(["solve", "--scan", "1e-6", "inf", "16"]) == 1
+    err = capsys.readouterr().err
+    assert "height window" in err and "inf" in err and "Warning" not in err
     reversed_interval = copy.deepcopy(DEFAULT_PROBLEM)
     reversed_interval["weight"]["segments"] = [
         {"interval": ends, "form": {"kind": "constant", "c": c}}

@@ -141,6 +141,12 @@ def test_bif_direction_needs_full_interval(jump_weight):
         bif_direction(f, pair)
 
 
+def test_tolerance_below_float_spacing_ends(jump_weight):
+    # the bisection stops once its ends are adjacent floats
+    fine = principal_neumann(jump_weight, tol=1e-17).eigenvalue
+    assert fine == pytest.approx(principal_neumann(jump_weight, tol=1e-12).eigenvalue, rel=1e-12)
+
+
 @pytest.mark.parametrize("tol", [0.0, 1.0, math.nan, math.inf])
 def test_rejects_tolerance_outside_unit_interval(jump_weight, tol):
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemInstance, power_weight, singular
+from curvebif import Nonlinearity, ProblemInstance, acceptance, power_weight, singular
 from curvebif.singular import Absent, SingularSolution, Witness, classify, smallness_guard, solve_singular
 
 
@@ -66,6 +66,24 @@ def test_jump_solution_structure(jump_solution_50):
     # node height law for step weights: F(u(z+)) - F(u(1)) = 1/(lam B)
     F = pb.f.potential
     assert F(sing.us_right[0]) - F(sing.us_right[-1]) == pytest.approx(1.0 / (pb.lam * 2.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("producer", [acceptance.singular_50, acceptance.singular_1e3], ids=["lam=50", "lam=1e3"])
+def test_witness_integral_reads_each_pieces_flux(producer):
+    # H, the witness's cumulative lam |int_x^z a f(u)|, read at a side's
+    # outer end is that side's whole flux budget
+    pb, sing = producer()
+    (_, _, _, H_left), (_, _, _, H_right) = singular._trace_sides(pb, sing)
+    assert H_left[-1] == pytest.approx(sing.flux_left, abs=1e-6)
+    assert H_right[-1] == pytest.approx(sing.flux_right, abs=1e-6)
+
+
+def test_every_jump_solution_of_criterion_10_closes_its_budgets():
+    sols = [acceptance.singular_50()[1], acceptance.singular_1e3()[1], *acceptance.rates_family()[1]]
+    jumps = [s for s in sols if isinstance(s, SingularSolution)]
+    assert len(jumps) >= 3
+    for s in jumps:
+        assert abs(s.flux_left - 1.0) <= 1e-6 and abs(s.flux_right - 1.0) <= 1e-6, s.lam
 
 
 def test_jump_certification(jump_solution_50):
