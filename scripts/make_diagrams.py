@@ -24,7 +24,7 @@ def regular_diagram():
     )
     seed = seed_from_lambda0(fam)
     branch = trace(fam, seed, step=0.1, max_points=120, lam_max=250.0)
-    return diagram([branch])
+    return diagram([branch.rows])
 
 
 def jump_diagram():
@@ -35,7 +35,7 @@ def jump_diagram():
     seed = seed_from_lambda0(fam)
     loop = trace(fam, seed, step=0.15, max_points=100, lam_max=100.0)
     tail = singular_sweep(fam, [8.0, 12.0, 20.0, 35.0, 60.0, 100.0])
-    return diagram([loop, tail], logy=True)
+    return diagram([loop.rows, tail.rows], logy=True)
 
 
 def main():

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .emit import csv_text, json_text, svg_plot
-from .model import Nonlinearity, ProblemFamily, ProblemInstance, Weight, _number
+from .emit import json_text, svg_plot
+from .model import ProblemFamily, ProblemInstance
 
 __all__ = ["main", "build_parser"]
 
@@ -67,17 +67,13 @@ def _load_problem(args):
         spec.setdefault("f", {})["p"] = args.p
     if getattr(args, "q", None) is not None:
         spec.setdefault("f", {})["q"] = args.q
-    lam = getattr(args, "lam", None)
     try:
-        if lam is None:
-            lam = _number(spec.get("lambda", 0.0))
-        weight = Weight.from_dict(spec["weight"])
-        f = Nonlinearity.from_dict(spec["f"])
+        pb = ProblemInstance.from_dict(spec, lam=getattr(args, "lam", None))
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad problem spec: {e}")
-    if not (0 <= lam < np.inf):
+    if not (0 <= pb.lam < np.inf):
         raise UsageError("lambda must be finite and nonnegative")
-    return ProblemInstance(lam, weight, f)
+    return pb
 
 
 def _write(path, text):
@@ -166,8 +162,10 @@ def _cmd_eig(args):
 def _cmd_solve(args):
     from .shoot import find_regular
 
-    pb = _load_problem(args)
     lo, hi, n = args.scan
+    if not float(n).is_integer():
+        raise UsageError(f"the scan count N must be a whole number, got {n}")
+    pb = _load_problem(args)
     sols = find_regular(pb, s_min=lo, s_max=hi, n_scan=int(n))
     payload = [_thin_mesh(s.to_dict()) for s in sols]
     _write(args.out, json_text(payload) + "\n")
@@ -205,7 +203,7 @@ def _cmd_branch(args):
         direction=direction,
         origin=origin,
     )
-    rec = diagram([br])
+    rec = diagram([br.rows])
     _write(args.out, rec.csv)
     if args.svg:
         _write(args.svg, rec.svg)
@@ -299,23 +297,19 @@ def _cmd_rates(args):
 
 
 def _cmd_diagram(args):
-    from .continuation import _kind_runs
+    from .continuation import diagram
 
-    rows, series = [], []
+    branches = []
     for path in args.inputs:  # each input is one branch
         lines = Path(path).read_text().strip().splitlines()
         if not lines or lines[0] != "lambda,sup_norm,kind":
             raise UsageError(f"{path} is not a diagram CSV")
-        branch = []
-        for line in lines[1:]:
-            lam, sup, kind = line.split(",")
-            branch.append((float(lam), float(sup), kind))
-        rows.extend(branch)
-        series.extend(_kind_runs(branch))
-    csv = csv_text(("lambda", "sup_norm", "kind"), rows)
-    _write(args.out, csv)
+        rows = (line.split(",") for line in lines[1:])
+        branches.append([(float(lam), float(sup), kind) for lam, sup, kind in rows])
+    rec = diagram(branches, logy=args.log_y)
+    _write(args.out, rec.csv)
     if args.svg:
-        _write(args.svg, svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=args.log_y))
+        _write(args.svg, rec.svg)
     return 0
 
 
@@ -350,9 +344,6 @@ def main(argv=None):
         return int(e.code or 0)
     try:
         return _DISPATCH[args.cmd](args)
-    except UsageError as e:
-        print(f"curvebif: {e}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OSError) as e:
         print(f"curvebif: {e}", file=sys.stderr)
         return 1

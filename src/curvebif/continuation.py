@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import directed_hausdorff
 
 from .shoot import Blocked, integrate_path, shoot_residual, solution_from_path
 
@@ -71,6 +70,11 @@ class Branch:
 
     def sup_norms(self):
         return np.array([p.sup_norm for p in self.points])
+
+    @property
+    def rows(self):
+        """The branch as diagram rows (lam, sup_norm, kind)."""
+        return [(p.lam, p.sup_norm, p.kind) for p in self.points]
 
 
 def _residual(pb_family, lam, s0):
@@ -292,29 +296,6 @@ class DiagramRecord:
         return len(self.rows)
 
 
-def _hausdorff(a, b):
-    """Symmetric Hausdorff distance between point sets in scaled coords."""
-    return max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
-
-
-def dedupe_branches(branches):
-    """Drop branches whose scaled (lam, s0) traces lie within 1e-4 of a kept one."""
-    all_pts = [
-        [(p.lam, p.s0) for p in b.points] for b in branches
-    ]
-    scale_l = max(max((abs(x) for pts in all_pts for (x, _) in pts), default=1.0), 1.0)
-    scale_s = max(max((abs(y) for pts in all_pts for (_, y) in pts), default=1.0), 1.0)
-    kept = []
-    kept_pts = []
-    for b, pts in zip(branches, all_pts):
-        scaled = [(x / scale_l, y / scale_s) for (x, y) in pts]
-        if any(_hausdorff(scaled, other) <= 1e-4 for other in kept_pts):
-            continue
-        kept.append(b)
-        kept_pts.append(scaled)
-    return kept
-
-
 def _kind_runs(rows):
     """One branch's (lam, sup_norm, kind) rows as svg_plot series, one per kind-constant run.
 
@@ -336,15 +317,15 @@ def _kind_runs(rows):
 
 
 def diagram(branches, logy=False):
-    """Merge branches into one diagram: CSV rows plus a standalone SVG."""
+    """One diagram from branches given as (lam, sup_norm, kind) rows: CSV rows plus a standalone SVG.
+
+    The CSV concatenates the branches in order; the SVG draws each branch
+    as its own curve.
+    """
     from .emit import csv_text, svg_plot
 
-    rows = []
-    series = []
-    for b in dedupe_branches(branches):
-        branch_rows = [(p.lam, p.sup_norm, p.kind) for p in b.points]
-        rows.extend(branch_rows)
-        series.extend(_kind_runs(branch_rows))
+    rows = [row for b in branches for row in b]
+    series = [run for b in branches for run in _kind_runs(b)]
     csv = csv_text(("lambda", "sup_norm", "kind"), rows)
     svg = svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=logy)
     return DiagramRecord(rows=rows, csv=csv, svg=svg)

@@ -74,7 +74,7 @@ class RegularityVerdict:
 class Absent:
     """Refusal value for solve_singular, with a machine-checkable reason."""
 
-    reason: str  # smallness | regular-by-criterion | no-left-piece | no-right-piece | inadmissible-jump
+    reason: str  # smallness | regular-by-criterion | float-range | no-left-piece | no-right-piece | inadmissible-jump
     detail: str = ""
 
 
@@ -136,6 +136,8 @@ _RIGHT_ATOL = (1e-12, 0.0, 1e-13)
 # fails that gate (2.8e-5)
 _PIECE_MESH = (3e-5, 1e-3)
 _PIECE_SCAN = 96  # scan heights per piece
+# a right walk floor below this, near the smallest normal float, is refused
+_FLOOR_MIN = 1e-300
 
 
 def _piece_shot(pb, height, side, collect=None):
@@ -173,10 +175,31 @@ def _piece_value(pb, height, side):
     return None, False, False
 
 
+def _piece_window(pb, side):
+    """(top, floor) of one piece's height walk, or None where it leaves the float range.
+
+    The decaying tail of f bounds how high the budget can close.  Small
+    right heights grow toward the node like u'' = lam c |a| u (f = c u^p
+    below a), with exponent at most E = sqrt(lam c (1 - z) |int_z^1 a|) by
+    Cauchy-Schwarz, so the right floor sits ten decades below exp(-E),
+    never above 1e-60; bisection over settled heights makes it cheap.
+    """
+    z, lam = pb.weight.z, pb.lam
+    mass = pb.weight.integral(0.0, z) if side == "left" else -pb.weight.integral(z, 1.0)
+    try:
+        s_budget = (lam * pb.f.h * mass) ** (1.0 / pb.f.q) if lam * mass > 0 else 1.0
+    except OverflowError:
+        return None
+    s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
+    s_lo = 1e-8 if side == "left" else min(1e-60, 1e-10 * math.exp(-math.sqrt(lam * pb.f._law[2] * (1.0 - z) * mass)))
+    return (s_hi, s_lo) if math.isfinite(s_hi) and s_lo >= _FLOOR_MIN else None
+
+
 def _solve_piece(pb, side, *, n_scan):
     """Root-find the outer height of one vertical-tangent piece, or None.
 
-    Walks n_scan log-spaced heights and refines the first bracket met: the
+    Walks n_scan log-spaced heights across _piece_window, which
+    solve_singular has checked, and refines the first bracket met: the
     walk runs down from the top on the left and up from the floor on the
     right, so the left piece keeps the highest bracket of the grid and the
     right piece the lowest, and no height beyond that bracket is shot but
@@ -195,16 +218,7 @@ def _solve_piece(pb, side, *, n_scan):
     of the walk, and skipping them leaves the first bracket, and the
     heights its refinement visits, as they were.
     """
-    z = pb.weight.z
-    lam = pb.lam
-    # the decaying tail of f bounds how high the budget can close
-    mass = pb.weight.integral(0.0, z) if side == "left" else -pb.weight.integral(z, 1.0)
-    s_budget = (lam * pb.f.h * mass) ** (1.0 / pb.f.q) if lam * mass > 0 else 1.0
-    s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
-    # outer heights of the right piece shrink exponentially in lam, so the
-    # walk's floor sits far below any polynomial scale; bisection over the
-    # settled heights makes the decades below the bracket cheap
-    s_lo = 1e-8 if side == "left" else 1e-60
+    s_hi, s_lo = _piece_window(pb, side)
 
     def value(s):
         return _piece_value(pb, s, side)
@@ -238,6 +252,8 @@ def solve_singular(pb):
     if verdict == "RegularByCriterion":
         return Absent("regular-by-criterion", "a node integral diverges; solutions are regular")
 
+    if _piece_window(pb, "left") is None or _piece_window(pb, "right") is None:
+        return Absent("float-range", f"the piece heights leave the float range (a walk floor below {_FLOOR_MIN:g})")
     s_left = _solve_piece(pb, "left", n_scan=_PIECE_SCAN)
     if s_left is None:
         return Absent("no-left-piece", "no height closes the left flux budget")

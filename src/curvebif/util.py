@@ -14,6 +14,7 @@ predicate.  v >= 0 counts as positive.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -97,7 +98,8 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
             # a bracket a few ulp wide can round the step onto an end
             interpolate = lo < mid < hi
         if not interpolate:
-            mid = math.sqrt(lo * hi)
+            # lo * hi underflows for heights below about 1e-154
+            mid = math.sqrt(lo * hi) if lo * hi >= sys.float_info.min else math.sqrt(lo) * math.sqrt(hi)
             slow = 0
         v, exact = value(mid)[:2]
         if v is None:

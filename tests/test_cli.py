@@ -1,10 +1,12 @@
 import copy
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from curvebif.cli import DEFAULT_PROBLEM, main
+from curvebif.cli import DEFAULT_PROBLEM, _load_problem, build_parser, main
 
 
 def run_cli(args):
@@ -267,6 +269,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["solve", "--scan", "1e-6", "inf", "16"]) == 1
     err = capsys.readouterr().err
     assert "height window" in err and "inf" in err and "Warning" not in err
+    for n in ("inf", "16.9"):  # the scan count must be a whole number
+        assert run_cli(["solve", "--scan", "1e-6", "1e3", n]) == 1
+        err = capsys.readouterr().err
+        assert "whole number" in err and n in err and "Traceback" not in err
     reversed_interval = copy.deepcopy(DEFAULT_PROBLEM)
     reversed_interval["weight"]["segments"] = [
         {"interval": ends, "form": {"kind": "constant", "c": c}}
@@ -305,6 +311,82 @@ def test_flags_leave_the_default_problem_alone():
     # --p rewrites the loaded spec before the short ladder is refused
     assert run_cli(["rates", "--p", "2", "--ladder", "1e2,1e3"]) == 1
     assert DEFAULT_PROBLEM["f"]["p"] == 1.0
+
+
+def test_q_flag_overrides_the_problem(capsys):
+    assert run_cli(["rates", "--q", "1.5"]) == 1
+    assert "q in (0, 1)" in capsys.readouterr().err
+    assert DEFAULT_PROBLEM["f"]["q"] == 0.5
+
+
+def test_problem_file_gives_the_same_bytes_as_inline(tmp_path):
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
+    spec["weight"]["segments"][1]["form"]["c"] = -3.0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    inline, from_file, default = tmp_path / "inline.json", tmp_path / "file.json", tmp_path / "default.json"
+    assert run_cli(["eig", "--problem", json.dumps(spec), "--out", str(inline)]) == 0
+    assert run_cli(["eig", "--problem-file", str(path), "--out", str(from_file)]) == 0
+    assert run_cli(["eig", "--out", str(default)]) == 0
+    assert from_file.read_bytes() == inline.read_bytes() != default.read_bytes()
+
+
+def test_stdout_gives_the_same_bytes_as_out(tmp_path, capsys):
+    out = tmp_path / "eig.json"
+    assert run_cli(["eig", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["eig"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_diagram_rejects_a_csv_that_is_not_a_diagram(tmp_path, capsys):
+    good, bad, merged = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "merged.csv"
+    good.write_text("lambda,sup_norm,kind\n1,1,regular\n")
+    bad.write_text("lambda,sup_norm\n1,1\n")
+    assert run_cli(["diagram", "--in", str(good), str(bad), "--out", str(merged)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad} is not a diagram CSV" in err and "Traceback" not in err
+    assert not merged.exists()
+
+
+def test_rates_emits_json_and_svg(tmp_path):
+    # the ladder's ** tokens are powers; identical runs give identical bytes
+    a, b, svg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "rates.svg"
+    for out in (a, b):
+        assert run_cli(["rates", "--ladder", "1e2,10**2.25,10**2.5,10**2.75", "--out", str(out), "--svg", str(svg)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["ladder"] == [1e2, 10.0**2.25, 10.0**2.5, 10.0**2.75]
+    assert svg.read_text().startswith("<svg")
+
+
+def test_singular_refuses_lambda_past_the_float_range(tmp_path, capsys):
+    out = tmp_path / "sing.json"
+    for lam in ("1e6", "1e200"):
+        assert run_cli(["singular", "--lambda", lam, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["absent"] == "float-range"
+    assert capsys.readouterr().err == ""
+
+
+def _readme_commands():
+    """The argument lists of the README's "Command line" block, one per curvebif token."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for token in shlex.split(block, comments=True):
+        if token == "curvebif":
+            commands.append([])
+        else:
+            commands[-1].append(token)
+    return commands
+
+
+def test_readme_commands_parse_and_load_their_problem():
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "problem"):
+            _load_problem(args)
 
 
 def test_verify_subset_exit_codes():

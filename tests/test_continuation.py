@@ -5,9 +5,6 @@ import pytest
 
 from curvebif import Nonlinearity, ProblemFamily, power_weight
 from curvebif.continuation import (
-    Branch,
-    BranchPoint,
-    dedupe_branches,
     diagram,
     seed_from_lambda0,
     solve_lambda_at_height,
@@ -114,7 +111,7 @@ def test_singular_sweep_gives_the_dashed_tail(jump_weight):
     assert all(p.kind == "near-singular" for p in br.points)
     sups = br.sup_norms()
     assert np.all(np.diff(sups) > 0)
-    rec = diagram([br])
+    rec = diagram([br.rows])
     assert "stroke-dasharray" in rec.svg
 
 
@@ -161,19 +158,12 @@ def test_solve_lambda_at_height_matches_branch(ramp_family):
     assert lam == pytest.approx(pair.eigenvalue, rel=1e-4)
 
 
-def test_diagram_row_count_and_dedupe(ramp_branch):
-    rec = diagram([ramp_branch, ramp_branch])
+def test_diagram_row_count(ramp_branch):
+    rec = diagram([ramp_branch.rows])
     assert rec.n_points == len(ramp_branch.points)
     assert rec.csv.splitlines()[0] == "lambda,sup_norm,kind"
     assert len(rec.csv.strip().splitlines()) == rec.n_points + 1
     assert rec.svg.startswith("<svg") and rec.svg.rstrip().endswith("</svg>")
-
-
-def test_dedupe_keeps_distinct_branches():
-    a = Branch([BranchPoint(1.0, 1.0, 1.0, 0.0, "regular", 0.0)], "Manual", "max-points")
-    b = Branch([BranchPoint(5.0, 2.0, 2.0, 0.0, "regular", 0.0)], "Manual", "max-points")
-    assert len(dedupe_branches([a, b])) == 2
-    assert len(dedupe_branches([a, a])) == 1
 
 
 @pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])

@@ -157,6 +157,28 @@ def test_serialization(jump_solution_50):
     assert {"lambda", "mesh", "residual", "flux_left", "flux_right"} <= set(d)
 
 
+def test_large_lambda_right_piece_sits_below_the_old_floor(jump_weight, bump_f):
+    # the right piece's outer height, about 0.0075 exp(-sqrt(lam 0.72)), is
+    # 1.1e-66 here: a fixed walk floor of 1e-60 missed it and kept a bracket
+    # on f's decaying side, which gave inadmissible-jump
+    sing = solve_singular(ProblemInstance(3e4, jump_weight, bump_f))
+    assert isinstance(sing, SingularSolution)
+    assert 1e-67 < sing.us_right[-1] < 1e-65
+    assert abs(sing.flux_left - 1.0) <= 1e-6 and abs(sing.flux_right - 1.0) <= 1e-6
+    assert sing.residual <= 1e-5
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e200])
+def test_lambda_past_the_float_range_refuses_before_shooting(jump_weight, bump_f, lam, monkeypatch):
+    # at 1e6 the right floor is exp(-849) below 1e-10; at 1e200 the left budget height overflows
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a refusal must come before the first shot")
+
+    monkeypatch.setattr(singular, "_march", no_shot)
+    got = solve_singular(ProblemInstance(lam, jump_weight, bump_f))
+    assert isinstance(got, Absent) and got.reason == "float-range"
+
+
 def test_piece_values_scale_with_lambda(jump_weight, bump_f):
     # plateau height of the left piece follows (lam h int_0^z a)^(1/q)
     for lam, want in ((50.0, 400.0), (200.0, 6400.0)):

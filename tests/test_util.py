@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from curvebif.util import FALLBACK_TOL, bisect_bracket, scan_brackets
 
@@ -242,3 +243,16 @@ def test_fully_settled_grid_yields_no_bracket():
         value, calls = classifier(lambda s: -1.0, lambda s: True)
         assert list(scan_brackets(value, start, stop, 97, settled=settled)) == []
         assert len(calls) <= math.ceil(math.log2(97)) + 1
+
+
+def test_bisect_midpoint_of_heights_whose_product_underflows():
+    # below about 1e-154 lo * hi underflows to 0; the geometric midpoint must not
+    calls = []
+
+    def value(s):
+        calls.append(s)
+        return math.log(s / 1e-200), True
+
+    root = bisect_bracket(value, 1e-210, 1e-190, False, 1e-12, 1e-16, 200)
+    assert calls[0] == pytest.approx(1e-200, rel=1e-12)
+    assert root == pytest.approx(1e-200, rel=1e-11)
