@@ -238,12 +238,13 @@ def semilinear_positive_solution(weight, p):
 def small_branch_scaling(pb_family, ladder):
     """Scaling of the smallest solution for p > 1 and the limit-problem match.
 
-    Returns a report with the log-log slope of the smallest sup norm
-    (expected -1/(p-1)), its fit quality, the ratio of the rescaled
-    heights to the limit problem's height, and the smallest solution at
-    each rung of the sorted ladder.
+    Near zero f = c u^p, so u = (c lam)^(-1/(p-1)) v carries the limit
+    problem's solution v onto the small branch.  Returns a report with the
+    log-log slope of the smallest sup norm (expected -1/(p-1)), its fit
+    quality, the ratio of the rescaled heights to the limit problem's
+    height, and the smallest solution at each rung of the sorted ladder.
     """
-    p = pb_family.f.p
+    p, c = pb_family.f.p, pb_family.f.c
     if p <= 1.0:
         raise ValueError("small-branch scaling needs p > 1")
     ladder = _rungs(ladder, 4)
@@ -258,7 +259,7 @@ def small_branch_scaling(pb_family, ladder):
     sups = [s.sup_norm for s in sols]
     slope, intercept, r2 = _loglog_fit(ladder, sups)
     v_height = semilinear_positive_solution(pb_family.weight, p)
-    scaled = [s * lam ** (1.0 / (p - 1.0)) for s, lam in zip(sups, ladder)]
+    scaled = [s * (c * lam) ** (1.0 / (p - 1.0)) for s, lam in zip(sups, ladder)]
     return {
         "ladder": ladder,
         "sup_norms": sups,

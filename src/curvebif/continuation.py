@@ -253,16 +253,17 @@ def singular_sweep(pb_family, lams):
 def seed_from_lambda0(pb_family):
     """First branch point just off the bifurcation from the trivial line.
 
-    Computes the principal eigenvalue of the weight, then Newton-adjusts
-    lam at height 1e-3 until the shooting residual vanishes.
+    Near zero f = c u, so the branch leaves the trivial line at lam0 / c,
+    lam0 the principal eigenvalue of the weight; Newton adjusts lam from
+    there at height 1e-3 until the shooting residual vanishes.
     """
     from .eigen import principal_neumann
 
-    if pb_family.f.d2_zero is None:
+    if pb_family.f.p != 1.0:
         raise ValueError("seeding from the eigenvalue needs a p = 1 nonlinearity")
     lam0 = principal_neumann(pb_family.weight).eigenvalue
     s0 = 1e-3
-    return solve_lambda_at_height(pb_family, s0, lam0), s0
+    return solve_lambda_at_height(pb_family, s0, lam0 / pb_family.f.c), s0
 
 
 def solve_lambda_at_height(pb_family, s0, lam_guess):

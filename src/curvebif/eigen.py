@@ -212,32 +212,23 @@ def principal_dirichlet(weight, interval):
 def bif_direction(f, pair):
     """Branch slope and curvature at the bifurcation from the trivial line.
 
-    Returns (lambda1, lambda2): the first derivative of lam along the branch
-    at height zero, and the second derivative when the first vanishes
-    (lambda2 is None otherwise).  Requires the Neumann pair on (0, 1) and a
-    nonlinearity with two (three) derivatives at zero.
+    Returns (lambda1, lambda2), the first and second derivatives of lam
+    along the branch at height zero.  Near zero every law is f = c u^p;
+    for p = 1 the branch leaves the trivial line at lam0 / c, f has no
+    quadratic or cubic term, so lambda1 = 0 and lambda2 comes from the
+    curvature operator alone.  Requires the Neumann pair on (0, 1) and a
+    p = 1 nonlinearity.
     """
     if pair.boundary != "neumann" or pair.interval != (0.0, 1.0):
         raise ValueError("bifurcation direction needs the Neumann pair on (0, 1)")
-    d2 = f.d2_zero
-    d3 = f.d3_zero
-    if d2 is None:
-        raise ValueError("nonlinearity must be twice differentiable at zero (p = 1 families)")
-    phi, dphi = pair.phi, pair.dphi
-    i_dphi2 = pair.quad(dphi ** 2)
-    i_phi_dphi2 = pair.quad(phi * dphi ** 2)
-    lambda1 = -pair.eigenvalue * d2 * i_phi_dphi2 / i_dphi2
-    lambda2 = None
-    if d2 == 0.0:
-        if d3 is None:
-            raise ValueError("nonlinearity must be three times differentiable at zero")
-        i_phi2_dphi2 = pair.quad(phi ** 2 * dphi ** 2)
-        i_dphi4 = pair.quad(dphi ** 4)
-        # the eigenvalue factor follows from eliminating the weighted
-        # quadratures through lam0 int(a phi^2) = int(phi'^2); traced-branch
-        # finite differences confirm it
-        lambda2 = -pair.eigenvalue * (d3 * i_phi2_dphi2 + i_dphi4) / i_dphi2
-    return lambda1, lambda2
+    if f.p != 1.0:
+        raise ValueError("bifurcation direction needs a p = 1 nonlinearity")
+    i_dphi2 = pair.quad(pair.dphi ** 2)
+    i_dphi4 = pair.quad(pair.dphi ** 4)
+    # the eigenvalue factor follows from eliminating the weighted
+    # quadratures through lam0 int(a phi^2) = int(phi'^2); traced-branch
+    # finite differences confirm it
+    return 0.0, -(pair.eigenvalue / f.c) * i_dphi4 / i_dphi2
 
 
 def rayleigh_identity(pair):

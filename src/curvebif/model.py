@@ -530,15 +530,23 @@ class Nonlinearity:
         return self.M ** (self.p + self.q)
 
     @cached_property
-    def _law(self):
-        """(a, b, c, middle f, middle F, peak candidates) of the three-piece law.
+    def c(self):
+        """Head coefficient: f(u) = c u^p below the law's a, the only part of f that small-u code reads."""
+        if self.kind == "table":
+            return float(self.f_nodes[0] / self.u_nodes[0] ** self.p)
+        return 1.0
 
-        The middle F integrates the middle f from a; both are None when the
-        law has no middle piece.  The peak candidates are points that
-        include a maximizer of f.
+    @cached_property
+    def _law(self):
+        """(a, b, middle f, middle F, peak candidates) of the three-piece law.
+
+        The head below a is c u^p, with c its own property.  The middle F
+        integrates the middle f from a; both are None when the law has no
+        middle piece.  The peak candidates are points that include a
+        maximizer of f.
         """
         if self.kind == "prototype":
-            return self.M, self.M, 1.0, None, None, (self.M,)
+            return self.M, self.M, None, None, (self.M,)
         if self.kind == "table":
             un = np.asarray(self.u_nodes, float)
             fn = np.asarray(self.f_nodes, float)
@@ -555,7 +563,6 @@ class Nonlinearity:
             return (
                 un[0],
                 un[-1],
-                fn[0] / un[0] ** self.p,
                 lambda u: np.interp(u, un, fn),
                 mid_F,
                 (*self.u_nodes, self.M),
@@ -582,22 +589,12 @@ class Nonlinearity:
         # the blend peaks at a root of its derivative inside (a, b)
         roots = np.roots([3.0 * c3, 2.0 * c2, da])
         peaks = [a + r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < w]
-        return a, b, 1.0, mid_f, mid_F, (a, b, *peaks)
+        return a, b, mid_f, mid_F, (a, b, *peaks)
 
     @cached_property
     def sup_norm(self):
         *_, peaks = self._law
         return float(np.max(self._f_pos(np.array(peaks))))
-
-    @property
-    def d2_zero(self):
-        """f''(0): every kind is c u^p below a, so 0 for p = 1 and None otherwise."""
-        return 0.0 if self.p == 1.0 else None
-
-    @property
-    def d3_zero(self):
-        """The third derivative of f at 0, by the same rule as d2_zero."""
-        return 0.0 if self.p == 1.0 else None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -612,9 +609,9 @@ class Nonlinearity:
         power is libm's, which can differ from numpy's array power in the
         last ulp.
         """
-        a, b, c, mid_f, _, _ = self._law
-        a, b, c = float(a), float(b), float(c)  # a table's law holds numpy floats
-        power, h, mq = _scalar_power(self.p), self.h, -self.q
+        a, b, mid_f, _, _ = self._law
+        a, b = float(a), float(b)  # a table's law holds numpy floats
+        c, power, h, mq = self.c, _scalar_power(self.p), self.h, -self.q
 
         def f(v):
             u = -v if v < 0.0 else v
@@ -629,7 +626,8 @@ class Nonlinearity:
         return f
 
     def _f_pos(self, u):
-        a, b, c, mid_f, _, _ = self._law
+        a, b, mid_f, _, _ = self._law
+        c = self.c
         u = np.asarray(u)
         # the head on the whole array, capped at b so that the part the tail
         # overwrites cannot overflow; the base stays an ndarray, because a
@@ -649,7 +647,8 @@ class Nonlinearity:
         return float(val) if np.isscalar(u) or val.ndim == 0 else val
 
     def _F_pos(self, u):
-        a, b, c, _, mid_F, _ = self._law
+        a, b, _, mid_F, _ = self._law
+        c = self.c
         p1 = self.p + 1.0
         q1 = 1.0 - self.q
         u = np.asarray(u)

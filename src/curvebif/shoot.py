@@ -157,23 +157,6 @@ class RegularSolution(Solution):
         }
 
 
-def _nudge_to_x(rhs, y, target):
-    """March the state to x = target exactly with a few small RK4 steps."""
-    for _ in range(4):
-        gap = target - y[0]
-        c = math.cos(y[2])
-        if abs(gap) < 1e-15 or abs(c) < 1e-12:
-            break
-        ds = gap / c
-        k1 = rhs(0.0, y)
-        k2 = rhs(0.0, y + 0.5 * ds * k1)
-        k3 = rhs(0.0, y + 0.5 * ds * k2)
-        k4 = rhs(0.0, y + ds * k3)
-        y = y + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y[0] = target
-    return y
-
-
 def _event(fn, direction):
     fn.terminal = True
     fn.direction = direction
@@ -259,7 +242,9 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 break
             which = next(i for i, te in enumerate(out.t_events) if len(te))
             if which == 0:
-                y = _nudge_to_x(rhs, np.array(out.y_events[0][-1]), edge)
+                # the event lands within brentq's tolerance of the edge: snap onto it
+                y = np.array(out.y_events[0][-1])
+                y[0] = edge
                 s_accum = out.t_events[0][-1]
                 if abs(edge - x_target) < 1e-14:
                     if stored:
@@ -288,7 +273,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 y = np.array([x_target, 0.0, 0.0])
             break
     except _BudgetSpent:
-        # the march ends where its last finished segment or nudge left it
+        # the march ends where its last finished segment left it
         terminal = "cap"
 
     if collect and ys_parts:

@@ -130,11 +130,13 @@ def smallness_guard(pb):
 _RIGHT_ATOL = (1e-12, 0.0, 1e-13)
 # pieces carry vertical tangents; the reporting mesh needs fine angle
 # grading for the trimmed piece residuals to resolve the steep layer.  At an
-# angle step of 3e-5 (about 52k points per piece) the worst centred-difference
+# angle step of 3e-5 (52-55k points per piece) the worst centred-difference
 # piece residual over criterion 10's jump solutions is 2.1e-6, the same
 # headroom under its 1e-5 gate as the worst regular residual (1.9e-6); 1e-4
-# fails that gate (2.8e-5)
-_PIECE_MESH = (3e-5, 1e-3)
+# fails that gate (2.8e-5).  The x step resolves the right piece's outer
+# layer, about (2 lam)^(-1/2) wide, for the balance rule's flux: at 1e-3 the
+# flux error reaches 1.06e-6 at lam = 3e5, at 1e-4 it is 3.1e-7
+_PIECE_MESH = (3e-5, 1e-4)
 _PIECE_SCAN = 96  # scan heights per piece
 # a right walk floor below this, near the smallest normal float, is refused
 _FLOOR_MIN = 1e-300
@@ -191,7 +193,7 @@ def _piece_window(pb, side):
     except OverflowError:
         return None
     s_hi = 1e3 * max(pb.f.M, s_budget, 1.0)
-    s_lo = 1e-8 if side == "left" else min(1e-60, 1e-10 * math.exp(-math.sqrt(lam * pb.f._law[2] * (1.0 - z) * mass)))
+    s_lo = 1e-8 if side == "left" else min(1e-60, 1e-10 * math.exp(-math.sqrt(lam * pb.f.c * (1.0 - z) * mass)))
     return (s_hi, s_lo) if math.isfinite(s_hi) and s_lo >= _FLOOR_MIN else None
 
 

@@ -121,6 +121,14 @@ def test_small_branch_scaling(p):
     assert rep["limit_ratio_last"] == pytest.approx(1.0, abs=0.2)
 
 
+def test_small_branch_scaling_reads_the_head_coefficient(jump_weight):
+    # f = 2 u^2 below the first node: the heights rescale by (2 lam)^(1/(p-1))
+    f = Nonlinearity(kind="table", p=2.0, q=0.5, M=1.0, u_nodes=(0.5, 1.0, 2.0), f_nodes=(0.5, 1.5, 1.2))
+    assert f.c == 2.0
+    rep = small_branch_scaling(ProblemFamily(jump_weight, f), (1e2, 10.0 ** 2.5, 1e3, 10.0 ** 3.5))
+    assert rep["limit_ratio_last"] == pytest.approx(1.0, abs=1e-3)
+
+
 def test_small_branch_requires_superlinear(jump_weight, bump_f):
     fam = ProblemFamily(jump_weight, bump_f)
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,17 @@ def test_branch_and_diagram_roundtrip(tmp_path):
     msvg = tmp_path / "merged.svg"
     assert run_cli(["diagram", "--in", str(csv), str(csv), "--out", str(merged), "--svg", str(msvg)]) == 0
     assert len(merged.read_text().strip().splitlines()) == 2 * (len(lines) - 1) + 1
+
+
+def test_branch_seeds_a_table_head_at_lam0_over_c(tmp_path):
+    # this table f is 2 u below its first node, so the branch leaves at lam0 / 2
+    problem = copy.deepcopy(DEFAULT_PROBLEM)
+    problem["f"] = {"kind": "table", "p": 1.0, "q": 0.5, "M": 1.0, "u": [0.5, 1.0, 2.0], "f": [1.0, 1.5, 1.2]}
+    csv = tmp_path / "branch.csv"
+    code = run_cli(["branch", "--problem", json.dumps(problem), "--max-points", "5", "--out", str(csv)])
+    assert code == 0
+    first = csv.read_text().splitlines()[1].split(",")
+    assert float(first[0]) == pytest.approx(2.7468708, rel=1e-7)
 
 
 def test_diagram_svg_draws_each_input_as_its_own_branch(tmp_path):
@@ -387,6 +401,18 @@ def test_readme_commands_parse_and_load_their_problem():
         args = build_parser().parse_args(argv)
         if hasattr(args, "problem"):
             _load_problem(args)
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    import curvebif
+
+    assert run_cli(["eig"]) == 0
+    want = capsys.readouterr().out.encode()
+    src = str(Path(curvebif.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "curvebif", "eig"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == want
 
 
 def test_verify_subset_exit_codes():

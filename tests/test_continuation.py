@@ -36,6 +36,20 @@ def test_seed_is_converged(ramp_family):
     assert abs(r) <= 1e-8
 
 
+@pytest.mark.parametrize("f0, lam_seed", [(1.0, 2.7468708), (0.25, 10.987483), (2.0, 1.3734354)])
+def test_seed_of_a_table_head_starts_at_lam0_over_c(jump_weight, f0, lam_seed):
+    # a table f is c u below its first node 0.5, c = 2 f0: the branch leaves
+    # the trivial line at lam0 / c, where Newton started at lam0 fails
+    f = Nonlinearity(kind="table", p=1.0, q=0.5, M=1.0, u_nodes=(0.5, 1.0, 2.0), f_nodes=(f0, 1.5, 1.2))
+    lam, _ = seed_from_lambda0(ProblemFamily(jump_weight, f))
+    assert lam == pytest.approx(lam_seed, rel=1e-7)
+
+
+def test_seed_needs_p_equal_one(jump_weight):
+    with pytest.raises(ValueError, match="p = 1"):
+        seed_from_lambda0(ProblemFamily(jump_weight, Nonlinearity(kind="prototype", p=2.0)))
+
+
 def test_seed_shift_sign_matches_curvature(ramp_family):
     pair = principal_neumann(ramp_family.weight)
     _, lam2 = bif_direction(ramp_family.f, pair)

@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
-from curvebif import ConstantForm, Nonlinearity, PolynomialForm, Segment, Weight
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemFamily, Segment, Weight
 from curvebif import eigen
+from curvebif.continuation import solve_lambda_at_height
 from curvebif.eigen import bif_direction, principal_dirichlet, principal_neumann, rayleigh_identity
 
 
@@ -117,14 +118,20 @@ def test_bif_direction_signs(jump_weight):
 
 
 def test_bif_direction_for_a_linear_table_head(jump_weight):
-    # a table f with p = 1 is c u below its first node, so f'' and f''' vanish at 0
-    grid = np.geomspace(0.01, 10.0, 50)
-    proto = Nonlinearity(kind="prototype", p=1.0, q=0.5, M=1.0)
-    f = Nonlinearity(kind="table", p=1.0, q=0.5, M=1.0, u_nodes=tuple(grid), f_nodes=tuple(proto(grid)))
-    assert f.d2_zero == 0.0 and f.d3_zero == 0.0
-    lam1, lam2 = bif_direction(f, principal_neumann(jump_weight))
+    # a table f with p = 1 is c u below its first node, here c = 1 / 0.5 = 2:
+    # the branch leaves the trivial line at lam0 / c with curvature -(lam0 / c)
+    # int(phi'^4) / int(phi'^2), which the traced branch's finite differences confirm
+    f = Nonlinearity(kind="table", p=1.0, q=0.5, M=1.0, u_nodes=(0.5, 1.0, 2.0), f_nodes=(1.0, 1.5, 1.2))
+    assert f.c == 2.0
+    pair = principal_neumann(jump_weight)
+    lam1, lam2 = bif_direction(f, pair)
     assert lam1 == 0.0
-    assert lam2 is not None and lam2 < 0
+    lam_star = pair.eigenvalue / f.c
+    fam = ProblemFamily(jump_weight, f)
+    d1, d2 = (2.0 * (solve_lambda_at_height(fam, s, lam_star) - lam_star) / s ** 2 for s in (0.01, 0.02))
+    fd = 2.0 * d1 - d2  # removes the next even correction term
+    assert fd == pytest.approx(-5.7487, rel=1e-4)
+    assert lam2 == pytest.approx(fd, rel=1e-3)
 
 
 def test_bif_direction_needs_p_equal_one(jump_weight):
@@ -139,6 +146,17 @@ def test_bif_direction_needs_full_interval(jump_weight):
     f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=1.0)
     with pytest.raises(ValueError):
         bif_direction(f, pair)
+
+
+def test_bracket_halves_down_to_an_eigenvalue_below_half_the_seed():
+    # with a = 1 / -0.7 and z = 0.4 the seed pi^2 / sup a+ sits more than twice
+    # above lam0, so the bracket's first low end is above lam0 and must halve
+    w = Weight(0.4, (Segment(0.0, 0.4, ConstantForm(1.0)), Segment(0.4, 1.0, ConstantForm(-0.7))))
+    lam0 = principal_neumann(w).eigenvalue
+    assert lam0 < 0.5 * math.pi ** 2
+    oracle = transcendental_lam0(1.0, 0.7, 0.4)
+    assert oracle == pytest.approx(0.35787340417089314, rel=1e-15)
+    assert lam0 == pytest.approx(oracle, rel=1e-12)
 
 
 def test_tolerance_below_float_spacing_ends(jump_weight):

@@ -275,6 +275,19 @@ def test_table_nonlinearity_tails():
     assert f(0.5) == pytest.approx(0.5, rel=1e-3)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_head_coefficient_gives_f_below_the_first_breakpoint(kind):
+    f = Nonlinearity(**KINDS[kind])
+    us = np.linspace(0.0, f._law[0], 9)[1:-1]
+    assert np.allclose(f(us), f.c * us ** f.p, rtol=1e-15, atol=0.0)
+
+
+def test_table_head_coefficient_is_the_first_node_over_its_power():
+    f = Nonlinearity(kind="table", p=2.0, q=0.5, u_nodes=(0.5, 1.0), f_nodes=(0.5, 0.4))
+    assert f.c == 2.0
+    assert f(0.25) == pytest.approx(0.125, rel=1e-15)
+
+
 def test_nonlinearity_json_roundtrip():
     f = Nonlinearity(kind="smoothed", p=1.0, q=0.25, M=0.5)
     back = Nonlinearity.from_dict(json.loads(json.dumps(f.to_dict())))

@@ -197,8 +197,8 @@ def test_default_tolerance_root_matches_brentq(mild_solution):
 
 def test_stored_path_ends_on_the_target(mild_solution):
     # the event sample may land a few ulp either side of x = 1: before the
-    # nudged end state was stored, the first path ended at 0.9999999999999999
-    # and the second at 1.0000000000000004
+    # end state snapped onto the edge was stored, the first path ended at
+    # 0.9999999999999999 and the second at 1.0000000000000004
     _, sol = mild_solution
     w = two_constant_weight(1.0, 2.342010133698566, 0.37040024626536244)
     f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.03356745758157939)

@@ -129,7 +129,7 @@ def test_solvers_refuse_nonfinite_lambda(jump_weight, bump_f, lam):
 
 
 def test_pieces_hold_a_lean_mesh(jump_solution_50):
-    # an angle step of 3e-5 stores about 52k points per piece, and the
+    # an angle step of 3e-5 stores about 52-55k points per piece, and the
     # centred-difference residual still resolves the steep layer
     _, sing = jump_solution_50
     for xs, us, dus in sing.pieces:
@@ -166,6 +166,23 @@ def test_large_lambda_right_piece_sits_below_the_old_floor(jump_weight, bump_f):
     assert 1e-67 < sing.us_right[-1] < 1e-65
     assert abs(sing.flux_left - 1.0) <= 1e-6 and abs(sing.flux_right - 1.0) <= 1e-6
     assert sing.residual <= 1e-5
+
+
+def test_very_large_lambda_keeps_the_flux_and_residual_gates(jump_weight, bump_f):
+    # at lam = 3e5 the right piece decays across an outer layer about
+    # (2 lam)^(-1/2) = 1.3e-3 wide, which the piece mesh's x step must resolve
+    # for criterion 7's flux gate; criterion 10's residual gate holds as well
+    sing = solve_singular(ProblemInstance(3e5, jump_weight, bump_f))
+    assert isinstance(sing, SingularSolution)
+    assert abs(sing.flux_left - 1.0) <= 1e-6 and abs(sing.flux_right - 1.0) <= 1e-6
+    assert sing.residual <= 1e-5
+
+
+def test_no_left_piece_below_the_jump_regime(jump_weight, bump_f):
+    # at lam = 2.6 the guard and the criterion leave the question open, but
+    # no left height closes its flux budget
+    got = solve_singular(ProblemInstance(2.6, jump_weight, bump_f))
+    assert got == Absent("no-left-piece", "no height closes the left flux budget")
 
 
 @pytest.mark.parametrize("lam", [1e6, 1e200])
