@@ -203,7 +203,8 @@ def semilinear_positive_solution(weight, p):
     weight.spans(0, 1), with a shot that crosses zero counted as negative.
     util.scan_brackets walks 160 log-spaced sigma up from 1e-4 toward 1e4,
     and util.bisect_bracket refines each bracket as the walk yields it, by
-    regula falsi in log sigma between exact ends, until |v'(1)| <= 1e-11;
+    inverse quadratic or secant steps in log sigma between exact ends,
+    until |v'(1)| <= 1e-11;
     returns sigma at the first root, and shoots no sigma above its bracket.
     This is an independent oracle: it never touches the arclength
     machinery.

@@ -154,10 +154,13 @@ def _piece_value(pb, height, side):
 
     Zero exactly when the path from the outer boundary reaches the node
     with a vertical tangent; negative when the node is reached with flux to
-    spare (an exact value); otherwise the signed gap between the node and
-    the point where the tangent turned vertical, positive when it turned
-    early.  Vertical events may land just past the node, so the gap keeps
-    its sign: only a tangent formed within tolerance of the node converges.
+    spare, by -(1 + sin theta) there; otherwise the signed gap between the
+    node and the point where the tangent turned vertical, positive when it
+    turned early.  Vertical events may land just past the node, so the gap
+    keeps its sign: only a tangent formed within tolerance of the node
+    converges.  Both values are exact: the gap, too, is continuous in the
+    height and vanishes at the root, so the refinement interpolates across
+    the kink where the two meet.
     settled is True for a negative exact value whose whole path lies on a
     monotone side of f: u decreases toward the node on the left, so there
     its node height must be at least the law's b, where f decays; u
@@ -173,7 +176,7 @@ def _piece_value(pb, height, side):
         u_node = path.state_end[1]
         return v, True, v < 0.0 and (u_node >= b if side == "left" else u_node <= a)
     if path.terminal == "vertical" and path.state_end[2] < 0.0:
-        return gap, False, False
+        return gap, True, False
     return None, False, False
 
 

@@ -2,8 +2,9 @@
 
 Regular heights and jump-piece heights are both found this way: walk a
 classifier over log-spaced heights, bracket its sign changes, then refine a
-bracket in log height.  The walk is lazy, so a caller that needs only the
-first bracket from one end stops evaluating heights there, and a caller
+bracket in log height, interpolating between exact values and bisecting
+while an end is a surrogate.  The walk is lazy, so a caller that needs only
+the first bracket from one end stops evaluating heights there, and a caller
 that can tell which heights hold no bracket skips them by bisection.  A
 classifier value(s) returns (v, exact, ...): v is the signed value, or None
 where s gives no sign; exact is False for surrogate values that only steer
@@ -73,12 +74,15 @@ def scan_brackets(value, start, stop, n, *, settled=None):
 
 
 def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
-    """Refine a bracket in heights 0 < lo < hi by safeguarded regula falsi.
+    """Refine a bracket in heights 0 < lo < hi by Brent-style interpolation.
 
     While both ends hold exact values the routine evaluated itself, the next
-    height interpolates them linearly in log height (the Illinois variant:
-    an end kept twice in a row has its value halved), clipped away from the
-    ends; while either end is a surrogate or not yet evaluated, and after
+    height interpolates in log height: inversely quadratic through the two
+    ends and the last exact end dropped from the bracket, or the secant of
+    the ends where that point is missing, shares a value with an end, or
+    interpolates outside the bracket (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4).  The step is clipped away from the
+    ends.  While either end is a surrogate or not yet evaluated, and after
     two interpolation steps in a row that fail to halve the log width, it
     takes the geometric midpoint.  Returns the first height with |v| <= tol,
     and None as soon as a height has no sign.  When the bracket collapses to
@@ -87,13 +91,14 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
     """
     best = None
     v_lo = v_hi = None  # exact values at the ends, None for surrogate or unseen
-    kept = None  # the end the last step kept
+    dropped = None  # (height, value) of the last exact end dropped from the bracket
     slow = 0  # interpolation steps in a row that failed to halve the log width
     for _ in range(max_iter):
         width = math.log(hi / lo)
         interpolate = v_lo is not None and v_hi is not None and slow < 2
         if interpolate:
-            t = min(max(v_lo / (v_lo - v_hi), _CLIP), 1.0 - _CLIP)
+            t = _interpolant(v_lo, v_hi, dropped, lo, width)
+            t = min(max(t, _CLIP), 1.0 - _CLIP)
             mid = lo * math.exp(t * width)
             # a bracket a few ulp wide can round the step onto an end
             interpolate = lo < mid < hi
@@ -109,15 +114,13 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
         if exact and (best is None or abs(v) < abs(best[0])):
             best = (v, mid)
         if (v >= 0.0) == lo_positive:
+            if v_lo is not None:
+                dropped = (lo, v_lo)
             lo, v_lo = mid, v if exact else None
-            if kept == "hi" and v_hi is not None:
-                v_hi *= 0.5
-            kept = "hi"
         else:
+            if v_hi is not None:
+                dropped = (hi, v_hi)
             hi, v_hi = mid, v if exact else None
-            if kept == "lo" and v_lo is not None:
-                v_lo *= 0.5
-            kept = "lo"
         if interpolate:
             slow = slow + 1 if math.log(hi / lo) > 0.5 * width else 0
         if hi - lo <= rtol * hi:
@@ -125,3 +128,15 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
     if best is not None and abs(best[0]) <= FALLBACK_TOL:
         return best[1]
     return None
+
+
+def _interpolant(v_lo, v_hi, dropped, lo, width):
+    """The zero of the values' interpolant, as a share t of the log width above lo."""
+    secant = v_lo / (v_lo - v_hi)
+    if dropped is None or dropped[1] in (v_lo, v_hi):
+        return secant
+    s_c, v_c = dropped
+    t_c = math.log(s_c / lo) / width
+    # Lagrange form of t(v) through (0, v_lo), (1, v_hi), (t_c, v_c), at v = 0
+    t = v_lo * v_c / ((v_hi - v_lo) * (v_hi - v_c)) + t_c * v_lo * v_hi / ((v_c - v_lo) * (v_c - v_hi))
+    return t if 0.0 < t < 1.0 else secant

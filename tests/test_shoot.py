@@ -52,12 +52,14 @@ def test_scan_preconditions(jump_weight, bump_f):
 
 
 def test_stalled_bracket_keeps_its_root():
-    # theta(1) is noisy at 1e-9 near these roots.  The refine reaches the
-    # default theta_tol on the first; on the second the bracket collapses
-    # above it, and the best reaching path is kept
+    # theta(1) is noisy at 1e-9..3e-8 near these roots.  The refine reaches
+    # the default theta_tol on the first; on the second the bracket collapses
+    # above it, and the best reaching path is kept.  Its height is the secant
+    # root of the refine's two values near 1e-6, which the noise cannot move;
+    # the noise alone leaves the root uncertain by about 1.5e-8 relative
     cases = (
         (7.513497307218249, 1.9047457604562859, 0.4169952921108211, 0.059638553452812194, 0.0804258350),
-        (8.168059186542854, 2.1882432186696805, 0.41343389348168486, 0.0480474076243459, 0.0648003894),
+        (8.168059186542854, 2.1882432186696805, 0.41343389348168486, 0.0480474076243459, 0.0648003902),
     )
     for lam, neg, z, peak, sup in cases:
         f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=peak)
@@ -129,6 +131,25 @@ def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch)
         # it ends on a state it accepted
         assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
     assert shoot_residual(pb, 0.05).event == "cap"
+
+
+def test_arclength_budget_ends_the_march():
+    # a short strong segment turns a flat start from 0.01 almost vertical
+    # (theta 1.44 at x = 0.05), and a = 0 beyond keeps that straight line:
+    # it would need arclength 7.3 to reach x = 1, past the budget
+    # 6 + 4 * 0.01, long before _NFEV_MAX or _U_MAX could bind
+    f = Nonlinearity(p=1.0, q=0.5, M=1e6)
+    w = Weight(0.5, (Segment(0.0, 0.05, ConstantForm(-1.0)), Segment(0.05, 0.5, ConstantForm(0.0)), Segment(0.5, 1.0, ConstantForm(0.0))))
+    pb = ProblemInstance(1189.0, w, f)
+    path = integrate_path(pb, 0.01)
+    assert path.terminal == "cap" and path.theta_end is None
+    assert path.nfev < 1000 and path.state_end[1] < 10.0
+    x_end, _, theta_end = path.state_end
+    assert 0.8 < x_end < 0.9 and 1.43 < theta_end < 1.45
+    # the stored path ends where the budget ran out, and is as long as it
+    assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
+    assert float(np.sum(np.hypot(np.diff(path.xs), np.diff(path.us)))) == pytest.approx(6.04, rel=1e-6)
+    assert shoot_residual(pb, 0.01) == Blocked("cap", x_end, path.state_end)
 
 
 @pytest.mark.parametrize(

@@ -206,8 +206,10 @@ def test_piece_values_scale_with_lambda(jump_weight, bump_f):
 
 def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f, monkeypatch):
     # each piece walks its 96 heights toward the bracket it keeps, bisects
-    # past the settled heights before it and shoots none beyond it: 66
-    # shots here, where the plain walks take 154 and full scans 242
+    # past the settled heights before it and shoots none beyond it, then
+    # interpolates its exact values to the root: 37 shots here, where
+    # bisecting gap-bounded brackets took 66, the plain walks 154 and full
+    # scans 242
     shots = []
     march = singular._march
 
@@ -219,11 +221,29 @@ def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f,
     monkeypatch.setattr(singular, "_march", counting)
     sing = solve_singular(ProblemInstance(50.0, jump_weight, bump_f))
     assert isinstance(sing, SingularSolution)
-    assert len(shots) <= 80
+    assert len(shots) <= 45
     # the full grids hold one left bracket, [393.8, 547.6], and two right
     # ones, [1.1e-4, 5.6e-4] and [1.13e3, 5.67e3]: the right piece keeps the lower
     assert 393.8 < sing.us_left[0] < 547.61
     assert 1.1e-4 < sing.us_right[-1] < 5.6e-4
+
+
+@pytest.mark.parametrize(
+    "lam, s_left, s_right",
+    [
+        (20.0, 64.08586975786642, 0.006568763155160246),
+        (50.0, 400.0858452769828, 0.00045725139334876994),
+        (100.0, 1600.0858407914418, 2.6932999234395973e-05),
+    ],
+)
+def test_interpolated_piece_heights_keep_the_bisected_ones(jump_weight, bump_f, lam, s_left, s_right):
+    # the heights geometric bisection of gap-bounded brackets kept, pinned:
+    # interpolating the exact gaps lands within the root tolerance of them
+    sing = solve_singular(ProblemInstance(lam, jump_weight, bump_f))
+    assert isinstance(sing, SingularSolution)
+    assert sing.us_left[0] == pytest.approx(s_left, rel=1e-7)
+    assert sing.us_right[-1] == pytest.approx(s_right, rel=1e-7)
+    assert abs(sing.flux_left - 1.0) <= 1e-6 and abs(sing.flux_right - 1.0) <= 1e-6
 
 
 def test_settled_heights_keep_the_plain_walks_bracket(jump_weight, monkeypatch):
