@@ -7,6 +7,12 @@ under an arclength normalization, recording folds and flagging points
 whose graphs pass close to vertical.  Steps are measured in per-point
 relative scales of (lam, s0) so branches that span decades advance in a
 logarithmic number of steps.
+
+Every Newton here (the corrector, the start's tangent and
+solve_lambda_at_height) reads the exact Jacobian (dR/d lam, dR/d s0) from
+the same augmented shot that gives R (shoot.shoot_partials), so an
+iteration costs one shot and no finite-difference step meets the
+integration noise of R.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shoot import Blocked, integrate_path, shoot_residual, solution_from_path
+from .shoot import Blocked, integrate_path, shoot_partials, solution_from_path
 
 __all__ = [
     "BranchPoint",
@@ -77,43 +83,38 @@ class Branch:
         return [(p.lam, p.sup_norm, p.kind) for p in self.points]
 
 
-def _residual(pb_family, lam, s0):
+_BLOCKED = (math.nan, math.nan, math.nan)
+
+
+def _shot(pb_family, lam, s0):
+    """(R, dR/d lam, dR/d s0) at (lam, s0), all nan where the shot is blocked or a partial is nan."""
     if lam < 0 or s0 < 0:
-        return math.nan
-    r = shoot_residual(pb_family.at(lam), s0)
-    if isinstance(r, Blocked):
-        return math.nan
-    return r
+        return _BLOCKED
+    got = shoot_partials(pb_family.at(lam), s0)
+    if isinstance(got, Blocked) or any(math.isnan(v) for v in got):
+        return _BLOCKED
+    return got
 
 
 def _scales(lam, s0):
     return max(abs(lam), 1e-2), max(abs(s0), 1e-4)
 
 
-def _partials(pb_family, lam, s0, r):
-    """Forward differences (dtheta/dlam, dtheta/ds0) at (lam, s0), whose residual is r."""
-    dl = 1e-6 * max(abs(lam), 1e-3)
-    ds = 1e-6 * max(abs(s0), 1e-6)
-    r_l = (_residual(pb_family, lam + dl, s0) - r) / dl
-    r_s = (_residual(pb_family, lam, s0 + ds) - r) / ds
-    return r_l, r_s
-
-
 def _corrector(pb_family, lam, s0, tangent, ref):
-    """Damped Newton on (residual, arclength normalization), at most 10 steps."""
+    """Damped Newton on (residual, arclength normalization), at most 10 steps.
+
+    Each accepted shot gives the next step's residual and Jacobian.
+    """
     sl, ss = _scales(*ref)
-    r = _residual(pb_family, lam, s0)
+    r, j00, j01 = _shot(pb_family, lam, s0)
     if math.isnan(r):
         return None
+    j10 = tangent[0] / sl
+    j11 = tangent[1] / ss
     for _ in range(10):
         n = tangent[0] * (lam - ref[0]) / sl + tangent[1] * (s0 - ref[1]) / ss
         if abs(r) <= _CORRECTOR_TOL and abs(n) <= 1e-9:
             return lam, s0
-        j00, j01 = _partials(pb_family, lam, s0, r)
-        if math.isnan(j00) or math.isnan(j01):
-            return None
-        j10 = tangent[0] / sl
-        j11 = tangent[1] / ss
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             return None
@@ -123,10 +124,10 @@ def _corrector(pb_family, lam, s0, tangent, ref):
         base = abs(r) + abs(n)
         for _ in range(6):
             cand = (lam + damp * step_l, s0 + damp * step_s)
-            rc = _residual(pb_family, cand[0], cand[1])
+            rc, jl, js = _shot(pb_family, cand[0], cand[1])
             nc = tangent[0] * (cand[0] - ref[0]) / sl + tangent[1] * (cand[1] - ref[1]) / ss
             if not math.isnan(rc) and abs(rc) + abs(nc) < base:
-                (lam, s0), r = cand, rc
+                (lam, s0), r, j00, j01 = cand, rc, jl, js
                 break
             damp *= 0.5
         else:
@@ -136,11 +137,14 @@ def _corrector(pb_family, lam, s0, tangent, ref):
     return None
 
 
-def _tangent_fd(pb_family, lam, s0, r):
-    """Unit tangent of the residual's zero curve at (lam, s0), whose residual is r."""
+def _tangent_fd(lam, s0, r_lam, r_s0):
+    """Unit tangent of the residual's zero curve at (lam, s0) from its exact partials r_lam, r_s0.
+
+    The name is kept, though no finite difference is taken, because the
+    benchmark's tracer wraps it.
+    """
     sl, ss = _scales(lam, s0)
-    rl, rs = _partials(pb_family, lam, s0, r)
-    rl, rs = rl * sl, rs * ss
+    rl, rs = r_lam * sl, r_s0 * ss
     norm = math.hypot(rl, rs)
     if norm == 0 or math.isnan(norm):
         return (0.0, 1.0)
@@ -177,7 +181,7 @@ def trace(
     if not (0 < step < math.inf):
         raise ValueError("the continuation step must be positive and finite")
     lam, s0 = float(start[0]), float(start[1])
-    r0 = _residual(pb_family, lam, s0)
+    r0, r_lam, r_s0 = _shot(pb_family, lam, s0)
     if math.isnan(r0) or abs(r0) > 1e-6:
         raise ValueError("start point is not converged (|theta(1)| > 1e-6)")
 
@@ -185,7 +189,7 @@ def trace(
     if first is None:
         raise ValueError("start point does not integrate to x = 1")
     points = [first]
-    tangent = _tangent_fd(pb_family, lam, s0, r0)
+    tangent = _tangent_fd(lam, s0, r_lam, r_s0)
     if tangent[0] * direction[0] + tangent[1] * direction[1] < 0:
         tangent = (-tangent[0], -tangent[1])
 
@@ -267,19 +271,20 @@ def seed_from_lambda0(pb_family):
 
 
 def solve_lambda_at_height(pb_family, s0, lam_guess):
-    """Newton in lam for theta(1; lam, s0) = 0 at fixed height, at most 60 steps."""
+    """Newton in lam for theta(1; lam, s0) = 0 at fixed height, at most 60 steps.
+
+    Each step reads d theta(1)/d lam from the same augmented shot as theta(1).
+    """
     lam = float(lam_guess)
     for _ in range(60):
-        r = _residual(pb_family, lam, s0)
+        r, r_lam, _ = _shot(pb_family, lam, s0)
         if math.isnan(r):
             raise RuntimeError("shooting blocked while solving for lam")
         if abs(r) <= 1e-10:
             return lam
-        dl = 1e-7 * max(abs(lam), 1e-3)
-        r1 = _residual(pb_family, lam + dl, s0)
-        if math.isnan(r1) or r1 == r:
+        if r_lam == 0.0:
             raise RuntimeError("degenerate Newton step while solving for lam")
-        lam = lam - r * dl / (r1 - r)
+        lam = lam - r / r_lam
     raise RuntimeError("Newton did not converge to the requested residual")
 
 

@@ -13,6 +13,11 @@ residual.
 
 Weight discontinuities are integration breakpoints: each segment is
 integrated separately and the step never straddles the node.
+
+shoot_partials also returns d theta(1)/d lam and d theta(1)/d s0, carried
+through the same march by the variational equations (Hairer, Norsett and
+Wanner, Solving ODEs I, section I.14), with a saltation jump at each jump
+of a and the event-time correction at x = 1.
 """
 
 from __future__ import annotations
@@ -26,7 +31,16 @@ from scipy.integrate import solve_ivp
 from .model import curvature_residual, neumann_balance
 from .util import bisect_bracket, scan_brackets
 
-__all__ = ["ArcPath", "Blocked", "Solution", "RegularSolution", "integrate_path", "shoot_residual", "find_regular"]
+__all__ = [
+    "ArcPath",
+    "Blocked",
+    "Solution",
+    "RegularSolution",
+    "integrate_path",
+    "shoot_residual",
+    "shoot_partials",
+    "find_regular",
+]
 
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
@@ -35,6 +49,9 @@ _NFEV_MAX = 4_000_000  # right-hand-side calls per march; past it the march ends
 _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
 # stored-path spacing (max angle change, max x advance) per mesh interval
 _SHOOT_MESH = (5e-4, 2e-3)
+# about EPS^(1/3): the central differences' step for a'(x) (x lies in [0, 1]) and, times |u|, for f'(u)
+_CD_STEP = 6e-6
+_SQRT3 = math.sqrt(3.0)
 
 
 class _BudgetSpent(Exception):
@@ -48,7 +65,10 @@ class ArcPath:
     terminal is one of "reached" (hit the target x), "vertical" (tangent
     angle reached -pi/2 or +pi/2), "u_zero" (height hit zero while sloped),
     "cap" (height past _U_MAX, or the arclength or right-hand-side budget
-    spent) or "failure".  nfev counts right-hand-side calls.
+    spent) or "failure".  nfev counts right-hand-side calls.  partials is
+    (d theta_end/d lam, d theta_end/d u_start) when the march carried
+    sensitivities and reached its target, else None; a dead-core tail
+    gives nan.
     """
 
     xs: np.ndarray
@@ -58,6 +78,7 @@ class ArcPath:
     state_end: tuple
     dead_core: bool
     nfev: int
+    partials: tuple | None = None
 
     @property
     def theta_end(self):
@@ -174,13 +195,21 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
-def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
+def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None, partials=False):
     """Integrate the arclength system from x_start toward x_target.
 
     Returns an ArcPath.  collect is None for a scan shot, which skips mesh
     assembly, or the (dtheta, dx) spacing of the stored path.  atol
     overrides the per-component absolute tolerances; passing 0 for the
     height keeps relative control over exponentially small heights.
+
+    partials=True carries d(x, u, theta)/d lam and d(x, u, theta)/d u_start
+    as six more components through the same steps, events and budget, and
+    sets the path's partials.  Their right-hand side is J Y + dF/d lam,
+    with a'(x) and f'(u) taken by central differences of the plain-float
+    kernels.  They take no part in step control: their atol is 1e300, and
+    the state's rtol and atol shrink by sqrt(3), so the RMS error norm over
+    nine components equals the plain shot's over three.
     """
     w, f = pb.weight, pb.f
     fs = f.scalar
@@ -198,21 +227,62 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
     nfev_max = _NFEV_MAX
     dead_core = False
     ys_parts = []
+    rtol = _RTOL
     atol = _ATOL if atol is None else atol
+    if partials:
+        # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
+        y = np.concatenate([y, (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)])
+        rtol = _RTOL / _SQRT3
+        atol = np.concatenate([np.broadcast_to(atol, 3) / _SQRT3, np.full(6, 1e300)])
+    a = None  # the current segment's a
 
     terminal = "reached"  # also the end of a march with no span to cross
+    theta_partials = None
 
     try:
         for lo, hi, form in spans:
             edge = hi if direction > 0 else lo
+            a_prev, a = a, form.scalar(z)
+            if partials and a_prev is not None:
+                _saltation(y, lam_dir * (a_prev(y[0]) - a(y[0])) * fs(y[1]), direction)
 
-            def rhs(s, yv, a=form.scalar(z)):
-                nonlocal nfev
-                nfev += 1
-                if nfev > nfev_max:
-                    raise _BudgetSpent
-                x, u, th = yv.tolist()
-                return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
+            if partials:
+
+                def rhs(s, yv, a=a):
+                    nonlocal nfev
+                    nfev += 1
+                    if nfev > nfev_max:
+                        raise _BudgetSpent
+                    x, u, th, x_l, u_l, th_l, x_s, u_s, th_s = yv.tolist()
+                    dx, du = direction * math.cos(th), direction * math.sin(th)
+                    ax, fu = a(x), fs(u)
+                    hu = _CD_STEP * abs(u) or _CD_STEP
+                    # d(theta')/dx and d(theta')/du
+                    gx = lam_dir * (a(x + _CD_STEP) - a(x - _CD_STEP)) / (2.0 * _CD_STEP) * fu
+                    gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
+                    return np.array(
+                        [
+                            dx,
+                            du,
+                            lam_dir * ax * fu,
+                            -du * th_l,
+                            dx * th_l,
+                            gx * x_l + gu * u_l - direction * ax * fu,
+                            -du * th_s,
+                            dx * th_s,
+                            gx * x_s + gu * u_s,
+                        ]
+                    )
+
+            else:
+
+                def rhs(s, yv, a=a):
+                    nonlocal nfev
+                    nfev += 1
+                    if nfev > nfev_max:
+                        raise _BudgetSpent
+                    x, u, th = yv.tolist()
+                    return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
 
             ev_edge = _event(lambda s, yv: yv[0] - edge, direction)
 
@@ -221,7 +291,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 (s_accum, s_budget),
                 y,
                 method="DOP853",
-                rtol=_RTOL,
+                rtol=rtol,
                 atol=atol,
                 dense_output=collect is not None,
                 events=(ev_edge, *_EVENT_FNS),
@@ -249,7 +319,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                 if abs(edge - x_target) < 1e-14:
                     if stored:
                         # the stored path ends on the target, not at the event sample
-                        ys_parts[-1][:, -1] = y
+                        ys_parts[-1][:, -1] = y[:3]
                     break
                 continue  # next weight segment
             y = np.array(out.y_events[which][-1])
@@ -271,10 +341,19 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
                     tail_x = np.linspace(y[0], x_target, 65)
                     ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
                 y = np.array([x_target, 0.0, 0.0])
+                if partials:
+                    # the tail's sensitivities are not carried
+                    theta_partials = (math.nan, math.nan)
             break
     except _BudgetSpent:
         # the march ends where its last finished segment left it
         terminal = "cap"
+
+    if partials and terminal == "reached" and theta_partials is None:
+        # theta at the target moves with the event time: d theta_end/dp = theta_p - theta' x_p / x'
+        # (x_p = 0 when no span was crossed)
+        ratio = 0.0 if a is None else lam_dir * a(y[0]) * fs(y[1]) / (direction * math.cos(y[2]))
+        theta_partials = (float(y[5] - ratio * y[3]), float(y[8] - ratio * y[6]))
 
     if collect and ys_parts:
         xs, us, thetas = np.hstack(ys_parts)
@@ -291,7 +370,20 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None):
         state_end=(float(y[0]), float(y[1]), float(y[2])),
         dead_core=dead_core,
         nfev=nfev,
+        partials=theta_partials,
     )
+
+
+def _saltation(y, jump, direction):
+    """Shift the sensitivities in y across a jump (F- - F+)_theta of theta' at an x edge.
+
+    The edge is met at an arclength s* with ds*/dp = -x_p / x', so
+    theta_p gains jump * ds*/dp (saltation matrix; x_p and u_p are
+    continuous because x' and u' are).
+    """
+    x_dot = direction * math.cos(y[2])
+    y[5] -= jump * y[3] / x_dot
+    y[8] -= jump * y[6] / x_dot
 
 
 def _subsample(out, dtheta, dx):
@@ -308,7 +400,7 @@ def _subsample(out, dtheta, dx):
         )
         k = min(k, 200_000)
         pieces.append(np.linspace(ts[i], ts[i + 1], k + 1)[1:])
-    return out.sol(np.concatenate(pieces))
+    return out.sol(np.concatenate(pieces))[:3]
 
 
 def integrate_path(pb, s0, collect=_SHOOT_MESH):
@@ -329,6 +421,19 @@ def shoot_residual(pb, s0):
     path = integrate_path(pb, s0, collect=None)
     if path.terminal == "reached":
         return path.theta_end
+    return Blocked(path.terminal, path.state_end[0], path.state_end)
+
+
+def shoot_partials(pb, s0):
+    """(theta(1), d theta(1)/d lam, d theta(1)/d s0) from one augmented shot, or Blocked as shoot_residual.
+
+    The partials are nan where the shot ends on a dead-core tail.
+    """
+    if s0 < 0:
+        raise ValueError("initial height must be nonnegative")
+    path = _march(pb, 0.0, s0, 0.0, 1.0, collect=None, partials=True)
+    if path.terminal == "reached":
+        return (path.theta_end, *path.partials)
     return Blocked(path.terminal, path.state_end[0], path.state_end)
 
 

@@ -105,6 +105,17 @@ def test_trivial_line_trace(jump_weight, mild_f):
     assert np.all(np.diff(sups) > 0)
 
 
+def test_trace_down_the_branch_ends_on_the_trivial_line(ramp_weight):
+    # from the seed, heading down in height, the branch returns to the
+    # trivial line where it left it, at lam0 / c
+    fam = ProblemFamily(ramp_weight, Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.002))
+    seed = seed_from_lambda0(fam)
+    br = trace(fam, seed, step=0.1, direction=(0.0, -1.0))
+    assert br.terminated_by == "trivial-line"
+    lam0 = principal_neumann(fam.weight).eigenvalue
+    assert br.terminal_lam == pytest.approx(lam0 / fam.f.c, rel=1e-5)
+
+
 def test_jump_weight_branch_approaches_the_steep_regime(jump_weight):
     # under the step weight the traced branch steepens until the corrector
     # loses the exponentially thin residual window; the graphs are already
@@ -135,21 +146,24 @@ def test_trace_rejects_unconverged_start(ramp_family):
 
 
 def test_trace_never_shoots_a_point_twice_in_a_row(ramp_family, monkeypatch):
-    # the corrector carries an accepted step's residual forward, and the
-    # start's tangent reuses the start's residual
+    # every Newton shot is an augmented one (shoot_partials): the corrector
+    # carries an accepted step's residual and Jacobian forward, and the
+    # start's tangent reuses the start's shot
     from curvebif import continuation
 
     seed = seed_from_lambda0(ramp_family)
     shots = []
-    shoot = continuation.shoot_residual
+    shoot = continuation.shoot_partials
 
     def recording(pb, s0, *args, **kwargs):
         shots.append((pb.lam, s0))
         return shoot(pb, s0, *args, **kwargs)
 
-    monkeypatch.setattr(continuation, "shoot_residual", recording)
+    monkeypatch.setattr(continuation, "shoot_partials", recording)
     br = trace(ramp_family, seed, step=0.1, max_points=6)
     assert len(br.points) == 6
+    # the start plus at least one corrector shot per new point
+    assert len(shots) >= 6
     assert all(a != b for a, b in zip(shots, shots[1:]))
 
 

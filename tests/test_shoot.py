@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif import shoot
-from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_residual
+from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_partials, shoot_residual
 from curvebif.varmin import functional_value
 
 
@@ -41,6 +41,8 @@ def test_solvers_refuse_negative_lambda(jump_weight, bump_f):
         find_regular(pb)
     with pytest.raises(ValueError):
         integrate_path(pb, -0.1)
+    with pytest.raises(ValueError):
+        shoot_partials(pb, -0.1)
 
 
 def test_scan_preconditions(jump_weight, bump_f):
@@ -114,6 +116,10 @@ def test_blocked_is_a_value(jump_weight, mild_f, lam0_jump):
     got = shoot_residual(pb, 1e-6)
     assert isinstance(got, Blocked)
     assert got.event in ("u_zero", "vertical")
+    # the augmented shot blocks on the same event, at the same state up to its rounding
+    aug = shoot_partials(pb, 1e-6)
+    assert isinstance(aug, Blocked) and aug.event == got.event
+    assert aug.state == pytest.approx(got.state, abs=1e-7)
 
 
 def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch):
@@ -152,7 +158,7 @@ def test_arclength_budget_ends_the_march():
     assert shoot_residual(pb, 0.01) == Blocked("cap", x_end, path.state_end)
 
 
-@pytest.mark.parametrize(
+_TERMINAL_CASES = pytest.mark.parametrize(
     "case, patch, terminal",
     [
         ("reached", None, "reached"),
@@ -165,21 +171,31 @@ def test_arclength_budget_ends_the_march():
         ("dead-core", None, "reached"),
     ],
 )
-def test_every_terminal_derives_theta_end(jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal):
+
+
+@_TERMINAL_CASES
+def test_every_terminal_derives_theta_end(
+    jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal, partials=False
+):
     if patch is not None:
         monkeypatch.setattr(shoot, *patch)
     w = Weight(0.5, (Segment(0.0, 0.5, ConstantForm(1.0)), Segment(0.5, 1.0, ConstantForm(-2.0))))
     d = 0.05  # just under the touchdown manifold of test_dead_core_continuation_from_tangency
+    mesh = (5e-4, 2e-3)
+
+    def from_zero(pb, s0):
+        return shoot._march(pb, 0.0, s0, 0.0, 1.0, collect=mesh, partials=partials)
+
     shots = {
-        "reached": lambda: integrate_path(ProblemInstance(0.0, jump_weight, bump_f), 0.7),
-        "vertical-down": lambda: integrate_path(ProblemInstance(20.0 * lam0_jump, jump_weight, bump_f), 2.0),
-        "vertical-up": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
-        "u_zero": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
-        "cap-height": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
-        "cap-budget": lambda: integrate_path(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
+        "reached": lambda: from_zero(ProblemInstance(0.0, jump_weight, bump_f), 0.7),
+        "vertical-down": lambda: from_zero(ProblemInstance(20.0 * lam0_jump, jump_weight, bump_f), 2.0),
+        "vertical-up": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "u_zero": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
+        "cap-height": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "cap-budget": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
         "dead-core": lambda: shoot._march(
             ProblemInstance(1.0, w, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=10.0)),
-            0.85 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, collect=(5e-4, 2e-3),
+            0.85 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, collect=mesh, partials=partials,
         ),
     }
     path = shots[case]()
@@ -195,6 +211,55 @@ def test_every_terminal_derives_theta_end(jump_weight, bump_f, mild_f, lam0_jump
         assert path.state_end[2] == pytest.approx(sign * math.pi / 2.0, abs=1e-9)
     if case == "cap-height":
         assert path.state_end[1] == pytest.approx(50.05, rel=1e-12)
+    if case == "cap-budget":
+        assert 250 < path.nfev <= 250 + 12
+    # the stored path has the plain shot's three rows, and ends where the march did
+    assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
+    # partials exist only on a reached augmented march; a dead-core tail carries none
+    if not partials or terminal != "reached":
+        assert path.partials is None
+    elif case == "dead-core":
+        assert all(math.isnan(v) for v in path.partials)
+    else:
+        assert all(math.isfinite(v) for v in path.partials)
+
+
+@_TERMINAL_CASES
+def test_every_terminal_ends_the_augmented_march_alike(
+    jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal
+):
+    # the march that carries sensitivities ends every shot as the plain one does
+    test_every_terminal_derives_theta_end(
+        jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal, partials=True
+    )
+
+
+def _central_partials(pb, s0, step=1e-4):
+    dl, ds = step * pb.lam, step * s0
+    r_lam = (shoot_residual(pb.at(pb.lam + dl), s0) - shoot_residual(pb.at(pb.lam - dl), s0)) / (2.0 * dl)
+    r_s0 = (shoot_residual(pb, s0 + ds) - shoot_residual(pb, s0 - ds)) / (2.0 * ds)
+    return r_lam, r_s0
+
+
+@pytest.mark.parametrize(
+    "problem, lam, s0",
+    [
+        # a jumps by 3 at the node z = 0.4: the saltation jump is crossed
+        ("step", 4.4259, 0.4828),
+        # a vanishes linearly at the node, so a' != 0 on both sides
+        ("ramp", 72.866, 0.003927),
+    ],
+)
+def test_augmented_shot_partials_match_central_differences(jump_weight, bump_f, ramp_weight, problem, lam, s0):
+    if problem == "step":
+        pb = ProblemInstance(lam, jump_weight, bump_f)
+    else:
+        pb = ProblemInstance(lam, ramp_weight, Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.0018))
+    theta, r_lam, r_s0 = shoot_partials(pb, s0)
+    assert theta == pytest.approx(shoot_residual(pb, s0), abs=1e-7)
+    want_lam, want_s0 = _central_partials(pb, s0)
+    assert r_lam == pytest.approx(want_lam, rel=1e-5)
+    assert r_s0 == pytest.approx(want_s0, rel=1e-5)
 
 
 def test_find_regular_mild_existence(mild_solution):
