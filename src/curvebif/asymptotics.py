@@ -230,7 +230,7 @@ def semilinear_positive_solution(weight, p):
         return float(y[1]), True
 
     for lo, hi, lo_positive in scan_brackets(value, 1e-4, 1e4, 160):
-        root = bisect_bracket(value, lo, hi, lo_positive, 1e-11, 1e-15, 200)
+        root = bisect_bracket(value, lo, hi, lo_positive, 1e-11)
         if root is not None:
             return root
     raise RuntimeError("no positive solution of the limit problem found in range")

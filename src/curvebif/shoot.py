@@ -246,43 +246,36 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None, p
             if partials and a_prev is not None:
                 _saltation(y, lam_dir * (a_prev(y[0]) - a(y[0])) * fs(y[1]), direction)
 
-            if partials:
-
-                def rhs(s, yv, a=a):
-                    nonlocal nfev
-                    nfev += 1
-                    if nfev > nfev_max:
-                        raise _BudgetSpent
-                    x, u, th, x_l, u_l, th_l, x_s, u_s, th_s = yv.tolist()
-                    dx, du = direction * math.cos(th), direction * math.sin(th)
-                    ax, fu = a(x), fs(u)
-                    hu = _CD_STEP * abs(u) or _CD_STEP
-                    # d(theta')/dx and d(theta')/du
-                    gx = lam_dir * (a(x + _CD_STEP) - a(x - _CD_STEP)) / (2.0 * _CD_STEP) * fu
-                    gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
-                    return np.array(
-                        [
-                            dx,
-                            du,
-                            lam_dir * ax * fu,
-                            -du * th_l,
-                            dx * th_l,
-                            gx * x_l + gu * u_l - direction * ax * fu,
-                            -du * th_s,
-                            dx * th_s,
-                            gx * x_s + gu * u_s,
-                        ]
-                    )
-
-            else:
-
-                def rhs(s, yv, a=a):
-                    nonlocal nfev
-                    nfev += 1
-                    if nfev > nfev_max:
-                        raise _BudgetSpent
-                    x, u, th = yv.tolist()
-                    return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
+            def rhs(s, yv, a=a):
+                nonlocal nfev
+                nfev += 1
+                if nfev > nfev_max:
+                    raise _BudgetSpent
+                state = yv.tolist()
+                x, u, th = state[0], state[1], state[2]
+                dx, du = direction * math.cos(th), direction * math.sin(th)
+                ax, fu = a(x), fs(u)
+                dth = lam_dir * ax * fu
+                if not partials:
+                    return np.array([dx, du, dth])
+                x_l, u_l, th_l, x_s, u_s, th_s = state[3:]
+                hu = _CD_STEP * abs(u) or _CD_STEP
+                # d(theta')/dx and d(theta')/du
+                gx = lam_dir * (a(x + _CD_STEP) - a(x - _CD_STEP)) / (2.0 * _CD_STEP) * fu
+                gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
+                return np.array(
+                    [
+                        dx,
+                        du,
+                        dth,
+                        -du * th_l,
+                        dx * th_l,
+                        gx * x_l + gu * u_l - direction * ax * fu,
+                        -du * th_s,
+                        dx * th_s,
+                        gx * x_s + gu * u_s,
+                    ]
+                )
 
             ev_edge = _event(lambda s, yv: yv[0] - edge, direction)
 
@@ -440,22 +433,19 @@ def shoot_partials(pb, s0):
 def _classify(pb, s0):
     """Residual with surrogate signs for bracketing, as (value, exact).
 
-    Paths that hit the trivial line while sloped are undershoots (negative
-    surrogate), downward vertical tangents are deeper undershoots, upward
-    ones are overshoots (positive surrogate).  Surrogates only steer the
-    refinement, which bisects while an end is one: they are never exact
-    and never smaller than 0.1 in size, so a root is accepted only at a
-    path that truly reaches x = 1 with a tiny residual, and a surrogate can
-    never mint a solution.
+    Paths that hit the trivial line while sloped, and downward vertical
+    tangents, are undershoots (surrogate -1); upward vertical tangents are
+    overshoots (surrogate +1).  A surrogate only signs its height, so a
+    root is accepted only at a path that truly reaches x = 1 with a tiny
+    residual.
     """
     path = integrate_path(pb, s0, collect=None)
     if path.terminal == "reached":
         return path.theta_end, True
     if path.terminal == "u_zero":
-        x_stop, _, th = path.state_end
-        return -(0.1 + max(0.0, 1.0 - x_stop)) + min(th, 0.0), False
+        return -1.0, False
     if path.terminal == "vertical":
-        return (-math.pi if path.state_end[2] < 0.0 else math.pi), False
+        return (-1.0 if path.state_end[2] < 0.0 else 1.0), False
     return None, False
 
 
@@ -481,8 +471,9 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     or secant steps in log height between exact ends, bisection while an
     end is a surrogate) to |theta(1)| <= theta_tol (or, when
     the bracket collapses first, to its best reaching path within 1e-6),
-    and deduplicates by sup norm.  An empty list is meaningful: no
-    regular solution has its height in the scanned window.
+    and keeps each refined height once: two distinct heights are two
+    solutions, however close.  An empty list is meaningful: no regular
+    solution has its height in the scanned window.
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")
@@ -494,7 +485,7 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     roots = []
     for lo, hi, lo_positive in scan_brackets(lambda s: _classify(pb, s), s_min, s_max, n_scan):
         root = _bisect_height(pb, lo, hi, lo_positive, theta_tol)
-        if root is not None:
+        if root is not None and root not in roots:
             roots.append(root)
 
     solutions = []
@@ -505,12 +496,10 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
         sol = solution_from_path(pb, path)
         if np.min(sol.us) < -1e-7 * max(1.0, sol.sup_norm):
             continue
-        if any(abs(sol.sup_norm - s.sup_norm) <= 1e-6 * max(1.0, s.sup_norm) for s in solutions):
-            continue
         solutions.append(sol)
     solutions.sort(key=lambda s: s.sup_norm)
     return solutions
 
 
 def _bisect_height(pb, lo, hi, lo_positive, theta_tol):
-    return bisect_bracket(lambda s: _classify(pb, s), lo, hi, lo_positive, theta_tol, 1e-15, 200)
+    return bisect_bracket(lambda s: _classify(pb, s), lo, hi, lo_positive, theta_tol)

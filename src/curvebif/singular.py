@@ -232,7 +232,7 @@ def _solve_piece(pb, side, *, n_scan):
     bracket = next(scan_brackets(value, start, stop, n_scan, settled=lambda r: r[2]), None)
     if bracket is None:
         return None
-    return bisect_bracket(value, *bracket, 1e-9, 1e-16, 220)
+    return bisect_bracket(value, *bracket, 1e-9)
 
 
 def _flux_quadrature(pb, xs, us, side):

@@ -7,9 +7,9 @@ while an end is a surrogate.  The walk is lazy, so a caller that needs only
 the first bracket from one end stops evaluating heights there, and a caller
 that can tell which heights hold no bracket skips them by bisection.  A
 classifier value(s) returns (v, exact, ...): v is the signed value, or None
-where s gives no sign; exact is False for surrogate values that only steer
-the refinement; later items are the caller's own, read only by a settled
-predicate.  v >= 0 counts as positive.
+where s gives no sign; exact is False for a surrogate, which is read only
+for its sign and so is never a root; later items are the caller's own, read
+only by a settled predicate.  v >= 0 counts as positive.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ import numpy as np
 
 __all__ = ["scan_brackets", "bisect_bracket"]
 
+# a bracket with hi - lo <= COLLAPSE_RTOL * hi has collapsed: a few ulp wide
+COLLAPSE_RTOL = 1e-15
+# heights one refinement evaluates at most
+MAX_EVALS = 200
 # a collapsed bracket keeps its best exact point only this close to a root
 FALLBACK_TOL = 1e-6
 # an interpolated height stays this share of the log width inside the bracket
@@ -73,7 +77,7 @@ def scan_brackets(value, start, stop, n, *, settled=None):
         s_prev, v_prev = s, v
 
 
-def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
+def bisect_bracket(value, lo, hi, lo_positive, tol):
     """Refine a bracket in heights 0 < lo < hi by Brent-style interpolation.
 
     While both ends hold exact values the routine evaluated itself, the next
@@ -84,16 +88,20 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
     without Derivatives, 1973, ch. 4).  The step is clipped away from the
     ends.  While either end is a surrogate or not yet evaluated, and after
     two interpolation steps in a row that fail to halve the log width, it
-    takes the geometric midpoint.  Returns the first height with |v| <= tol,
-    and None as soon as a height has no sign.  When the bracket collapses to
-    hi - lo <= rtol * hi or max_iter heights are spent, returns the exact
-    height with the smallest |v| if that is within FALLBACK_TOL, else None.
+    takes the geometric midpoint.  Returns the first exact height with
+    |v| <= tol, and None as soon as a height has no sign.  When the bracket
+    collapses to hi - lo <= COLLAPSE_RTOL * hi or MAX_EVALS heights are
+    spent, returns the exact height with the smallest |v| if that is within
+    FALLBACK_TOL, else None.  Every height it evaluates lies strictly inside
+    the bracket of the moment, so none is evaluated twice.
     """
     best = None
     v_lo = v_hi = None  # exact values at the ends, None for surrogate or unseen
     dropped = None  # (height, value) of the last exact end dropped from the bracket
     slow = 0  # interpolation steps in a row that failed to halve the log width
-    for _ in range(max_iter):
+    for _ in range(MAX_EVALS):
+        if hi - lo <= COLLAPSE_RTOL * hi:
+            break
         width = math.log(hi / lo)
         interpolate = v_lo is not None and v_hi is not None and slow < 2
         if interpolate:
@@ -109,10 +117,11 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
         v, exact = value(mid)[:2]
         if v is None:
             return None
-        if abs(v) <= tol:
-            return mid
-        if exact and (best is None or abs(v) < abs(best[0])):
-            best = (v, mid)
+        if exact:
+            if abs(v) <= tol:
+                return mid
+            if best is None or abs(v) < abs(best[0]):
+                best = (v, mid)
         if (v >= 0.0) == lo_positive:
             if v_lo is not None:
                 dropped = (lo, v_lo)
@@ -123,8 +132,6 @@ def bisect_bracket(value, lo, hi, lo_positive, tol, rtol, max_iter):
             hi, v_hi = mid, v if exact else None
         if interpolate:
             slow = slow + 1 if math.log(hi / lo) > 0.5 * width else 0
-        if hi - lo <= rtol * hi:
-            break
     if best is not None and abs(best[0]) <= FALLBACK_TOL:
         return best[1]
     return None

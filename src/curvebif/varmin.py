@@ -23,6 +23,8 @@ from scipy import optimize
 
 __all__ = ["DiscreteBVFunction", "functional_value", "functional_gradient", "minimize", "minimize_multistart"]
 
+_MAX_ITER = 30000  # L-BFGS-B iterations per descent
+
 
 @dataclass
 class DiscreteBVFunction:
@@ -102,13 +104,14 @@ def functional_gradient(pb, u):
     return g
 
 
-def minimize(pb, init=None, n=240, max_iter=30000):
+def minimize(pb, init=None, n=240):
     """L-BFGS-B descent to a stationary point; returns (|u|, value, info).
 
     scipy's L-BFGS-B (Byrd, Lu, Nocedal and Zhu 1995) accepts only steps
     that satisfy its sufficient-decrease line search, so the history of
     accepted values never increases.  Iteration stops on max |g| <= 1e-9, on
-    a relative value change of at most 1e-15 in one step, or at max_iter.
+    a relative value change of at most 1e-15 in one step, or after _MAX_ITER
+    iterations.
     The absolute value of the final iterate is returned, which cannot raise
     the discrete functional.  An array init must hold n + 1 values.
     """
@@ -130,8 +133,8 @@ def minimize(pb, init=None, n=240, max_iter=30000):
         method="L-BFGS-B",
         callback=record,
         # an iteration runs at most two line searches of 20 evaluations, so
-        # maxfun never stops a run before max_iter does
-        options={"maxiter": max_iter, "maxfun": 40 * max_iter + 1, "ftol": 1e-15, "gtol": 1e-9},
+        # maxfun never stops a run before _MAX_ITER does
+        options={"maxiter": _MAX_ITER, "maxfun": 40 * _MAX_ITER + 1, "ftol": 1e-15, "gtol": 1e-9},
     )
     v = np.abs(res.x)
     fval = functional_value(pb, v)

@@ -295,6 +295,18 @@ def test_stored_path_ends_on_the_target(mild_solution):
         assert np.all(xs <= 1.0)
 
 
+def test_find_regular_keeps_every_distinct_height(mild_solution, monkeypatch):
+    # two refined heights are two solutions unless they are equal, even when
+    # their sup norms agree to 1e-9
+    pb, sol = mild_solution
+    s = float(sol.us[0])
+    for heights, kept in (([s, s * (1.0 + 1e-9)], [s, s * (1.0 + 1e-9)]), ([s, s], [s])):
+        refined = iter(heights)
+        monkeypatch.setattr(shoot, "scan_brackets", lambda *args: [(0.5 * s, 2.0 * s, True)] * len(heights))
+        monkeypatch.setattr(shoot, "_bisect_height", lambda *args: next(refined))
+        assert [float(x.us[0]) for x in find_regular(pb)] == kept
+
+
 def test_find_regular_empty_below_lam0(mild_family, lam0_jump):
     pb = mild_family.at(0.5 * lam0_jump)
     assert find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64) == []

@@ -317,3 +317,23 @@ def test_witness_matches_closed_form(jump_weight, bump_f, lead, rel):
     want = 2.0 * math.sqrt(off / (lam * 1.0 * ul)) + 2.0 * math.sqrt(off / (lam * 2.0 * ur))
     assert want == pytest.approx(0.72673644, rel=1e-8)
     assert w.integral == pytest.approx(want, rel=rel)
+
+
+def test_left_node_height_below_the_right_is_refused(jump_weight, monkeypatch):
+    # p < 1 at lam = 100: both piece heights close their budgets, but the
+    # left piece meets the node below the right one, so the two would make
+    # an upward jump; the guard refuses rather than build it
+    node_heights = {}
+    piece_shot = singular._piece_shot
+
+    def recording(pb, height, side, collect=None):
+        path = piece_shot(pb, height, side, collect)
+        if collect is not None:
+            node_heights[side] = path.state_end[1]
+        return path
+
+    monkeypatch.setattr(singular, "_piece_shot", recording)
+    pb = ProblemInstance(100.0, jump_weight, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=1.0))
+    got = solve_singular(pb)
+    assert got == Absent("inadmissible-jump", "left height at the node fell below the right one")
+    assert node_heights["left"] < node_heights["right"]

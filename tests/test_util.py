@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvebif.util import FALLBACK_TOL, bisect_bracket, scan_brackets
+from curvebif.util import COLLAPSE_RTOL, FALLBACK_TOL, MAX_EVALS, bisect_bracket, scan_brackets
 
 
 def exact(fn):
@@ -75,7 +75,7 @@ def test_height_without_sign_breaks_a_bracket_both_ways():
 
 
 def test_bisect_accepts_first_midpoint_within_tol():
-    root = bisect_bracket(exact(lambda s: s * s - 2.0), 1.0, 3.0, False, 1e-12, 1e-15, 200)
+    root = bisect_bracket(exact(lambda s: s * s - 2.0), 1.0, 3.0, False, 1e-12)
     assert abs(root - math.sqrt(2.0)) <= 1e-12
 
 
@@ -85,12 +85,12 @@ def test_collapsed_bracket_keeps_best_exact_point():
     def step(s):
         return (s - 2.0) + (5e-8 if s > 2.0 else -5e-8)
 
-    root = bisect_bracket(exact(step), 1.0, 3.0, False, 1e-10, 1e-15, 200)
+    root = bisect_bracket(exact(step), 1.0, 3.0, False, 1e-10)
     assert root is not None and abs(root - 2.0) <= 1e-12
     # the same values as surrogates give no point to keep
-    assert bisect_bracket(lambda s: (step(s), False), 1.0, 3.0, False, 1e-10, 1e-15, 200) is None
+    assert bisect_bracket(lambda s: (step(s), False), 1.0, 3.0, False, 1e-10) is None
     # a sign change at a pole is not a root
-    assert bisect_bracket(exact(lambda s: 1.0 / (s - 2.0)), 1.0, 3.0, False, 1e-10, 1e-15, 200) is None
+    assert bisect_bracket(exact(lambda s: 1.0 / (s - 2.0)), 1.0, 3.0, False, 1e-10) is None
 
 
 def test_bisect_gives_up_on_a_midpoint_without_sign():
@@ -100,20 +100,22 @@ def test_bisect_gives_up_on_a_midpoint_without_sign():
         calls.append(s)
         return (None, False) if 1.5 < s < 2.5 else (s - 2.2, True)
 
-    assert bisect_bracket(value, 1.0, 4.0, False, 1e-10, 1e-15, 200) is None
+    assert bisect_bracket(value, 1.0, 4.0, False, 1e-10) is None
     assert calls == [2.0]
 
 
-def reference_bisection(value, lo, hi, lo_positive, tol, rtol, max_iter):
+def reference_bisection(value, lo, hi, lo_positive, tol):
     """The plain geometric bisection, as the heights it visits and its result."""
     heights, best = [], None
-    for _ in range(max_iter):
+    for _ in range(MAX_EVALS):
+        if hi - lo <= COLLAPSE_RTOL * hi:
+            break
         mid = math.sqrt(lo * hi)
         heights.append(mid)
         v, is_exact = value(mid)
         if v is None:
             return heights, None
-        if abs(v) <= tol:
+        if is_exact and abs(v) <= tol:
             return heights, mid
         if is_exact and (best is None or abs(v) < abs(best[0])):
             best = (v, mid)
@@ -121,8 +123,6 @@ def reference_bisection(value, lo, hi, lo_positive, tol, rtol, max_iter):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * hi:
-            break
     return heights, best[1] if best is not None and abs(best[0]) <= FALLBACK_TOL else None
 
 
@@ -139,7 +139,7 @@ def recorded(value):
 def test_exact_ends_converge_superlinearly():
     # bisection takes 40 evaluations here
     value, calls = recorded(exact(lambda s: s * s - 2.0))
-    root = bisect_bracket(value, 1.0, 3.0, False, 1e-12, 1e-15, 200)
+    root = bisect_bracket(value, 1.0, 3.0, False, 1e-12)
     assert abs(root * root - 2.0) <= 1e-12
     assert len(calls) <= 12
 
@@ -155,7 +155,7 @@ def test_kinked_roots_converge_superlinearly():
     )
     for fn, lo_positive in kinks:
         value, calls = recorded(exact(fn))
-        root = bisect_bracket(value, 1.0, 3.0, lo_positive, 1e-9, 1e-16, 220)
+        root = bisect_bracket(value, 1.0, 3.0, lo_positive, 1e-9)
         assert abs(fn(root)) <= 1e-9
         assert len(calls) <= 20
 
@@ -172,8 +172,8 @@ def test_surrogate_ends_keep_the_geometric_midpoints():
 
     for fn, tol in ((surrogate_above, 1e-9), (step, 1e-10)):
         value, calls = recorded(fn)
-        root = bisect_bracket(value, 1.0, 3.0, False, tol, 1e-16, 220)
-        heights, want = reference_bisection(fn, 1.0, 3.0, False, tol, 1e-16, 220)
+        root = bisect_bracket(value, 1.0, 3.0, False, tol)
+        heights, want = reference_bisection(fn, 1.0, 3.0, False, tol)
         assert calls == heights
         assert root == want
 
@@ -196,10 +196,35 @@ def test_stalled_brackets_stay_within_three_bisections():
         (flat, 0.5, 3.0, 1e-14, lambda r: abs(flat(r)) <= 1e-14),
     ):
         value, calls = recorded(exact(fn))
-        root = bisect_bracket(value, lo, hi, False, tol, 1e-15, 200)
-        n_bisect = len(reference_bisection(exact(fn), lo, hi, False, tol, 1e-15, 200)[0])
+        root = bisect_bracket(value, lo, hi, False, tol)
+        n_bisect = len(reference_bisection(exact(fn), lo, hi, False, tol)[0])
         assert len(calls) <= min(3 * n_bisect, 200)
         assert root_ok(root)
+
+
+def test_stalled_bracket_spends_each_height_once():
+    # a sign jump with no zero: the refine ends when the bracket collapses,
+    # a few ulp wide, and never shoots a height twice
+    def step(s):
+        return (s - 2.0) + (5e-8 if s > 2.0 else -5e-8)
+
+    value, calls = recorded(exact(step))
+    root = bisect_bracket(value, 1.0, 3.0, False, 1e-10)
+    assert abs(root - 2.0) <= 1e-12
+    assert len(calls) <= 55
+    assert len(set(calls)) == len(calls)
+
+
+def test_zero_surrogate_is_never_a_root():
+    # heights up to 2.0 carry a surrogate 0, which signs them positive; the
+    # first midpoint of [1, 4] is 2.0, and the exact root is 2.05
+    def value(s):
+        return (0.0, False) if s <= 2.0 else (2.05 - s, True)
+
+    wrapped, calls = recorded(value)
+    root = bisect_bracket(wrapped, 1.0, 4.0, True, 1e-12)
+    assert calls[0] == 2.0
+    assert root == pytest.approx(2.05, rel=1e-12)
 
 
 def classifier(fn, is_settled):
@@ -270,6 +295,6 @@ def test_bisect_midpoint_of_heights_whose_product_underflows():
         calls.append(s)
         return math.log(s / 1e-200), True
 
-    root = bisect_bracket(value, 1e-210, 1e-190, False, 1e-12, 1e-16, 200)
+    root = bisect_bracket(value, 1e-210, 1e-190, False, 1e-12)
     assert calls[0] == pytest.approx(1e-200, rel=1e-12)
     assert root == pytest.approx(1e-200, rel=1e-11)

@@ -75,7 +75,7 @@ def test_gradient_matches_finite_differences(pb_super):
 
 
 def test_descent_is_monotone(pb_super):
-    u, val, info = minimize(pb_super, init=np.full(241, 0.1), max_iter=3000)
+    u, val, info = minimize(pb_super, init=np.full(241, 0.1))
     hist = info["history"]
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
     assert val <= hist[0]
