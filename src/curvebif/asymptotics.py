@@ -138,22 +138,24 @@ def build_family(pb_family, ladder):
     return members
 
 
-def grow_decay_rates(members, z, eta=None):
+def _probes(z):
+    """(eta, x_left, x_right): eta = 0.1 min(z, 1 - z), and the midpoints of [0, z - eta] and [z + eta, 1]."""
+    eta = 0.1 * min(z, 1.0 - z)
+    return eta, (z - eta) / 2.0, z + eta + (1.0 - z - eta) / 2.0
+
+
+def grow_decay_rates(members, z):
     """Log-log slopes of u at one probe point per side of the node z.
 
-    Returns (slope_left, slope_right, fits) where fits carry the r^2
-    diagnostics; a fit below r^2 = 0.98 should be treated as inconclusive,
-    never as a pass.
+    The probes are the midpoints of [0, z - eta] and [z + eta, 1], with
+    eta = 0.1 min(z, 1 - z).  Returns (slope_left, slope_right, fits) where
+    fits carry the r^2 diagnostics; a fit below r^2 = 0.98 should be
+    treated as inconclusive, never as a pass.
     """
     if len(members) < 4:
         raise ValueError("rate fits need at least four ladder rungs")
-    if eta is None:
-        eta = 0.1 * min(z, 1.0 - z)
-    if not (0 < eta < min(z, 1.0 - z) / 2):
-        raise ValueError("eta must lie in (0, min(z, 1-z)/2)")
     lams = [m.lam for m in members]
-    x_left = (z - eta) / 2.0
-    x_right = z + eta + (1.0 - z - eta) / 2.0
+    _, x_left, x_right = _probes(z)
     u_left = [m.u_at(x_left) for m in members]
     u_right = [m.u_at(x_right) for m in members]
     sl, il, r2l = _loglog_fit(lams, u_left)
@@ -170,16 +172,17 @@ def flatness_and_node(members, z, M):
 
     For each member: the largest |u'| on the outer region |x - z| >= eta,
     the point where u crosses the peak level M, and the plateau ratio
-    u((z-eta)/2)/u(0), with eta = 0.1 min(z, 1 - z).  Trend lines over the
-    ladder are fitted in log-log coordinates.
+    u((z-eta)/2)/u(0) at grow_decay_rates' left probe, with
+    eta = 0.1 min(z, 1 - z).  Trend lines over the ladder are fitted in
+    log-log coordinates.
     """
-    eta = 0.1 * min(z, 1.0 - z)
+    eta, x_left, _ = _probes(z)
     lams = [m.lam for m in members]
     slopes = [max_slope_on(m, 0.0, z - eta) for m in members]
     slopes_r = [max_slope_on(m, z + eta, 1.0) for m in members]
     outer = [max(a, b) for a, b in zip(slopes, slopes_r)]
     crossings = [level_crossing(m, M) for m in members]
-    ratios = [m.u_at((z - eta) / 2.0) / m.u_at(0.0) for m in members]
+    ratios = [m.u_at(x_left) / m.u_at(0.0) for m in members]
     trend_slope, _, trend_r2 = _loglog_fit(lams, [max(v, 1e-30) for v in outer])
     return {
         "lambdas": lams,

@@ -2,10 +2,14 @@
 
 Subcommands: eig, solve, branch, classify, singular, minimize, rates,
 diagram, verify.  Problems are passed as inline JSON (--problem) or a file
-(--problem-file); flags override file values, file values override the
-built-in default (the step weight 1/-2 with node 0.4 and the p=1, q=0.5,
-M=1 bump).  Exit codes: 0 success, 1 usage or configuration error, 2
-verification failure.  Identical inputs yield byte-identical outputs.
+(--problem-file) and loaded by ProblemInstance.from_dict, which refuses an
+unknown key; flags override file values, file values override the built-in
+default (the step weight 1/-2 with node 0.4 and the default Nonlinearity,
+the p=1, q=0.5, M=1 bump).  Defaults and checks that the library states,
+such as eig's tolerance range and the rates ladder, are not restated here.
+Exit codes: 0 success, 1 usage or configuration error (a library
+ValueError included), 2 verification failure.  Identical inputs yield
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,26 +17,19 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import acceptance, asymptotics, continuation, eigen, shoot, singular, varmin
 from .emit import json_text, svg_plot
-from .model import ProblemFamily, ProblemInstance
+from .model import Nonlinearity, ProblemFamily, ProblemInstance, two_constant_weight
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_PROBLEM = {
-    "weight": {
-        "z": 0.4,
-        "segments": [
-            {"interval": [0.0, 0.4], "form": {"kind": "constant", "c": 1.0}},
-            {"interval": [0.4, 1.0], "form": {"kind": "constant", "c": -2.0}},
-        ],
-    },
-    "f": {"kind": "prototype", "p": 1.0, "q": 0.5, "M": 1.0},
-}
+DEFAULT_PROBLEM = {"weight": two_constant_weight(1.0, 2.0, 0.4).to_dict(), "f": Nonlinearity().to_dict()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,15 +42,15 @@ class UsageError(RuntimeError):
 
 
 def _load_problem(args):
-    if getattr(args, "problem", None) and getattr(args, "problem_file", None):
+    if args.problem and args.problem_file:
         raise UsageError("pass either --problem or --problem-file, not both")
     spec = copy.deepcopy(DEFAULT_PROBLEM)
-    if getattr(args, "problem", None):
+    if args.problem:
         try:
             spec = json.loads(args.problem)
         except json.JSONDecodeError as e:
             raise UsageError(f"bad inline problem JSON: {e}")
-    elif getattr(args, "problem_file", None):
+    elif args.problem_file:
         try:
             spec = json.loads(Path(args.problem_file).read_text())
         except (OSError, json.JSONDecodeError) as e:
@@ -95,91 +92,79 @@ def build_parser():
     p = _Parser(prog="curvebif", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, lam=True):
-        sp.add_argument("--problem", help="inline problem JSON")
-        sp.add_argument("--problem-file", help="path to problem JSON")
-        if lam:
-            sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    def command(name, run, help, problem=True, lam=True):
+        """A subparser that runs run(args); a problem command takes the problem and --out options."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        if problem:
+            sp.add_argument("--problem", help="inline problem JSON")
+            sp.add_argument("--problem-file", help="path to problem JSON")
+            if lam:
+                sp.add_argument("--lambda", dest="lam", type=float, default=None)
+            sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+        return sp
 
-    sp = sub.add_parser("eig", help="principal Neumann eigenvalue of the weight")
-    common(sp, lam=False)
+    sp = command("eig", _cmd_eig, "principal Neumann eigenvalue of the weight", lam=False)
     sp.add_argument("--tol", type=float, default=1e-12)
 
-    sp = sub.add_parser("solve", help="regular solutions by height scan at fixed lambda")
-    common(sp)
+    sp = command("solve", _cmd_solve, "regular solutions by height scan at fixed lambda")
     sp.add_argument("--scan", nargs=3, type=float, default=(1e-6, 1e3, 64), metavar=("LO", "HI", "N"))
 
-    sp = sub.add_parser("branch", help="trace a branch and emit CSV/SVG")
-    common(sp)
+    sp = command("branch", _cmd_branch, "trace a branch and emit CSV/SVG")
     sp.add_argument("--seed", choices=("lambda0", "origin", "large-lambda"), default="lambda0")
     sp.add_argument("--lambda-max", type=float, default=1e3)
     sp.add_argument("--max-points", type=int, default=150)
     sp.add_argument("--step", type=float, default=0.05)
     sp.add_argument("--svg", default=None)
 
-    sp = sub.add_parser("classify", help="regularity verdict for the instance")
-    common(sp)
+    command("classify", _cmd_classify, "regularity verdict for the instance")
+    command("singular", _cmd_singular, "construct the jump solution at the node")
 
-    sp = sub.add_parser("singular", help="construct the jump solution at the node")
-    common(sp)
-
-    sp = sub.add_parser("minimize", help="minimize the discrete length functional")
-    common(sp)
+    sp = command("minimize", _cmd_minimize, "minimize the discrete length functional")
     sp.add_argument("--n", type=int, default=240)
     sp.add_argument("--starts", type=int, default=5)
 
-    sp = sub.add_parser("rates", help="large-lambda rate fits over a ladder")
-    common(sp, lam=False)
+    sp = command("rates", _cmd_rates, "large-lambda rate fits over a ladder", lam=False)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--ladder", default="1e2,10**2.5,1e3,10**3.5,1e4")
+    sp.add_argument("--ladder", type=_parse_ladder, default=asymptotics.default_ladder())
     sp.add_argument("--svg", default=None)
 
-    sp = sub.add_parser("diagram", help="merge branch CSVs into one diagram")
+    sp = command("diagram", _cmd_diagram, "merge branch CSVs into one diagram", problem=False)
     sp.add_argument("--in", dest="inputs", nargs="+", required=True)
     sp.add_argument("--out", default=None)
     sp.add_argument("--svg", default=None)
     sp.add_argument("--log-y", action="store_true")
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp = command("verify", _cmd_verify, "run the acceptance suite", problem=False)
     sp.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,7")
     return p
 
 
 def _cmd_eig(args):
-    from .eigen import principal_neumann
-
-    if not (0 < args.tol < 1):
-        raise UsageError("tolerance must lie in (0, 1)")
     pb = _load_problem(args)
-    pair = principal_neumann(pb.weight, tol=args.tol)
+    pair = eigen.principal_neumann(pb.weight, tol=args.tol)
     out = {"lambda0": pair.eigenvalue, "residual": pair.residual, "mesh_size": pair.mesh_size}
     _write(args.out, json_text(out) + "\n")
     return 0
 
 
 def _cmd_solve(args):
-    from .shoot import find_regular
-
     lo, hi, n = args.scan
     if not float(n).is_integer():
         raise UsageError(f"the scan count N must be a whole number, got {n}")
     pb = _load_problem(args)
-    sols = find_regular(pb, s_min=lo, s_max=hi, n_scan=int(n))
+    sols = shoot.find_regular(pb, s_min=lo, s_max=hi, n_scan=int(n))
     payload = [_thin_mesh(s.to_dict()) for s in sols]
     _write(args.out, json_text(payload) + "\n")
     return 0
 
 
 def _cmd_branch(args):
-    from .continuation import diagram, seed_from_lambda0, trace
-    from .shoot import find_regular
-
     pb = _load_problem(args)
     fam = ProblemFamily(pb.weight, pb.f)
     if args.seed == "lambda0":
-        start = seed_from_lambda0(fam)
+        start = continuation.seed_from_lambda0(fam)
         origin = "FromLambda0"
         direction = (0.0, 1.0)
     elif args.seed == "origin":
@@ -188,13 +173,13 @@ def _cmd_branch(args):
         direction = (0.0, 1.0)
     else:
         lam_hi = args.lambda_max
-        sols = find_regular(fam.at(lam_hi), s_min=1e-8, s_max=1e2, n_scan=48)
+        sols = shoot.find_regular(fam.at(lam_hi), s_min=1e-8, s_max=1e2, n_scan=48)
         if not sols:
             raise UsageError("no small solution found to seed the large-lambda branch")
         start = (lam_hi, sols[0].sup_norm)
         origin = "FromLargeLambdaSmall"
         direction = (-1.0, 0.0)
-    br = trace(
+    br = continuation.trace(
         fam,
         start,
         step=args.step,
@@ -203,7 +188,7 @@ def _cmd_branch(args):
         direction=direction,
         origin=origin,
     )
-    rec = diagram([br.rows])
+    rec = continuation.diagram([br.rows])
     _write(args.out, rec.csv)
     if args.svg:
         _write(args.svg, rec.svg)
@@ -211,20 +196,16 @@ def _cmd_branch(args):
 
 
 def _cmd_classify(args):
-    from .singular import classify
-
     pb = _load_problem(args)
-    verdict = classify(pb)
+    verdict = singular.classify(pb)
     _write(args.out, json_text(verdict.to_dict()) + "\n")
     return 0
 
 
 def _cmd_singular(args):
-    from .singular import Absent, solve_singular
-
     pb = _load_problem(args)
-    got = solve_singular(pb)
-    if isinstance(got, Absent):
+    got = singular.solve_singular(pb)
+    if isinstance(got, singular.Absent):
         _write(args.out, json_text({"absent": got.reason, "detail": got.detail}) + "\n")
         return 0
     _write(args.out, json_text(_thin_mesh(got.to_dict())) + "\n")
@@ -232,8 +213,6 @@ def _cmd_singular(args):
 
 
 def _cmd_minimize(args):
-    from .varmin import minimize_multistart
-
     if args.starts < 1:
         raise UsageError("--starts must be at least 1")
     if args.n < 16:
@@ -241,7 +220,7 @@ def _cmd_minimize(args):
     pb = _load_problem(args)
     if pb.lam <= 0:
         raise UsageError("minimize needs lambda > 0 (pass --lambda)")
-    runs = minimize_multistart(pb, n=args.n, starts=args.starts)
+    runs = varmin.minimize_multistart(pb, n=args.n, starts=args.starts)
     best_u, best_v, info = runs[0]
     out = {
         "lambda": pb.lam,
@@ -256,26 +235,31 @@ def _cmd_minimize(args):
 
 
 def _parse_ladder(text):
+    """The --ladder rungs: comma-separated numbers or base**exponent powers, each a finite real.
+
+    Raises UsageError, which argparse passes on to main, naming the first
+    token that is not one.
+    """
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if "**" in tok:
-            base, expo = tok.split("**")
-            out.append(float(base) ** float(expo))
-        else:
-            out.append(float(tok))
+        base, power, expo = tok.partition("**")
+        try:
+            value = float(base) ** float(expo) if power else float(base)
+        except (ValueError, ArithmeticError):
+            value = None
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise UsageError(f"ladder token {tok!r} is not a finite real number")
+        out.append(value)
     return out
 
 
 def _cmd_rates(args):
-    from .asymptotics import build_family, flatness_and_node, grow_decay_rates
-
     pb = _load_problem(args)
     fam = ProblemFamily(pb.weight, pb.f)
-    ladder = _parse_ladder(args.ladder)
-    members = build_family(fam, ladder)
-    sl, sr, fits = grow_decay_rates(members, pb.weight.z)
-    flat = flatness_and_node(members, pb.weight.z, pb.f.M)
+    members = asymptotics.build_family(fam, args.ladder)
+    sl, sr, fits = asymptotics.grow_decay_rates(members, pb.weight.z)
+    flat = asymptotics.flatness_and_node(members, pb.weight.z, pb.f.M)
     out = {
         "ladder": [m.lam for m in members],
         "kinds": [m.kind for m in members],
@@ -297,8 +281,6 @@ def _cmd_rates(args):
 
 
 def _cmd_diagram(args):
-    from .continuation import diagram
-
     branches = []
     for path in args.inputs:  # each input is one branch
         lines = Path(path).read_text().strip().splitlines()
@@ -306,7 +288,7 @@ def _cmd_diagram(args):
             raise UsageError(f"{path} is not a diagram CSV")
         rows = (line.split(",") for line in lines[1:])
         branches.append([(float(lam), float(sup), kind) for lam, sup, kind in rows])
-    rec = diagram(branches, logy=args.log_y)
+    rec = continuation.diagram(branches, logy=args.log_y)
     _write(args.out, rec.csv)
     if args.svg:
         _write(args.svg, rec.svg)
@@ -314,36 +296,19 @@ def _cmd_diagram(args):
 
 
 def _cmd_verify(args):
-    from .acceptance import run_all
-
     subset = None
     if args.criteria:
         subset = [int(t) for t in args.criteria.split(",")]
-    ok = run_all(subset=subset)
+    ok = acceptance.run_all(subset=subset)
     return 0 if ok else 2
 
 
-_DISPATCH = {
-    "eig": _cmd_eig,
-    "solve": _cmd_solve,
-    "branch": _cmd_branch,
-    "classify": _cmd_classify,
-    "singular": _cmd_singular,
-    "minimize": _cmd_minimize,
-    "rates": _cmd_rates,
-    "diagram": _cmd_diagram,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return _DISPATCH[args.cmd](args)
     except (ValueError, RuntimeError, OSError) as e:
         print(f"curvebif: {e}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigen, emit, singular
 from .shoot import Blocked, integrate_path, shoot_partials, solution_from_path
 
 __all__ = [
@@ -243,12 +244,10 @@ def singular_sweep(pb_family, lams):
     the diagram directly.  Points are flagged near-singular: their graphs
     carry vertical tangents at the node.
     """
-    from .singular import Absent, solve_singular
-
     points = []
     for lam in sorted(float(l) for l in lams):
-        got = solve_singular(pb_family.at(lam))
-        if isinstance(got, Absent):
+        got = singular.solve_singular(pb_family.at(lam))
+        if isinstance(got, singular.Absent):
             continue
         points.append(BranchPoint(lam, got.us_left[0], got.sup_norm, got.deriv_norm, "near-singular", 0.0))
     return Branch(points=points, origin="SingularSweep", terminated_by="sweep-end")
@@ -261,11 +260,9 @@ def seed_from_lambda0(pb_family):
     lam0 the principal eigenvalue of the weight; Newton adjusts lam from
     there at height 1e-3 until the shooting residual vanishes.
     """
-    from .eigen import principal_neumann
-
     if pb_family.f.p != 1.0:
         raise ValueError("seeding from the eigenvalue needs a p = 1 nonlinearity")
-    lam0 = principal_neumann(pb_family.weight).eigenvalue
+    lam0 = eigen.principal_neumann(pb_family.weight).eigenvalue
     s0 = 1e-3
     return solve_lambda_at_height(pb_family, s0, lam0 / pb_family.f.c), s0
 
@@ -328,10 +325,8 @@ def diagram(branches, logy=False):
     The CSV concatenates the branches in order; the SVG draws each branch
     as its own curve.
     """
-    from .emit import csv_text, svg_plot
-
     rows = [row for b in branches for row in b]
     series = [run for b in branches for run in _kind_runs(b)]
-    csv = csv_text(("lambda", "sup_norm", "kind"), rows)
-    svg = svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=logy)
+    csv = emit.csv_text(("lambda", "sup_norm", "kind"), rows)
+    svg = emit.svg_plot(series, xlabel="lambda", ylabel="sup|u|", logy=logy)
     return DiagramRecord(rows=rows, csv=csv, svg=svg)

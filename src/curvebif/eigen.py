@@ -38,9 +38,12 @@ class EigenPair:
     boundary: str  # "neumann" | "dirichlet"
     interval: tuple
     residual: float
-    mesh_size: int
     segment_slices: tuple
     a_vals: np.ndarray  # weight sampled segment-correctly at xs
+
+    @property
+    def mesh_size(self):
+        return len(self.xs)
 
     def quad(self, values):
         """Simpson quadrature of nodal values over the stored grid."""
@@ -160,7 +163,6 @@ def _build_pair(weight, lam, r, s, y0, boundary):
         boundary=boundary,
         interval=(r, s),
         residual=res,
-        mesh_size=len(xs),
         segment_slices=tuple(slices),
         a_vals=a_vals,
     )

@@ -59,6 +59,13 @@ def _number(v):
     return float(v)
 
 
+def _only_keys(d, allowed, what):
+    """Refuse the first key of the JSON object d outside allowed: a misspelled key must not load a default."""
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {what}")
+
+
 @dataclass(frozen=True)
 class ConstantForm:
     """a(x) = c on the segment."""
@@ -217,16 +224,20 @@ class PowerForm:
         return {"kind": "power", "amplitude": self.amplitude, "exponent": self.exponent}
 
 
+_FORM_KEYS = {"constant": ("kind", "c"), "poly": ("kind", "coeffs"), "power": ("kind", "amplitude", "exponent")}
+
+
 def _form_from_dict(d, lo, hi, z):
     kind = d["kind"]
+    if kind not in _FORM_KEYS:
+        raise ValueError(f"unknown weight form kind {kind!r}")
+    _only_keys(d, _FORM_KEYS[kind], f"a {kind} form")
     if kind == "constant":
         return ConstantForm(_number(d["c"]))
     if kind == "poly":
         return PolynomialForm(tuple(_number(c) for c in d["coeffs"]))
-    if kind == "power":
-        side = "left" if hi <= z + 1e-12 else "right"
-        return PowerForm(_number(d["amplitude"]), _number(d["exponent"]), side)
-    raise ValueError(f"unknown weight form kind {kind!r}")
+    side = "left" if hi <= z + 1e-12 else "right"
+    return PowerForm(_number(d["amplitude"]), _number(d["exponent"]), side)
 
 
 @dataclass(frozen=True)
@@ -404,9 +415,11 @@ class Weight:
 
     @classmethod
     def from_dict(cls, d):
+        _only_keys(d, ("z", "segments"), "the weight")
         z = _number(d["z"])
         segs = []
         for sd in d["segments"]:
+            _only_keys(sd, ("interval", "form"), "a segment")
             lo, hi = (_number(v) for v in sd["interval"])
             segs.append(Segment(lo, hi, _form_from_dict(sd["form"], lo, hi, z)))
         return cls(z, tuple(segs))
@@ -682,6 +695,8 @@ class Nonlinearity:
     @classmethod
     def from_dict(cls, d):
         kind = d.get("kind", "prototype")
+        extra = {"smoothed": ("delta",), "table": ("u", "f")}.get(kind, ())
+        _only_keys(d, ("kind", "p", "q", "M", *extra), "f")
         kw = dict(
             kind=kind,
             p=_number(d.get("p", 1.0)),
@@ -719,6 +734,7 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, d, lam=None):
+        _only_keys(d, ("lambda", "weight", "f"), "the problem")
         if lam is None:
             lam = _number(d.get("lambda", 0.0))
         return cls(float(lam), Weight.from_dict(d["weight"]), Nonlinearity.from_dict(d["f"]))
@@ -735,27 +751,24 @@ class ProblemFamily:
         return ProblemInstance(float(lam), self.weight, self.f)
 
 
-def curvature_residual(pb, xs, us, dus=None):
+def curvature_residual(pb, xs, us, dus):
     """L1 norm over the mesh span of u'' + lam a f(u) (1 + u'^2)^(3/2).
 
-    Second derivatives come from centered differences on the supplied mesh
-    (of dus when given, of us otherwise), so the value is a diagnostic that
-    does not reuse the ODE right-hand side.  The mesh (increasing xs) is cut
-    at the pieces of pb.weight.spans, and a is evaluated with each piece's
-    own form: stencils never straddle a weight breakpoint, because u''
-    genuinely jumps where a does and a difference across the jump would
-    report discretization noise as defect.  Each piece is a slice (a view)
+    u'' comes from centered differences of the supplied slopes dus on the
+    mesh, so the value is a diagnostic that does not reuse the ODE
+    right-hand side.  The mesh (increasing xs) is cut at the pieces of
+    pb.weight.spans, and a is evaluated with each piece's own form:
+    stencils never straddle a weight breakpoint, because u'' genuinely
+    jumps where a does and a difference across the jump would report
+    discretization noise as defect.  Each piece is a slice (a view)
     of the mesh found by np.searchsorted, so mesh points on a breakpoint
     belong to both pieces; a piece with fewer than 4 points is skipped.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
+    dus = np.asarray(dus, dtype=float)
     if len(xs) < 8:
         raise ValueError("mesh too coarse for a residual estimate (need >= 8 points)")
-    if dus is None:
-        dus = np.gradient(us, xs, edge_order=2)
-    else:
-        dus = np.asarray(dus, dtype=float)
 
     total = 0.0
     for lo, hi, form in pb.weight.spans(xs[0], xs[-1]):

@@ -450,6 +450,7 @@ def _classify(pb, s0):
 
 
 def solution_from_path(pb, path):
+    """The RegularSolution of a path that reached x = 1."""
     xs, us, dus = _path_piece(path)
     return RegularSolution(
         lam=pb.lam,
@@ -458,7 +459,7 @@ def solution_from_path(pb, path):
         dus=dus,
         residual=curvature_residual(pb, xs, us, dus),
         balance=neumann_balance(pb, xs, us),
-        theta_end=path.theta_end if path.theta_end is not None else float("nan"),
+        theta_end=path.theta_end,
         dead_core=path.dead_core,
     )
 

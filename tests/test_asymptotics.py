@@ -59,8 +59,6 @@ def test_growth_lower_bound_monotone(rate_members):
 def test_rate_fit_preconditions(rate_members):
     with pytest.raises(ValueError):
         grow_decay_rates(rate_members[:3], 0.4)
-    with pytest.raises(ValueError):
-        grow_decay_rates(rate_members, 0.4, eta=0.5)
 
 
 def test_flatness_and_level_crossing(rate_members, bump_f):

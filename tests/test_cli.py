@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from curvebif.cli import DEFAULT_PROBLEM, _load_problem, build_parser, main
+from curvebif.asymptotics import default_ladder
+from curvebif.cli import DEFAULT_PROBLEM, _load_problem, _parse_ladder, build_parser, main
 
 
 def run_cli(args):
@@ -319,6 +320,29 @@ def test_non_object_f_is_a_bad_spec(f, capsys):
         assert run_cli([*cmd, "--problem", json.dumps(spec)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("curvebif: bad problem spec: ") and "Traceback" not in err
+
+
+def test_misspelled_keys_are_a_bad_spec(capsys):
+    # "lamda" would run lambda = 0 and "qq" would leave q = 0.5 if unknown keys were ignored
+    spec = {"weight": DEFAULT_PROBLEM["weight"], "f": {"kind": "prototype", "qq": 0.3}, "lamda": 50}
+    assert run_cli(["classify", "--problem", json.dumps(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("curvebif: bad problem spec: unknown key 'lamda' in the problem") and "Traceback" not in err
+    del spec["lamda"]
+    assert run_cli(["classify", "--problem", json.dumps(spec)]) == 1
+    assert "unknown key 'qq' in f" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["10**400", "0**-1", "-8**0.5", "2**3**4", "inf", "nan", "", "1e2x"])
+def test_bad_ladder_tokens_exit_one(token, capsys):
+    assert run_cli(["rates", f"--ladder=1e2,{token},1e3,1e4"]) == 1
+    err = capsys.readouterr().err
+    assert f"ladder token {token!r} is not a finite real number" in err and "Traceback" not in err
+
+
+def test_rates_defaults_to_the_library_ladder():
+    args = build_parser().parse_args(["rates"])
+    assert args.ladder == default_ladder() == tuple(_parse_ladder("1e2,10**2.5,1e3,10**3.5,1e4"))
 
 
 def test_flags_leave_the_default_problem_alone():

@@ -13,6 +13,7 @@ from curvebif import (
     ConstantForm,
     Nonlinearity,
     PolynomialForm,
+    PowerForm,
     ProblemInstance,
     Segment,
     TableWeight,
@@ -295,6 +296,39 @@ def test_nonlinearity_json_roundtrip():
     assert np.allclose(back(us), f(us))
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_form_and_f_kind_loads_from_its_json(kind):
+    weight = Weight(
+        0.4,
+        (
+            Segment(0.0, 0.2, PolynomialForm((1.0, 0.5))),
+            Segment(0.2, 0.4, PowerForm(1.0, 1.0, "left")),
+            Segment(0.4, 1.0, ConstantForm(-2.0)),
+        ),
+    )
+    pb = ProblemInstance(2.5, weight, Nonlinearity(**KINDS[kind]))
+    back = ProblemInstance.from_dict(json.loads(json.dumps(pb.to_dict())))
+    assert back == pb
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [("problem", "lamda"), ("weight", "zz"), ("segment", "intervals"), ("form", "coefs"), ("f", "qq"), ("f", "delta")],
+)
+def test_from_dict_refuses_an_unknown_key(jump_weight, bump_f, where, key):
+    d = ProblemInstance(2.5, jump_weight, bump_f).to_dict()
+    target = {
+        "problem": d,
+        "weight": d["weight"],
+        "segment": d["weight"]["segments"][0],
+        "form": d["weight"]["segments"][0]["form"],
+        "f": d["f"],
+    }[where]
+    target[key] = 1.0
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        ProblemInstance.from_dict(d)
+
+
 def test_problem_json_schema(jump_weight, bump_f):
     pb = ProblemInstance(2.5, jump_weight, bump_f)
     d = pb.to_dict()
@@ -308,7 +342,7 @@ def test_problem_json_schema(jump_weight, bump_f):
 def test_residual_constant_at_lambda_zero(jump_weight, bump_f):
     pb = ProblemInstance(0.0, jump_weight, bump_f)
     xs = np.linspace(0, 1, 101)
-    assert curvature_residual(pb, xs, np.full_like(xs, 0.7)) < 1e-10
+    assert curvature_residual(pb, xs, np.full_like(xs, 0.7), np.zeros_like(xs)) < 1e-10
 
 
 def test_residual_mesh_point_on_a_breakpoint_belongs_to_both_pieces(jump_weight, bump_f):
@@ -326,7 +360,7 @@ def test_residual_rejects_coarse_mesh(jump_weight, bump_f):
     pb = ProblemInstance(0.0, jump_weight, bump_f)
     xs = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
-        curvature_residual(pb, xs, np.zeros_like(xs))
+        curvature_residual(pb, xs, np.zeros_like(xs), np.zeros_like(xs))
 
 
 def test_balance_constant_witness(jump_weight, bump_f):
