@@ -176,7 +176,7 @@ def _cmd_branch(args):
         sols = shoot.find_regular(fam.at(lam_hi), s_min=1e-8, s_max=1e2, n_scan=48)
         if not sols:
             raise UsageError("no small solution found to seed the large-lambda branch")
-        start = (lam_hi, sols[0].sup_norm)
+        start = (lam_hi, float(sols[0].us[0]))  # trace shoots from its height at x = 0
         origin = "FromLargeLambdaSmall"
         direction = (-1.0, 0.0)
     br = continuation.trace(
@@ -283,11 +283,19 @@ def _cmd_rates(args):
 def _cmd_diagram(args):
     branches = []
     for path in args.inputs:  # each input is one branch
-        lines = Path(path).read_text().strip().splitlines()
+        lines = Path(path).read_text().rstrip().splitlines()
         if not lines or lines[0] != "lambda,sup_norm,kind":
             raise UsageError(f"{path} is not a diagram CSV")
-        rows = (line.split(",") for line in lines[1:])
-        branches.append([(float(lam), float(sup), kind) for lam, sup, kind in rows])
+        branches.append([])
+        for n, line in enumerate(lines[1:], start=2):
+            try:
+                lam, sup, kind = line.split(",")
+                lam, sup = float(lam), float(sup)
+            except ValueError:
+                lam = sup = math.nan
+            if not (math.isfinite(lam) and math.isfinite(sup)):
+                raise UsageError(f"{path}, line {n}: {line!r} is not a row lambda,sup_norm,kind with finite numbers")
+            branches[-1].append((lam, sup, kind))
     rec = continuation.diagram(branches, logy=args.log_y)
     _write(args.out, rec.csv)
     if args.svg:

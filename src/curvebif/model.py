@@ -228,9 +228,9 @@ _FORM_KEYS = {"constant": ("kind", "c"), "poly": ("kind", "coeffs"), "power": ("
 
 
 def _form_from_dict(d, lo, hi, z):
-    kind = d["kind"]
+    kind = d["kind"] if "kind" in d else None
     if kind not in _FORM_KEYS:
-        raise ValueError(f"unknown weight form kind {kind!r}")
+        raise ValueError(f'a weight form needs a "kind" of {", ".join(_FORM_KEYS)}, not {kind!r}')
     _only_keys(d, _FORM_KEYS[kind], f"a {kind} form")
     if kind == "constant":
         return ConstantForm(_number(d["c"]))

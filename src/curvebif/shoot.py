@@ -44,6 +44,9 @@ __all__ = [
 
 _RTOL = 1e-11
 _ATOL = (1e-12, 1e-12, 1e-13)
+# a backward march (the right jump piece) grows exponentially from heights
+# hundreds of decades below one: error control on u stays relative
+_BACKWARD_ATOL = (1e-12, 0.0, 1e-13)
 _U_MAX = 1e15  # height at which a shot stops with terminal "cap"
 _NFEV_MAX = 4_000_000  # right-hand-side calls per march; past it the march ends on "cap"
 _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
@@ -195,13 +198,11 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
-def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None, partials=False):
+def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=False):
     """Integrate the arclength system from x_start toward x_target.
 
     Returns an ArcPath.  collect is None for a scan shot, which skips mesh
-    assembly, or the (dtheta, dx) spacing of the stored path.  atol
-    overrides the per-component absolute tolerances; passing 0 for the
-    height keeps relative control over exponentially small heights.
+    assembly, or the (dtheta, dx) spacing of the stored path.
 
     partials=True carries d(x, u, theta)/d lam and d(x, u, theta)/d u_start
     as six more components through the same steps, events and budget, and
@@ -228,7 +229,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, atol=None, p
     dead_core = False
     ys_parts = []
     rtol = _RTOL
-    atol = _ATOL if atol is None else atol
+    atol = _ATOL if direction > 0 else _BACKWARD_ATOL
     if partials:
         # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
         y = np.concatenate([y, (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)])

@@ -125,9 +125,6 @@ def smallness_guard(pb):
 # ---------------------------------------------------------------------------
 # piece construction
 
-# the backward right piece grows exponentially from heights that may sit
-# hundreds of decades below one; error control on u must stay relative
-_RIGHT_ATOL = (1e-12, 0.0, 1e-13)
 # pieces carry vertical tangents; the reporting mesh needs fine angle
 # grading for the trimmed piece residuals to resolve the steep layer.  At an
 # angle step of 3e-5 (52-55k points per piece) the worst centred-difference
@@ -144,9 +141,7 @@ _FLOOR_MIN = 1e-300
 
 def _piece_shot(pb, height, side, collect=None):
     """March one piece from its outer boundary, flat at the given height, to the node."""
-    if side == "left":
-        return _march(pb, 0.0, height, 0.0, pb.weight.z, collect=collect)
-    return _march(pb, 1.0, height, 0.0, pb.weight.z, collect=collect, atol=_RIGHT_ATOL)
+    return _march(pb, 0.0 if side == "left" else 1.0, height, 0.0, pb.weight.z, collect=collect)
 
 
 def _piece_value(pb, height, side):
@@ -306,9 +301,9 @@ def classify(pb, u=None):
     integral of the weight, then (when both are finite and a solution trace
     is supplied) a search for a jump witness.  Without a trace the jump can
     never be certified, because the witness inequality needs solution
-    values; the verdict is then Inconclusive.  The trace is a
-    SingularSolution or any object with increasing mesh arrays ``xs`` and
-    ``us`` on both sides of the node (a regular solution, for one).
+    values; the verdict is then Inconclusive.  The trace is a Solution,
+    read through its pieces: a jump solution's two pieces, or one piece
+    that reaches both sides of the node.
     """
     if not pb.weight.has_sign_split:
         raise ValueError("classification needs a sign-split weight")
@@ -334,17 +329,18 @@ def classify(pb, u=None):
 def _trace_sides(pb, u):
     """Per side, outward from the node: distance d, u, h = lam |a| f(u) and H.
 
-    d is z - x on the left and x - z on the right (a piece end may lie a
-    hair past z); a is taken on the side's own segment; H, the cumulative
-    trapezoid of h in d, is lam |int_x^z a f(u)|.
+    u is a Solution: two pieces are its two sides, and one piece is split
+    at z.  d is z - x on the left and x - z on the right (a piece end may
+    lie a hair past z); a is taken on the side's own segment; H, the
+    cumulative trapezoid of h in d, is lam |int_x^z a f(u)|.
     """
     z = pb.weight.z
-    if isinstance(u, SingularSolution):
-        xl, ul, xr, ur = u.xs_left, u.us_left, u.xs_right, u.us_right
-    else:
-        xs, us = np.asarray(u.xs, float), np.asarray(u.us, float)
+    pieces = u.pieces
+    if len(pieces) == 1:
+        ((xs, us, dus),) = pieces
         k = np.searchsorted(xs, z)
-        xl, ul, xr, ur = xs[:k], us[:k], xs[k:], us[k:]
+        pieces = (xs[:k], us[:k], dus[:k]), (xs[k:], us[k:], dus[k:])
+    (xl, ul, _), (xr, ur, _) = pieces
     if xl.size == 0 or xr.size == 0:
         raise ValueError("the trace must reach both sides of the node")
     below = np.nextafter(z, 0.0)  # Weight.eval looks up [lo, hi): keep x < z on the left
@@ -360,44 +356,38 @@ def _trace_sides(pb, u):
 def _find_witness(pb, u):
     """Scan pairs z -+ off toward the node; the first certified pair wins.
 
-    u is a SingularSolution, whose two pieces are used as they are, or a
-    trace with increasing xs and us, split at z.  A pair is certified when
-    int H^(-1/2) over it, with H(x) = lam |int_x^z a f(u)| integrated once
-    per side by _trace_sides and each half graded as d = t^2, is at most
-    0.99 of u(z - off) - u(z + off).
+    A pair is certified when int H^(-1/2) over it, with H(x) = lam |int_x^z
+    a f(u)| from _trace_sides, is at most 0.99 of u(z - off) - u(z + off).
+    Each half is int 2t / sqrt(H) dt in t = sqrt(d), which takes out the
+    node's inverse square root: one cumulative trapezoid per side, read at
+    t = sqrt(off) for every pair.
     """
     sides = _trace_sides(pb, u)
     z = pb.weight.z
 
     # flux lower bound near the node: needed to transfer integrability of
-    # the weight integrals to the solution-weighted ones
+    # the weight integrals to the solution-weighted ones (f > 0 where u > 0)
     eta = 0.5 * min(z, 1.0 - z)
     near = np.concatenate([us[(d > 1e-12) & (d < eta)] for d, us, _, _ in sides])
-    if near.size == 0 or np.min(pb.lam * pb.f(near)) <= 0.0:
+    if near.size == 0 or np.min(near) <= 0.0:
         return None
 
-    def outer(off):
-        """int_{z-off}^{z+off} H^(-1/2), sqrt-graded at the node from both sides."""
-        t = np.linspace(0.0, math.sqrt(off), 2001)
-        total = 0.0
-        for d, _, h, H in sides:
-            Hq = np.interp(t[1:] ** 2, d, H)
-            if np.any(Hq <= 0.0):
-                return None
-            grad = np.empty_like(t)
-            grad[1:] = 2.0 * t[1:] / np.sqrt(Hq)
-            # H ~ kappa d at the node, with kappa the node value of h
-            grad[0] = 2.0 / math.sqrt(h[0]) if h[0] > 0 else grad[1]
-            total += float(np.trapezoid(grad, t))
-        return total
+    halves = []
+    for d, us, h, H in sides:
+        t = np.sqrt(np.maximum(d, 0.0))  # a right piece may start a hair before z
+        g = np.empty_like(t)
+        g[1:] = 2.0 * t[1:] / np.sqrt(H[1:])
+        # H ~ kappa d at the node, with kappa the node value of h
+        g[0] = 2.0 / math.sqrt(h[0]) if h[0] > 0 else g[1]
+        halves.append((d, us, t, cumulative_trapezoid(g, t, initial=0.0)))
 
-    (dl, ul, _, _), (dr, ur, _, _) = sides
+    (dl, ul, tl, wl), (dr, ur, tr, wr) = halves
     for k in range(1, 13):
         off = eta * 0.5 ** (k - 1)
         drop = float(np.interp(off, dl, ul) - np.interp(off, dr, ur))
         if drop <= 0:
             continue
-        w = outer(off)
-        if w is not None and w <= 0.99 * drop:  # one percent slack
+        w = float(np.interp(math.sqrt(off), tl, wl) + np.interp(math.sqrt(off), tr, wr))
+        if w <= 0.99 * drop:  # one percent slack
             return Witness(z - off, z + off, w, drop)
     return None

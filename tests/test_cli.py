@@ -263,6 +263,30 @@ def test_branch_large_lambda_seed(tmp_path):
     assert lams[-1] < lams[0]  # traced toward smaller parameters
 
 
+def test_branch_large_lambda_seed_starts_from_the_height_at_zero(tmp_path):
+    # a < 0 left of the node makes u increase, so the sup norm is u(1), not
+    # the height u(0) that trace shoots from
+    problem = {
+        "weight": {
+            "z": 0.6,
+            "segments": [
+                {"interval": [0.0, 0.6], "form": {"kind": "constant", "c": -2.0}},
+                {"interval": [0.6, 1.0], "form": {"kind": "constant", "c": 1.0}},
+            ],
+        },
+        "f": {"kind": "prototype", "p": 2.0, "q": 0.5, "M": 1.0},
+    }
+    csv = tmp_path / "large.csv"
+    code = run_cli(
+        ["branch", "--problem", json.dumps(problem), "--seed", "large-lambda", "--lambda-max", "200",
+         "--max-points", "5", "--out", str(csv)]
+    )
+    assert code == 0
+    rows = csv.read_text().strip().splitlines()[1:]
+    assert len(rows) == 5
+    assert float(rows[0].split(",")[0]) == 200.0
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["classify", "--problem", "{not json"]) == 1
     assert run_cli(["solve", "--lambda", "-3"]) == 1
@@ -385,6 +409,25 @@ def test_diagram_rejects_a_csv_that_is_not_a_diagram(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad} is not a diagram CSV" in err and "Traceback" not in err
     assert not merged.exists()
+
+
+@pytest.mark.parametrize("row", ["nan,inf,regular", "2,x,regular", "2,2", "2,2,regular,extra"])
+def test_diagram_names_the_file_and_line_of_a_bad_row(tmp_path, capsys, row):
+    # a non-finite or non-number value, or a wrong field count
+    csv, merged = tmp_path / "a.csv", tmp_path / "merged.csv"
+    csv.write_text(f"lambda,sup_norm,kind\n1,1,regular\n{row}\n")
+    assert run_cli(["diagram", "--in", str(csv), "--out", str(merged), "--svg", str(tmp_path / "m.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"curvebif: {csv}, line 3: {row!r} is not a row lambda,sup_norm,kind with finite numbers\n"
+    assert not merged.exists()
+
+
+def test_a_weight_form_without_a_kind_is_a_bad_spec(capsys):
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
+    del spec["weight"]["segments"][0]["form"]["kind"]
+    assert run_cli(["eig", "--problem", json.dumps(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err == 'curvebif: bad problem spec: a weight form needs a "kind" of constant, poly, power, not None\n'
 
 
 def test_rates_emits_json_and_svg(tmp_path):

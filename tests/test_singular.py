@@ -97,11 +97,12 @@ def test_jump_certification(jump_solution_50):
 
 
 def test_classify_needs_both_sides_of_the_node(jump_weight, bump_f):
-    from types import SimpleNamespace
+    from curvebif.shoot import RegularSolution
 
     xs = np.linspace(0.0, 0.3, 100)
+    short = RegularSolution(50.0, xs, np.ones_like(xs), np.zeros_like(xs), residual=0.0, balance=0.0, theta_end=0.0)
     with pytest.raises(ValueError):
-        classify(ProblemInstance(50.0, jump_weight, bump_f), SimpleNamespace(xs=xs, us=np.ones_like(xs)))
+        classify(ProblemInstance(50.0, jump_weight, bump_f), short)
 
 
 def test_refusals(jump_weight, bump_f):
@@ -317,6 +318,24 @@ def test_witness_matches_closed_form(jump_weight, bump_f, lead, rel):
     want = 2.0 * math.sqrt(off / (lam * 1.0 * ul)) + 2.0 * math.sqrt(off / (lam * 2.0 * ur))
     assert want == pytest.approx(0.72673644, rel=1e-8)
     assert w.integral == pytest.approx(want, rel=rel)
+
+
+def test_witness_splits_a_one_piece_solution_at_the_node(jump_weight, bump_f):
+    # the closed-form trace above as one piece: the node point goes to the
+    # right side, so the left side starts one mesh step, 2e-6, from z, and
+    # its half misses at most the strip 2 sqrt(2e-6 / (lam ul)) = 4.2e-4
+    from curvebif.shoot import RegularSolution
+
+    lam, z, ul, ur = 50.0, 0.4, 0.9, 0.01
+    xs = np.concatenate([np.linspace(0.0, z, 200001)[:-1], np.linspace(z, 1.0, 300001)])
+    us = np.where(xs < z, ul, ur)
+    trace = RegularSolution(lam, xs, us, np.zeros_like(xs), residual=0.0, balance=0.0, theta_end=0.0)
+    v = classify(ProblemInstance(lam, jump_weight, bump_f), trace)
+    assert v.tag == "JumpCertified"
+    assert (v.witness.x1, v.witness.x2) == pytest.approx((z - 0.1, z + 0.1), abs=1e-15)
+    assert v.witness.drop == pytest.approx(ul - ur, rel=1e-12)
+    want = 2.0 * math.sqrt(0.1 / (lam * 1.0 * ul)) + 2.0 * math.sqrt(0.1 / (lam * 2.0 * ur))
+    assert want - 2.0 * math.sqrt(2e-6 / (lam * ul)) <= v.witness.integral < want
 
 
 def test_left_node_height_below_the_right_is_refused(jump_weight, monkeypatch):
