@@ -84,9 +84,14 @@ def lam0_jump():
 
 
 @lru_cache(maxsize=None)
-def eigen_oracle():
-    """Transcendental matching equation solved by scalar bisection only."""
-    A, B, z = A_STEP, B_STEP, Z_NODE
+def eigen_oracle(A=A_STEP, B=B_STEP, z=Z_NODE):
+    """Principal Neumann eigenvalue of the weight A on [0, z), -B on [z, 1].
+
+    The root of the matching equation sqrt(A) tan(sqrt(lam A) z) =
+    sqrt(B) tanh(sqrt(lam B) (1 - z)) below the tangent's first pole, found
+    by brentq on that closed form: no ODE is shot.  The weight needs a
+    negative mean, A z < B (1 - z).
+    """
 
     def g(lam):
         return math.sqrt(A) * math.tan(math.sqrt(lam * A) * z) - math.sqrt(B) * math.tanh(

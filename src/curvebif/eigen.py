@@ -6,8 +6,11 @@ principal_neumann finds the unique positive lam0 for which
 
 admits a positive eigenfunction; principal_dirichlet does the same for
 Dirichlet conditions on a subinterval where a is positive.  Both shoot the
-linear ODE from one endpoint and bisect on the parameter, restricted to the
-window where the solution stays positive.  bif_direction evaluates the
+linear ODE from one endpoint and read the signed end value (phi'(1) or
+phi(s)), restricted to the window where the solution stays positive: a shot
+that crosses zero is an overshoot whose value is only a sign.  The bracket
+is bisected while its upper end is such a crossing and then refined by
+Brent's method between its two exact ends.  bif_direction evaluates the
 closed-form quadratures that give the slope and curvature of the branch of
 nontrivial solutions leaving the trivial line at lam0.
 """
@@ -19,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
+from scipy.optimize import brentq
 
 __all__ = ["EigenPair", "principal_neumann", "principal_dirichlet", "bif_direction", "rayleigh_identity"]
 
 _RTOL = 1e-12
 _ATOL = 1e-14
 _MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap, as a fraction of the shot's interval
+_CROSSED = -math.inf  # end value of a shot that crossed zero: an overshoot, never a root
+_BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
 
 
 @dataclass
@@ -53,12 +59,13 @@ class EigenPair:
         return float(total)
 
 
-def _shoot_linear(weight, lam, r, s, y0):
+def _shoot_linear(weight, lam, r, s, y0, dense=False):
     """Integrate phi'' = -lam a phi across [r, s] with breakpoint hygiene.
 
     Returns (phi(s), dphi(s), crossed_zero, solutions) where solutions is a
-    list of (lo, t_end, OdeSolution, form) for dense evaluation: one per
-    segment piece, t_end being hi or the zero crossing that stopped it.
+    list of (lo, t_end, OdeSolution, form): one per segment piece, t_end
+    being hi or the zero crossing that stopped it.  The OdeSolution is None
+    unless dense is set.
     """
     z = weight.z
     y = np.array(y0, dtype=float)
@@ -84,7 +91,7 @@ def _shoot_linear(weight, lam, r, s, y0):
             method="DOP853",
             rtol=_RTOL,
             atol=_ATOL,
-            dense_output=True,
+            dense_output=dense,
             events=zero,
             max_step=max_step,
         )
@@ -98,35 +105,74 @@ def _shoot_linear(weight, lam, r, s, y0):
     return float(y[0]), float(y[1]), crossed, sols
 
 
-def _bracket_and_bisect(above, lam_seed, lam_max, rel_tol):
-    """First lam > 0 where the boolean shooting classifier above(lam) turns True."""
-    lam_hi = lam_seed
+class _Crossing(Exception):
+    """A shot inside an exact bracket crossed zero; the bracket falls back to bisection."""
+
+
+def _bracket_and_refine(value, lam_seed, lam_max, rel_tol):
+    """First lam > 0 where the signed shooting value(lam) stops being positive.
+
+    value(lam) is positive below the eigenvalue and not positive above it;
+    _CROSSED marks an overshoot whose value is only a sign.  The bracket
+    doubles or halves lam from lam_seed, is bisected while its upper end is
+    _CROSSED and is then refined by brentq between its two exact ends, to a
+    relative width of max(rel_tol, 4 eps).  A crossing met inside the
+    exact bracket becomes its upper end and costs one bisection step, so
+    every pass that does not return at least halves the bracket.
+    """
+    v_seed = value(lam_seed)
     guard = 0
-    while not above(lam_hi):
-        lam_hi *= 2.0
-        guard += 1
-        if lam_hi > lam_max or guard > 200:
-            raise ValueError("no eigenvalue bracket found below lam_max")
-    lam_lo = lam_hi / 2.0
-    while above(lam_lo):
-        lam_hi = lam_lo
-        lam_lo /= 2.0
-        guard += 1
-        if lam_lo < 1e-14 or guard > 400:
-            raise ValueError("no eigenvalue bracket found above zero")
-    while (lam_hi - lam_lo) > rel_tol * lam_lo:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid in (lam_lo, lam_hi):  # the ends are adjacent floats: rel_tol is below the spacing
-            break
-        if above(mid):
-            lam_hi = mid
+    if v_seed > 0:
+        hi, v_hi = lam_seed, v_seed
+        while v_hi > 0:
+            lo, v_lo = hi, v_hi
+            hi *= 2.0
+            guard += 1
+            if hi > lam_max or guard > 200:
+                raise ValueError("no eigenvalue bracket found below lam_max")
+            v_hi = value(hi)
+    else:
+        lo, v_lo = lam_seed, v_seed
+        while not v_lo > 0:
+            hi, v_hi = lo, v_lo
+            lo /= 2.0
+            guard += 1
+            if lo < 1e-14 or guard > 400:
+                raise ValueError("no eigenvalue bracket found above zero")
+            v_lo = value(lo)
+
+    def step(lam):  # shoot at lam inside the bracket and shrink the bracket onto it
+        nonlocal lo, v_lo, hi, v_hi
+        v = value(lam)
+        if v > 0:
+            lo, v_lo = lam, v
         else:
-            lam_lo = mid
-    return 0.5 * (lam_lo + lam_hi)
+            hi, v_hi = lam, v
+        return v
+
+    def exact(lam):  # brentq's function: the known ends cost no shot
+        if lam in (lo, hi):
+            return v_lo if lam == lo else v_hi
+        v = step(lam)
+        if v == _CROSSED:
+            raise _Crossing
+        return v
+
+    while hi - lo > rel_tol * lo:
+        if v_hi != _CROSSED:
+            try:
+                return brentq(exact, lo, hi, xtol=np.finfo(float).tiny, rtol=max(rel_tol, _BRENTQ_RTOL))
+            except _Crossing:  # the crossing is now the upper end
+                pass
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the ends are adjacent floats: rel_tol is below the spacing
+            break
+        step(mid)
+    return 0.5 * (lo + hi)
 
 
 def _build_pair(weight, lam, r, s, y0, boundary):
-    _, _, _, sols = _shoot_linear(weight, lam, r, s, y0)
+    _, _, _, sols = _shoot_linear(weight, lam, r, s, y0, dense=True)
     xs_parts, slices, vals, a_parts = [], [], [], []
     n_segments = max(1, len(sols))
     pts_per = max(17, 2 * (512 // (2 * n_segments)) + 1)  # about 512 samples
@@ -171,23 +217,24 @@ def _build_pair(weight, lam, r, s, y0, boundary):
 def _principal(weight, r, s, y0, end, lam_max, tol, boundary):
     """The lam > 0 where the shot from y0 at r first fails to stay positive with y[end] > 0 at s."""
 
-    def above(lam):
+    def value(lam):
         *y_end, crossed, _ = _shoot_linear(weight, lam, r, s, y0)
-        return crossed or not y_end[end] > 0.0  # a crossed zero is an overshoot
+        return _CROSSED if crossed else y_end[end]
 
     lam_seed = (math.pi / (s - r)) ** 2 / max(weight.sup_positive_part(), 1e-6)
-    lam = _bracket_and_bisect(above, lam_seed, lam_max, tol)
+    lam = _bracket_and_refine(value, lam_seed, lam_max, tol)
     return _build_pair(weight, lam, r, s, y0, boundary)
 
 
 def principal_neumann(weight, tol=1e-12):
     """Smallest lam > 0 with a positive Neumann eigenfunction on (0, 1).
 
-    Shoots from phi(0) = 1, phi'(0) = 0 and bisects on the sign of phi'(1),
-    treating loss of positivity as overshoot, to relative width tol < 1.
-    The weight must have negative mean and a positive part; uniqueness of
-    the positive eigenvalue then holds and bisection from below cannot skip
-    it.
+    Shoots from phi(0) = 1, phi'(0) = 0 and finds the root of phi'(1),
+    treating loss of positivity as overshoot: bisection while the upper
+    end is such an overshoot, then brentq between exact phi'(1) values,
+    to relative width max(tol, 4 eps) for tol < 1.  The weight must have
+    negative mean and a positive part; uniqueness of the positive
+    eigenvalue then holds and the bracket from below cannot skip it.
     """
     if not (0 < tol < 1):
         raise ValueError("tolerance must lie in (0, 1)")
@@ -201,7 +248,8 @@ def principal_neumann(weight, tol=1e-12):
 def principal_dirichlet(weight, interval):
     """Smallest mu > 0 with a positive Dirichlet eigenfunction on the interval.
 
-    Shoots from phi(r) = 0, phi'(r) = 1 and bisects on the sign of phi(s).
+    Shoots from phi(r) = 0, phi'(r) = 1 and bisects on the sign of phi(s):
+    above mu every shot crosses zero before s, so no exact upper end exists.
     """
     r, s = interval
     if not (0.0 <= r < s <= 1.0):

@@ -3,27 +3,17 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 
 from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemFamily, Segment, Weight
-from curvebif import eigen
+from curvebif import eigen, two_constant_weight
+from curvebif.acceptance import eigen_oracle
 from curvebif.continuation import solve_lambda_at_height
 from curvebif.eigen import bif_direction, principal_dirichlet, principal_neumann, rayleigh_identity
 
 
-def transcendental_lam0(A, B, z):
-    def g(lam):
-        return math.sqrt(A) * math.tan(math.sqrt(lam * A) * z) - math.sqrt(B) * math.tanh(
-            math.sqrt(lam * B) * (1 - z)
-        )
-
-    pole = (math.pi / 2) ** 2 / (A * z * z)
-    return brentq(g, 1e-9, pole * (1 - 1e-12), xtol=1e-14, rtol=8.9e-16)
-
-
 def test_neumann_matches_matching_equation(jump_weight):
     pair = principal_neumann(jump_weight)
-    oracle = transcendental_lam0(1.0, 2.0, 0.4)
+    oracle = eigen_oracle()
     assert pair.eigenvalue == pytest.approx(oracle, rel=1e-6)
     assert pair.residual <= 1e-6
     assert np.min(pair.phi) > 0
@@ -154,13 +144,53 @@ def test_bracket_halves_down_to_an_eigenvalue_below_half_the_seed():
     w = Weight(0.4, (Segment(0.0, 0.4, ConstantForm(1.0)), Segment(0.4, 1.0, ConstantForm(-0.7))))
     lam0 = principal_neumann(w).eigenvalue
     assert lam0 < 0.5 * math.pi ** 2
-    oracle = transcendental_lam0(1.0, 0.7, 0.4)
+    oracle = eigen_oracle(1.0, 0.7, 0.4)
     assert oracle == pytest.approx(0.35787340417089314, rel=1e-15)
     assert lam0 == pytest.approx(oracle, rel=1e-12)
 
 
+def _drawn_step_weights(n, seed=20261019):
+    # A on [0, z), -B on [z, 1] with B (1 - z) between 1.1 and 10 times A z
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        A, z, excess = (float(v) for v in (rng.uniform(0.2, 5.0), rng.uniform(0.1, 0.9), rng.uniform(1.1, 10.0)))
+        yield A, A * z / (1.0 - z) * excess, z
+
+
+@pytest.mark.parametrize("A,B,z", list(_drawn_step_weights(10)), ids=[f"w{i}" for i in range(10)])
+def test_neumann_refines_between_exact_ends(A, B, z, monkeypatch):
+    # Brent steps between exact phi'(1) values reach the matching-equation
+    # root in at most 32 linear shots; bisecting the sign alone took 43-47
+    shots = []
+    shoot = eigen._shoot_linear
+
+    def counted(*args, **kwargs):
+        shots.append(args[1])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "_shoot_linear", counted)
+    lam0 = principal_neumann(two_constant_weight(A, B, z)).eigenvalue
+    assert lam0 == pytest.approx(eigen_oracle(A, B, z), rel=1e-11)
+    assert len(shots) <= 32
+
+
+def test_crossing_inside_an_exact_bracket_falls_back_to_bisection():
+    # every shot strictly between the root 1.3 and 1.9 crosses zero, so brentq's
+    # first step inside the exact bracket [1, 2] meets a crossing; bisection
+    # then narrows the bracket to the relative width with a crossed upper end
+    calls = []
+
+    def value(lam):
+        calls.append(lam)
+        return eigen._CROSSED if 1.3 < lam < 1.9 else math.log(1.3 / lam)
+
+    lam = eigen._bracket_and_refine(value, 1.0, 1e6, 1e-12)
+    assert lam == pytest.approx(1.3, rel=1e-12)
+    assert any(1.3 < c < 1.9 for c in calls) and len(calls) < 60
+
+
 def test_tolerance_below_float_spacing_ends(jump_weight):
-    # the bisection stops once its ends are adjacent floats
+    # the refinement stops once its ends are a few floats apart
     fine = principal_neumann(jump_weight, tol=1e-17).eigenvalue
     assert fine == pytest.approx(principal_neumann(jump_weight, tol=1e-12).eigenvalue, rel=1e-12)
 
