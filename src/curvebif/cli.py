@@ -137,7 +137,7 @@ def build_parser():
     sp.add_argument("--log-y", action="store_true")
 
     sp = command("verify", _cmd_verify, "run the acceptance suite", problem=False)
-    sp.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,2,7")
+    sp.add_argument("--criteria", type=_parse_criteria, default=None, help="comma-separated subset, e.g. 1,2,7")
     return p
 
 
@@ -303,11 +303,24 @@ def _cmd_diagram(args):
     return 0
 
 
+def _parse_criteria(text):
+    """The --criteria subset: comma-separated integers.
+
+    Raises UsageError, which argparse passes on to main, naming the first
+    token that is not one; an empty value is such a token, not "all".
+    """
+    out = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise UsageError(f"--criteria token {tok!r} is not an integer")
+    return out
+
+
 def _cmd_verify(args):
-    subset = None
-    if args.criteria:
-        subset = [int(t) for t in args.criteria.split(",")]
-    ok = acceptance.run_all(subset=subset)
+    ok = acceptance.run_all(subset=args.criteria)
     return 0 if ok else 2
 
 

@@ -177,10 +177,12 @@ def trace(
     trivial line records the terminal lam), or when the corrector keeps
     failing at the minimum step, which is the usual sign of a singular
     transition ahead.  step, the scaled predictor step, must be positive
-    and finite.
+    and finite, and max_points, which counts the start point, at least 1.
     """
     if not (0 < step < math.inf):
         raise ValueError("the continuation step must be positive and finite")
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     lam, s0 = float(start[0]), float(start[1])
     r0, r_lam, r_s0 = _shot(pb_family, lam, s0)
     if math.isnan(r0) or abs(r0) > 1e-6:

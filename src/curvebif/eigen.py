@@ -1,18 +1,17 @@
-"""Principal eigenvalues of the weighted linear problem, by shooting.
+"""Principal eigenvalue of the weighted Neumann problem, by shooting.
 
 principal_neumann finds the unique positive lam0 for which
 
     -phi'' = lam a(x) phi,   phi'(0) = phi'(1) = 0
 
-admits a positive eigenfunction; principal_dirichlet does the same for
-Dirichlet conditions on a subinterval where a is positive.  Both shoot the
-linear ODE from one endpoint and read the signed end value (phi'(1) or
-phi(s)), restricted to the window where the solution stays positive: a shot
-that crosses zero is an overshoot whose value is only a sign.  The bracket
-is bisected while its upper end is such a crossing and then refined by
-Brent's method between its two exact ends.  bif_direction evaluates the
-closed-form quadratures that give the slope and curvature of the branch of
-nontrivial solutions leaving the trivial line at lam0.
+admits a positive eigenfunction.  It shoots the linear ODE from phi(0) = 1,
+phi'(0) = 0 and reads the signed end value phi'(1), restricted to the
+window where the solution stays positive: a shot that crosses zero is an
+overshoot whose value is only a sign.  The bracket is bisected while its
+upper end is such a crossing and then refined by Brent's method between
+its two exact ends.  bif_direction evaluates the closed-form quadratures
+that give the slope and curvature of the branch of nontrivial solutions
+leaving the trivial line at lam0.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import brentq
 
-__all__ = ["EigenPair", "principal_neumann", "principal_dirichlet", "bif_direction", "rayleigh_identity"]
+__all__ = ["EigenPair", "principal_neumann", "bif_direction", "rayleigh_identity"]
 
 _RTOL = 1e-12
 _ATOL = 1e-14
-_MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap, as a fraction of the shot's interval
+_MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap on [0, 1]
+_LAM_MAX = 1e6  # the bracket gives up doubling above this
 _CROSSED = -math.inf  # end value of a shot that crossed zero: an overshoot, never a root
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
 
@@ -41,8 +41,6 @@ class EigenPair:
     xs: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
-    boundary: str  # "neumann" | "dirichlet"
-    interval: tuple
     residual: float
     segment_slices: tuple
     a_vals: np.ndarray  # weight sampled segment-correctly at xs
@@ -59,27 +57,26 @@ class EigenPair:
         return float(total)
 
 
-def _shoot_linear(weight, lam, r, s, y0, dense=False):
-    """Integrate phi'' = -lam a phi across [r, s] with breakpoint hygiene.
+def _shoot_linear(weight, lam, dense=False):
+    """Integrate phi'' = -lam a phi across [0, 1] from phi = 1, phi' = 0.
 
-    Returns (phi(s), dphi(s), crossed_zero, solutions) where solutions is a
+    Returns (phi(1), dphi(1), crossed_zero, solutions) where solutions is a
     list of (lo, t_end, OdeSolution, form): one per segment piece, t_end
     being hi or the zero crossing that stopped it.  The OdeSolution is None
     unless dense is set.
     """
     z = weight.z
-    y = np.array(y0, dtype=float)
+    y = np.array((1.0, 0.0))
     crossed = False
     sols = []
-    max_step = (s - r) * _MAX_STEP_FRAC
 
     def zero(x, yv):
         return yv[0]
 
     zero.terminal = True
-    zero.direction = -1.0  # downward crossings; ignores the Dirichlet start at zero
+    zero.direction = -1.0  # phi starts at 1, so the first crossing is downward
 
-    for lo, hi, form in weight.spans(r, s):
+    for lo, hi, form in weight.spans(0.0, 1.0):
         def rhs(x, yv, a=form.scalar(z)):
             phi, dphi = yv.tolist()
             return [dphi, -lam * a(x) * phi]
@@ -93,7 +90,7 @@ def _shoot_linear(weight, lam, r, s, y0, dense=False):
             atol=_ATOL,
             dense_output=dense,
             events=zero,
-            max_step=max_step,
+            max_step=_MAX_STEP_FRAC,
         )
         if out.status == -1:
             raise RuntimeError(f"linear shooting failed: {out.message}")
@@ -109,7 +106,7 @@ class _Crossing(Exception):
     """A shot inside an exact bracket crossed zero; the bracket falls back to bisection."""
 
 
-def _bracket_and_refine(value, lam_seed, lam_max, rel_tol):
+def _bracket_and_refine(value, lam_seed, rel_tol):
     """First lam > 0 where the signed shooting value(lam) stops being positive.
 
     value(lam) is positive below the eigenvalue and not positive above it;
@@ -128,8 +125,8 @@ def _bracket_and_refine(value, lam_seed, lam_max, rel_tol):
             lo, v_lo = hi, v_hi
             hi *= 2.0
             guard += 1
-            if hi > lam_max or guard > 200:
-                raise ValueError("no eigenvalue bracket found below lam_max")
+            if hi > _LAM_MAX or guard > 200:
+                raise ValueError(f"no eigenvalue bracket found below {_LAM_MAX:g}")
             v_hi = value(hi)
     else:
         lo, v_lo = lam_seed, v_seed
@@ -171,8 +168,8 @@ def _bracket_and_refine(value, lam_seed, lam_max, rel_tol):
     return 0.5 * (lo + hi)
 
 
-def _build_pair(weight, lam, r, s, y0, boundary):
-    _, _, _, sols = _shoot_linear(weight, lam, r, s, y0, dense=True)
+def _build_pair(weight, lam):
+    _, _, _, sols = _shoot_linear(weight, lam, dense=True)
     xs_parts, slices, vals, a_parts = [], [], [], []
     n_segments = max(1, len(sols))
     pts_per = max(17, 2 * (512 // (2 * n_segments)) + 1)  # about 512 samples
@@ -206,24 +203,10 @@ def _build_pair(weight, lam, r, s, y0, boundary):
         xs=xs,
         phi=phi,
         dphi=dphi,
-        boundary=boundary,
-        interval=(r, s),
         residual=res,
         segment_slices=tuple(slices),
         a_vals=a_vals,
     )
-
-
-def _principal(weight, r, s, y0, end, lam_max, tol, boundary):
-    """The lam > 0 where the shot from y0 at r first fails to stay positive with y[end] > 0 at s."""
-
-    def value(lam):
-        *y_end, crossed, _ = _shoot_linear(weight, lam, r, s, y0)
-        return _CROSSED if crossed else y_end[end]
-
-    lam_seed = (math.pi / (s - r)) ** 2 / max(weight.sup_positive_part(), 1e-6)
-    lam = _bracket_and_refine(value, lam_seed, lam_max, tol)
-    return _build_pair(weight, lam, r, s, y0, boundary)
 
 
 def principal_neumann(weight, tol=1e-12):
@@ -242,21 +225,13 @@ def principal_neumann(weight, tol=1e-12):
         raise ValueError("weight must have negative mean")
     if 1 not in weight.signs(0.0, 1.0):
         raise ValueError("weight must be positive somewhere")
-    return _principal(weight, 0.0, 1.0, (1.0, 0.0), 1, 1e6, tol, "neumann")
 
+    def value(lam):
+        _, dphi, crossed, _ = _shoot_linear(weight, lam)
+        return _CROSSED if crossed else dphi
 
-def principal_dirichlet(weight, interval):
-    """Smallest mu > 0 with a positive Dirichlet eigenfunction on the interval.
-
-    Shoots from phi(r) = 0, phi'(r) = 1 and bisects on the sign of phi(s):
-    above mu every shot crosses zero before s, so no exact upper end exists.
-    """
-    r, s = interval
-    if not (0.0 <= r < s <= 1.0):
-        raise ValueError("interval must be inside [0, 1]")
-    if weight.signs(r, s) != {1}:
-        raise ValueError("weight must be positive on the interval")
-    return _principal(weight, r, s, (0.0, 1.0), 0, 1e7, 1e-12, "dirichlet")
+    lam_seed = math.pi ** 2 / max(weight.sup_positive_part(), 1e-6)
+    return _build_pair(weight, _bracket_and_refine(value, lam_seed, tol))
 
 
 def bif_direction(f, pair):
@@ -266,11 +241,8 @@ def bif_direction(f, pair):
     along the branch at height zero.  Near zero every law is f = c u^p;
     for p = 1 the branch leaves the trivial line at lam0 / c, f has no
     quadratic or cubic term, so lambda1 = 0 and lambda2 comes from the
-    curvature operator alone.  Requires the Neumann pair on (0, 1) and a
-    p = 1 nonlinearity.
+    curvature operator alone.  Requires a p = 1 nonlinearity.
     """
-    if pair.boundary != "neumann" or pair.interval != (0.0, 1.0):
-        raise ValueError("bifurcation direction needs the Neumann pair on (0, 1)")
     if f.p != 1.0:
         raise ValueError("bifurcation direction needs a p = 1 nonlinearity")
     i_dphi2 = pair.quad(pair.dphi ** 2)

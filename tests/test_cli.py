@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import math
 import os
@@ -303,6 +304,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "--n must be at least 16" in err and "Traceback" not in err
     assert run_cli(["minimize", "--n", "16", "--starts", "1"]) == 1  # lambda defaults to 0
     assert run_cli(["verify", "--criteria", "11"]) == 1
+    capsys.readouterr()
+    for n in ("0", "-3"):  # the start point is the first of max_points
+        assert run_cli(["branch", "--max-points", n]) == 1
+        err = capsys.readouterr().err
+        assert f"max_points must be at least 1, got {n}" in err and "Traceback" not in err
     assert run_cli(["rates", "--ladder", "1e2,1e2,1e2,1e2"]) == 1
     assert "ladder rungs must be distinct" in capsys.readouterr().err
     assert run_cli(["solve", "--scan", "1e-6", "inf", "16"]) == 1
@@ -484,6 +490,39 @@ def test_module_entry_point_prints_what_main_prints(capsys):
 
 def test_verify_subset_exit_codes():
     assert run_cli(["verify", "--criteria", "1,2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "value,token",
+    [("", ""), ("1,x", "x"), ("1,,2", ""), ("2.0", "2.0")],
+    ids=["empty", "letter", "empty-inner", "decimal"],
+)
+def test_bad_criteria_tokens_exit_one(value, token, monkeypatch, capsys):
+    # an empty subset is refused, not read as "all ten criteria"
+    from curvebif import acceptance
+
+    calls = []
+    monkeypatch.setattr(acceptance, "run_all", lambda subset=None: calls.append(subset) or True)
+    assert run_cli(["verify", f"--criteria={value}"]) == 1
+    err = capsys.readouterr().err
+    assert f"--criteria token {token!r} is not an integer" in err and "Traceback" not in err
+    assert calls == []
+    assert run_cli(["verify", "--criteria", " 7, 1"]) == 0
+    assert calls == [[7, 1]]
+
+
+def test_project_script_entry_runs_main(capsys):
+    # pyproject's [project.scripts] entry resolves to cli.main, which runs eig
+    tomllib = pytest.importorskip("tomllib")
+    from curvebif import cli
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["curvebif"]
+    module, _, attr = entry.partition(":")
+    script = getattr(importlib.import_module(module), attr)
+    assert script is cli.main
+    assert script(["eig"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"lambda0", "residual", "mesh_size"}
 
 
 def test_failed_criterion_quadrature_exits_one(monkeypatch, capsys):

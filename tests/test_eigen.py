@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
-from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemFamily, Segment, Weight
+from curvebif import ConstantForm, Nonlinearity, ProblemFamily, Segment, Weight
 from curvebif import eigen, two_constant_weight
 from curvebif.acceptance import eigen_oracle
 from curvebif.continuation import solve_lambda_at_height
-from curvebif.eigen import bif_direction, principal_dirichlet, principal_neumann, rayleigh_identity
+from curvebif.eigen import bif_direction, principal_neumann, rayleigh_identity
 
 
 def test_neumann_matches_matching_equation(jump_weight):
@@ -39,51 +38,6 @@ def test_refinement_invariance(jump_weight, monkeypatch):
     monkeypatch.setattr(eigen, "_MAX_STEP_FRAC", eigen._MAX_STEP_FRAC / 2.0)
     b = principal_neumann(jump_weight).eigenvalue
     assert abs(a - b) / b < 1e-7
-
-
-def test_dirichlet_sine_oracle():
-    w = Weight(0.4, (Segment(0.0, 0.4, ConstantForm(1.0)), Segment(0.4, 1.0, ConstantForm(-2.0))))
-    pair = principal_dirichlet(w, (0.0, 0.4))
-    assert pair.eigenvalue == pytest.approx((math.pi / 0.4) ** 2, rel=1e-9)
-    half = principal_dirichlet(w, (0.0, 0.2))
-    assert half.eigenvalue == pytest.approx(4.0 * (math.pi / 0.4) ** 2, rel=1e-9)
-
-
-def test_dirichlet_matrix_oracle(jump_weight):
-    # dense three-point matrix eigenvalue on (0, z) with the step weight
-    z = 0.4
-    pair = principal_dirichlet(jump_weight, (0.0, z))
-    n = 400
-    xs = np.linspace(0.0, z, n + 2)[1:-1]
-    h = xs[1] - xs[0]
-    main = np.full(n, 2.0 / h ** 2)
-    off = np.full(n - 1, -1.0 / h ** 2)
-    K = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
-    Bm = np.diag(jump_weight.eval(xs))
-    mu = eigh(K, Bm, eigvals_only=True)
-    mu1 = np.min(mu[mu > 0])
-    assert pair.eigenvalue == pytest.approx(mu1, rel=1e-3)
-
-
-def test_dirichlet_requires_positive_weight(jump_weight):
-    with pytest.raises(ValueError):
-        principal_dirichlet(jump_weight, (0.0, 0.9))
-
-
-@pytest.mark.parametrize(
-    "coeffs,positive",
-    [((0.04062644140625, -0.403125, 1.0), False), ((0.04, -0.4, 1.0), True)],
-    ids=["dip", "touching-zero"],
-)
-def test_dirichlet_reads_the_sign_law(coeffs, positive):
-    # a dip below zero inside (0, z) refuses the interval, a touching zero does not
-    w = Weight(0.4, (Segment(0.0, 0.4, PolynomialForm(coeffs)), Segment(0.4, 1.0, ConstantForm(-2.0))))
-    assert w.has_sign_split is positive
-    if positive:
-        assert principal_dirichlet(w, (0.0, 0.4)).eigenvalue > 0
-    else:
-        with pytest.raises(ValueError, match="positive on the interval"):
-            principal_dirichlet(w, (0.0, 0.4))
 
 
 def test_neumann_needs_a_positive_part():
@@ -127,13 +81,6 @@ def test_bif_direction_for_a_linear_table_head(jump_weight):
 def test_bif_direction_needs_p_equal_one(jump_weight):
     pair = principal_neumann(jump_weight)
     f = Nonlinearity(kind="prototype", p=2.0, q=0.5, M=1.0)
-    with pytest.raises(ValueError):
-        bif_direction(f, pair)
-
-
-def test_bif_direction_needs_full_interval(jump_weight):
-    pair = principal_dirichlet(jump_weight, (0.0, 0.4))
-    f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=1.0)
     with pytest.raises(ValueError):
         bif_direction(f, pair)
 
@@ -184,7 +131,7 @@ def test_crossing_inside_an_exact_bracket_falls_back_to_bisection():
         calls.append(lam)
         return eigen._CROSSED if 1.3 < lam < 1.9 else math.log(1.3 / lam)
 
-    lam = eigen._bracket_and_refine(value, 1.0, 1e6, 1e-12)
+    lam = eigen._bracket_and_refine(value, 1.0, 1e-12)
     assert lam == pytest.approx(1.3, rel=1e-12)
     assert any(1.3 < c < 1.9 for c in calls) and len(calls) < 60
 

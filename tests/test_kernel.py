@@ -130,6 +130,6 @@ def test_shots_call_no_numpy_path(monkeypatch):
     monkeypatch.setattr(Nonlinearity, "__call__", refuse)
     for collect in (None, shoot._SHOOT_MESH):
         assert integrate_path(pb, 0.6, collect=collect).nfev > 0
-    phi, *_ = _shoot_linear(w, 5.0, 0.0, 1.0, (1.0, 0.0))
+    phi, *_ = _shoot_linear(w, 5.0)
     assert math.isfinite(phi)
     assert semilinear_positive_solution(w, 2.0) > 0.0
