@@ -72,12 +72,6 @@ class Branch:
                 out.append(i)
         return out
 
-    def lambdas(self):
-        return np.array([p.lam for p in self.points])
-
-    def sup_norms(self):
-        return np.array([p.sup_norm for p in self.points])
-
     @property
     def rows(self):
         """The branch as diagram rows (lam, sup_norm, kind)."""
@@ -177,10 +171,13 @@ def trace(
     trivial line records the terminal lam), or when the corrector keeps
     failing at the minimum step, which is the usual sign of a singular
     transition ahead.  step, the scaled predictor step, must be positive
-    and finite, and max_points, which counts the start point, at least 1.
+    and finite, max_points, which counts the start point, at least 1, and
+    lam_max a number (+inf sets no cap).
     """
     if not (0 < step < math.inf):
         raise ValueError("the continuation step must be positive and finite")
+    if math.isnan(lam_max):
+        raise ValueError("lam_max must be a number, got nan")
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     lam, s0 = float(start[0]), float(start[1])

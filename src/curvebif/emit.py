@@ -2,7 +2,11 @@
 
 All floats are written with 17 significant digits so identical inputs give
 byte-identical files; no plotting library is involved, SVG paths are
-emitted directly.
+emitted directly.  json_text writes a finite 1-D or 2-D float ndarray
+(a solution mesh) in one pass, its .tolist() values filled into a
+"%.17g" template of the array's shape; an array holding a nan or an
+infinity, and every other value, takes the element-by-element path, which
+gives the same text.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ def json_text(obj):
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2) and np.isfinite(obj).all():
+        # fmt's "%.17g" for every element, filled into one template in a single pass
+        row = "[" + ",".join(["%.17g"] * obj.shape[-1]) + "]"
+        template = row if obj.ndim == 1 else "[" + ",".join([row] * len(obj)) + "]"
+        return template % tuple(obj.ravel().tolist())
     if isinstance(obj, dict):
         inner = ",".join(f"{json_text(str(k))}:{json_text(v)}" for k, v in obj.items())
         return "{" + inner + "}"

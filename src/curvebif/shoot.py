@@ -380,8 +380,8 @@ def _saltation(y, jump, direction):
     y[8] -= jump * y[6] / x_dot
 
 
-def _subsample(out, dtheta, dx):
-    """States on the accepted steps, refined so mesh intervals stay small in angle and x."""
+def _mesh_times(out, dtheta, dx):
+    """Arclengths of the stored states: each accepted step cut so mesh intervals stay small in angle and x."""
     ts = out.t
     tha = out.y[2]
     xa = out.y[0]
@@ -394,7 +394,19 @@ def _subsample(out, dtheta, dx):
         )
         k = min(k, 200_000)
         pieces.append(np.linspace(ts[i], ts[i + 1], k + 1)[1:])
-    return out.sol(np.concatenate(pieces))[:3]
+    return np.concatenate(pieces)
+
+
+def _subsample(out, dtheta, dx):
+    """States (x, u, theta) at _mesh_times on the march's dense output."""
+    t = _mesh_times(out, dtheta, dx)
+    # each run of points evaluates on its own step's interpolant, picked by
+    # OdeSolution's rule (a point on a step end takes the lower step), so the
+    # states equal out.sol(t) bit for bit without its sort and per-point grouping
+    interpolants = out.sol.interpolants
+    steps = np.clip(np.searchsorted(out.t, t, side="left") - 1, 0, len(interpolants) - 1)
+    cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(t)]
+    return np.hstack([interpolants[steps[lo]](t[lo:hi])[:3] for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 def integrate_path(pb, s0, collect=_SHOOT_MESH):

@@ -309,6 +309,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert run_cli(["branch", "--max-points", n]) == 1
         err = capsys.readouterr().err
         assert f"max_points must be at least 1, got {n}" in err and "Traceback" not in err
+    # a nan cap would never stop the trace; +inf is no cap
+    assert run_cli(["branch", "--lambda-max", "nan", "--max-points", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "lam_max must be a number, got nan" in err and "Traceback" not in err
     assert run_cli(["rates", "--ladder", "1e2,1e2,1e2,1e2"]) == 1
     assert "ladder rungs must be distinct" in capsys.readouterr().err
     assert run_cli(["solve", "--scan", "1e-6", "inf", "16"]) == 1

@@ -62,11 +62,11 @@ def test_branch_subcritical_fold_then_growth(ramp_family, ramp_branch):
     br = ramp_branch
     assert len(br.points) > 20
     assert br.folds, "subcritical departure must fold back"
-    lam_min = br.lambdas().min()
-    assert lam_min < pair.eigenvalue
-    assert br.lambdas().max() > 3 * pair.eigenvalue
+    lams = [p.lam for p in br.points]
+    assert min(lams) < pair.eigenvalue
+    assert max(lams) > 3 * pair.eigenvalue
     # heights increase monotonically along this branch
-    sups = br.sup_norms()
+    sups = [p.sup_norm for p in br.points]
     assert sups[-1] > sups[0]
 
 
@@ -83,7 +83,7 @@ def test_no_near_singular_under_divergent_criterion(ramp_branch):
 
 def test_fold_has_small_lambda_increment(ramp_branch):
     # steps are bounded by the scaled arclength budget (step 0.1, growth 4x)
-    lams = ramp_branch.lambdas()
+    lams = [p.lam for p in ramp_branch.points]
     for i in ramp_branch.folds:
         assert abs(lams[i + 1] - lams[i]) < 0.4 * (abs(lams[i]) + 1.0)
 
@@ -91,7 +91,7 @@ def test_fold_has_small_lambda_increment(ramp_branch):
 def test_nonexistence_window_below_fold(ramp_family, ramp_branch):
     from curvebif.shoot import find_regular
 
-    lam_fold = float(ramp_branch.lambdas().min())
+    lam_fold = min(p.lam for p in ramp_branch.points)
     probe = 0.9 * lam_fold
     assert find_regular(ramp_family.at(probe), s_min=1e-6, s_max=1e2, n_scan=64) == []
 
@@ -99,8 +99,8 @@ def test_nonexistence_window_below_fold(ramp_family, ramp_branch):
 def test_trivial_line_trace(jump_weight, mild_f):
     fam = ProblemFamily(jump_weight, mild_f)
     br = trace(fam, (0.0, 0.01), step=0.2, max_points=40, lam_max=10.0, origin="FromZeroLine")
-    lams = br.lambdas()
-    sups = br.sup_norms()
+    lams = [p.lam for p in br.points]
+    sups = [p.sup_norm for p in br.points]
     assert np.max(np.abs(lams)) <= 1e-8
     assert np.all(np.diff(sups) > 0)
 
@@ -134,7 +134,7 @@ def test_singular_sweep_gives_the_dashed_tail(jump_weight):
     br = singular_sweep(fam, (30.0, 60.0, 120.0))
     assert len(br.points) == 3
     assert all(p.kind == "near-singular" for p in br.points)
-    sups = br.sup_norms()
+    sups = [p.sup_norm for p in br.points]
     assert np.all(np.diff(sups) > 0)
     rec = diagram([br.rows])
     assert "stroke-dasharray" in rec.svg

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from curvebif.emit import csv_text, fmt, json_text, svg_plot
 
@@ -19,6 +22,25 @@ def test_json_text_handles_arrays_and_nonfinite():
     assert json_text(np.array([1.0, 2.0])) == "[1,2]"
     assert json_text(float("inf")) == '"inf"'
     assert json_text(float("nan")) == '"nan"'
+
+
+_FLOAT_ARRAYS = arrays(
+    dtype=st.sampled_from([np.dtype(np.float64), np.dtype(np.float32)]),
+    shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOAT_ARRAYS)
+@example(np.array([]))
+@example(np.zeros((0, 3)))
+@example(np.zeros((3, 0), dtype=np.float32))
+@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308], [1e308, 0.1, -1.5]]))
+@example(np.array([1.0, np.nan, -np.inf], dtype=np.float32))
+@example(np.array([[np.inf, 0.0], [-0.0, 1e-45]], dtype=np.float32))
+def test_json_text_of_a_float_array_equals_its_list(arr):
+    # finite arrays take the one-template path, the rest the element path
+    assert json_text(arr) == json_text(arr.tolist())
 
 
 def test_json_is_parseable_back():

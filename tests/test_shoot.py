@@ -1,13 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import OdeSolution
 from scipy.optimize import brentq
 
 from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
-from curvebif import shoot
+from curvebif import shoot, singular
 from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_partials, shoot_residual
 from curvebif.varmin import functional_value
 
@@ -381,3 +383,66 @@ def test_solution_serialization(mild_solution):
     assert d["jump"] == 0.0
     assert {"lambda", "mesh", "residual"} <= set(d)
     assert len(d["mesh"][0]) == 3
+
+
+def _record_meshes(monkeypatch):
+    """(out, states, scipy's states) of every collected march while the patch holds."""
+    seen = []
+    real = shoot._subsample
+
+    def record(out, *collect):
+        states = real(out, *collect)
+        # copied before _march snaps the last state onto a target edge
+        seen.append((out, states.copy(), out.sol(shoot._mesh_times(out, *collect))[:3]))
+        return states
+
+    monkeypatch.setattr(shoot, "_subsample", record)
+    return seen
+
+
+def _assert_dense_output_bits(seen):
+    # the per-step evaluation must give out.sol's own states, to the last bit
+    assert seen
+    for _, states, expected in seen:
+        assert states.shape == expected.shape
+        assert states.tobytes() == expected.tobytes()
+
+
+def test_mesh_states_equal_the_dense_output_on_a_regular_shot(monkeypatch):
+    seen = _record_meshes(monkeypatch)
+    pb = ProblemInstance(3.0, two_constant_weight(1.0, 2.0, 0.4), Nonlinearity())
+    assert integrate_path(pb, 0.5).terminal == "reached"
+    assert len(seen) == 2  # one march per weight segment
+    _assert_dense_output_bits(seen)
+
+
+def test_mesh_states_equal_the_dense_output_on_both_jump_pieces(monkeypatch):
+    seen = _record_meshes(monkeypatch)
+    pb = ProblemInstance(50.0, two_constant_weight(1.0, 2.0, 0.4), Nonlinearity())
+    assert isinstance(singular.solve_singular(pb), singular.SingularSolution)
+    # the left piece marches forward from x = 0, the right one backward from x = 1
+    assert sorted(float(out.y[0][0]) for out, _, _ in seen) == [0.0, 1.0]
+    _assert_dense_output_bits(seen)
+
+
+def test_mesh_states_equal_the_dense_output_on_a_one_step_march(monkeypatch):
+    seen = _record_meshes(monkeypatch)
+    pb = ProblemInstance(1.0, two_constant_weight(1.0, 2.0, 0.999), Nonlinearity())
+    assert integrate_path(pb, 0.5).terminal == "reached"
+    assert [len(out.t) for out, _, _ in seen][-1] == 2  # the last segment is one step
+    _assert_dense_output_bits(seen)
+
+
+def test_a_mesh_point_on_a_step_end_takes_the_lower_step():
+    # two steps whose interpolants disagree where they meet: out.sol reads
+    # the lower one there, and so must the per-step evaluation
+    def constant(state):
+        return lambda t: np.tile(np.array(state)[:, None], len(t))
+
+    ts = np.array([0.0, 1.0, 2.0])
+    sol = OdeSolution(ts, [constant([0.0, 1.0, 0.0]), constant([0.5, 2.0, 0.3])])
+    out = SimpleNamespace(t=ts, y=np.array([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [0.0, 0.3, 0.6]]), sol=sol)
+    t = shoot._mesh_times(out, 0.1, 0.1)
+    states = shoot._subsample(out, 0.1, 0.1)
+    assert states.tobytes() == out.sol(t)[:3].tobytes()
+    assert states[:, t == 1.0].ravel().tolist() == [0.0, 1.0, 0.0]
