@@ -198,8 +198,9 @@ class PowerForm:
 
     def scalar(self, z):
         k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
-        # the value at and past the node, where float ** refuses 0.0 ** e for e < 0
-        at_node = k * (0.0 ** e if e >= 0.0 else math.inf)
+        if e < 0.0:
+            raise ValueError(f"a power segment with exponent {e:g} < 0 is unbounded at the node, so no shot can cross it")
+        at_node = k * 0.0 ** e  # the value at and past the node
 
         def a(x):
             d = z - x if left else x - z
@@ -253,8 +254,9 @@ class Weight:
 
     Segments must partition [0, 1] and the node z must be a segment
     boundary.  All integrals are exact (per-segment antiderivatives).
-    spans(lo, hi) is the one walk over the segments: every shot, quadrature
-    and residual that must not straddle a jump of a iterates its pieces.
+    spans(lo, hi) is the one walk over the segments: every shot, quadrature,
+    residual and flux that reads a iterates its pieces, with no pointwise
+    lookup beside it.
     """
 
     z: float
@@ -287,22 +289,13 @@ class Weight:
 
     # -- evaluation ----------------------------------------------------------
 
-    @cached_property
-    def _his(self):
-        return np.array([s.hi for s in self.segments])
-
-    @property
-    def breakpoints(self):
-        """Interior segment boundaries, including the node."""
-        return tuple(s.hi for s in self.segments[:-1])
-
     def spans(self, lo, hi):
         """(a, b, form) for each segment met on [lo, hi], clipped, in increasing x.
 
         Pieces no wider than 1e-15 are dropped, so a walk that starts or
-        ends on a segment boundary never integrates an empty piece.  As in
-        eval, the first and last segments reach past 0 and 1, so a mesh
-        that overruns an end by roundoff keeps its end points.
+        ends on a segment boundary never integrates an empty piece.  The
+        first and last segments reach past 0 and 1, so a mesh that overruns
+        an end by roundoff keeps its end points.
         """
         out = []
         last = len(self.segments) - 1
@@ -312,16 +305,6 @@ class Weight:
             if b > a + 1e-15:
                 out.append((a, b, seg.form))
         return out
-
-    def eval(self, x):
-        xs = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self._his, xs, side="right"), 0, len(self.segments) - 1)
-        out = np.empty_like(xs, dtype=float)
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if np.any(m):
-                out[m] = seg.form.value(xs[m], self.z)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     def integral(self, x0, x1):
         """Exact integral of a over [x0, x1], 0 <= x0 <= x1 <= 1."""
@@ -390,11 +373,14 @@ class Weight:
         return math.inf, 0.0
 
     def sup_positive_part(self):
-        """max(a, 0) sampled at 65 points per segment: a scale, never a sign test."""
+        """max(a, 0) at 65 points per segment: a scale, never a sign test.
+
+        a is read through the shots' kernels, so a weight no shot can cross is refused here.
+        """
         best = 0.0
         for seg in self.segments:
-            xs = np.linspace(seg.lo, seg.hi, 65)
-            best = max(best, float(np.max(seg.form.value(xs, self.z))))
+            a = seg.form.scalar(self.z)
+            best = max(best, *map(a, np.linspace(seg.lo, seg.hi, 65).tolist()))
         return best
 
     def scaled(self, c):
@@ -459,11 +445,8 @@ class TableWeight:
         self.values = np.asarray(values, dtype=float)
         self.z = float(z)
 
-    def eval(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
-
     def value(self, x, z):
-        return self.eval(x)
+        return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
     def spans(self, lo, hi):
         return [(lo, hi, self)]
@@ -789,19 +772,21 @@ def neumann_balance(pb, xs, us):
 
     On a regular solution's mesh on [0, 1] it is zero (the Neumann balance);
     on one piece of a jump solution, times lam, it is that piece's flux.
-    u is interpolated linearly between mesh points; each cell is split at
-    the weight's breakpoints and integrated with 4-point Gauss quadrature,
-    so jumps in a cost no accuracy.
+    The span is walked by pb.weight.spans: a piece's cells run between its
+    ends (u there interpolated from the mesh) and the mesh points strictly
+    inside it, and each takes 4-point Gauss with u linear on the cell and a
+    from the piece's own form, so jumps in a cost no accuracy.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
-    pts = np.unique(np.concatenate([xs, np.asarray(pb.weight.breakpoints, dtype=float)]))
-    pts = pts[(pts >= xs[0] - 1e-15) & (pts <= xs[-1] + 1e-15)]
-    lo, hi = pts[:-1], pts[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    z = pb.weight.z
     total = 0.0
-    for node, wgt in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
-        xg = mid + node * half
-        total += wgt * np.sum(half * pb.weight.eval(xg) * pb.f(np.interp(xg, xs, us)))
+    for lo, hi, form in pb.weight.spans(xs[0], xs[-1]):
+        m = slice(np.searchsorted(xs, lo, "right"), np.searchsorted(xs, hi, "left"))
+        x = np.concatenate(([lo], xs[m], [hi]))
+        u = np.concatenate(([np.interp(lo, xs, us)], us[m], [np.interp(hi, xs, us)]))
+        mid, half = 0.5 * (x[:-1] + x[1:]), 0.5 * (x[1:] - x[:-1])
+        u_mid, u_half = 0.5 * (u[:-1] + u[1:]), 0.5 * (u[1:] - u[:-1])
+        for node, wgt in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
+            total += wgt * np.sum(half * form.value(mid + node * half, z) * pb.f(u_mid + node * u_half))
     return float(total)

@@ -6,7 +6,9 @@ jump.  classify() implements the dichotomy: a smallness bound rules the
 singularity out for small lam; divergence of either node integral of
 (int_x^z a)^(-1/2) rules it out for every lam; and when both integrals are
 finite a supplied solution trace can certify a jump through an explicit
-witness inequality.
+witness inequality.  The witness reads a on each side's own segments, and
+its node cell follows the node law a ~ c d^alpha; a side where a is
+unbounded at the node (alpha < 0) certifies nothing.
 
 solve_singular() builds the jump solution directly, shooting each side
 toward the node and root-finding the heights at which the flux budget
@@ -327,14 +329,14 @@ def classify(pb, u=None):
 
 
 def _trace_sides(pb, u):
-    """Per side, outward from the node: distance d, u, h = lam |a| f(u) and H.
+    """Per side, outward from the node: distance d, u and H = lam |int_x^z a f(u)|.
 
     u is a Solution: two pieces are its two sides, and one piece is split
     at z.  d is z - x on the left and x - z on the right (a piece end may
-    lie a hair past z); a is taken on the side's own segment; H, the
-    cumulative trapezoid of h in d, is lam |int_x^z a f(u)|.
+    lie a hair past z).  a is read on the side's own segments, spans(0, z)
+    or spans(z, 1).  H is the cumulative trapezoid of h = lam |a| f(u) in d.
     """
-    z = pb.weight.z
+    w, z = pb.weight, pb.weight.z
     pieces = u.pieces
     if len(pieces) == 1:
         ((xs, us, dus),) = pieces
@@ -343,14 +345,25 @@ def _trace_sides(pb, u):
     (xl, ul, _), (xr, ur, _) = pieces
     if xl.size == 0 or xr.size == 0:
         raise ValueError("the trace must reach both sides of the node")
-    below = np.nextafter(z, 0.0)  # Weight.eval looks up [lo, hi): keep x < z on the left
-    left = (z - xl[::-1], ul[::-1], np.clip(xl[::-1], 0.0, below))
-    right = (xr - z, ur, np.clip(xr, z, 1.0))
-    sides = []
-    for d, us, xa in (left, right):
-        h = pb.lam * np.abs(pb.weight.eval(xa)) * pb.f(us)
-        sides.append((d, us, h, cumulative_trapezoid(h, d, initial=0.0)))
-    return sides
+    hl = pb.lam * np.abs(_a_on_side(w, xl, 0.0, z)) * pb.f(ul)
+    hr = pb.lam * np.abs(_a_on_side(w, xr, z, 1.0)) * pb.f(ur)
+    left = (z - xl[::-1], ul[::-1], hl[::-1])
+    right = (xr - z, ur, hr)
+    return [(d, us, cumulative_trapezoid(h, d, initial=0.0)) for d, us, h in (left, right)]
+
+
+def _a_on_side(w, xs, lo, hi):
+    """a at the increasing xs clamped into [lo, hi], read on the pieces of w.spans(lo, hi).
+
+    A point on a segment boundary takes the segment after it.
+    """
+    x = np.clip(xs, lo, hi)
+    spans = w.spans(lo, hi)
+    cuts = [0, *(np.searchsorted(x, start) for start, _, _ in spans[1:]), len(x)]
+    out = np.empty_like(x)
+    for (_, _, form), i, j in zip(spans, cuts, cuts[1:]):
+        out[i:j] = form.value(x[i:j], w.z)
+    return out
 
 
 def _find_witness(pb, u):
@@ -361,24 +374,31 @@ def _find_witness(pb, u):
     Each half is int 2t / sqrt(H) dt in t = sqrt(d), which takes out the
     node's inverse square root: one cumulative trapezoid per side, read at
     t = sqrt(off) for every pair.
+    The node cell follows the node law a ~ c d^alpha, alpha the side's
+    node order, which needs 0 <= alpha < 1: below 0, a is unbounded at the
+    node, and from 1 up the node integral diverges.
     """
-    sides = _trace_sides(pb, u)
     z = pb.weight.z
+    orders = [pb.weight.node_order(side)[0] for side in ("left", "right")]
+    if not all(0.0 <= alpha < 1.0 for alpha in orders):
+        return None
+    sides = _trace_sides(pb, u)
 
     # flux lower bound near the node: needed to transfer integrability of
     # the weight integrals to the solution-weighted ones (f > 0 where u > 0)
     eta = 0.5 * min(z, 1.0 - z)
-    near = np.concatenate([us[(d > 1e-12) & (d < eta)] for d, us, _, _ in sides])
+    near = np.concatenate([us[(d > 1e-12) & (d < eta)] for d, us, _ in sides])
     if near.size == 0 or np.min(near) <= 0.0:
         return None
 
     halves = []
-    for d, us, h, H in sides:
+    for (d, us, H), alpha in zip(sides, orders):
         t = np.sqrt(np.maximum(d, 0.0))  # a right piece may start a hair before z
         g = np.empty_like(t)
         g[1:] = 2.0 * t[1:] / np.sqrt(H[1:])
-        # H ~ kappa d at the node, with kappa the node value of h
-        g[0] = 2.0 / math.sqrt(h[0]) if h[0] > 0 else g[1]
+        # g ~ t^(-alpha) at the node: this g[0] makes the first trapezoid
+        # cell exact, whatever a reads at the node point itself
+        g[0] = g[1] * (1.0 + alpha) / (1.0 - alpha)
         halves.append((d, us, t, cumulative_trapezoid(g, t, initial=0.0)))
 
     (dl, ul, tl, wl), (dr, ur, tr, wr) = halves

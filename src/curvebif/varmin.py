@@ -36,19 +36,8 @@ class DiscreteBVFunction:
         self.values = np.asarray(self.values, dtype=float)
 
     @property
-    def n(self):
-        return len(self.values) - 1
-
-    @property
-    def xs(self):
-        return np.linspace(0.0, 1.0, len(self.values))
-
-    @property
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
-
-    def variation(self):
-        return float(np.sum(np.abs(np.diff(self.values))))
 
 
 # keyed by the weight itself: a Weight hashes by value, and any other weight

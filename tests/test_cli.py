@@ -346,6 +346,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["classify", "--lambda", "50", "--problem", json.dumps(string_p)]) == 1
 
 
+def test_a_weight_unbounded_at_the_node_is_refused_by_every_shot(capsys):
+    # a = -+k d^(-1/2) is infinite at the node: every command that shoots
+    # exits 1 naming the exponent, while classify needs no shot
+    spec = copy.deepcopy(DEFAULT_PROBLEM)
+    spec["weight"]["segments"] = [
+        {"interval": ends, "form": {"kind": "power", "amplitude": k, "exponent": -0.5}}
+        for ends, k in (([0.0, 0.4], 1.0), ([0.4, 1.0], 2.0))
+    ]
+    problem = json.dumps(spec)
+    capsys.readouterr()
+    for cmd in (["solve", "--lambda", "5"], ["singular", "--lambda", "50"], ["eig"], ["branch", "--max-points", "3"]):
+        assert run_cli([*cmd, "--problem", problem]) == 1, cmd
+        err = capsys.readouterr().err
+        assert "exponent -0.5 < 0" in err and "Traceback" not in err, cmd
+    assert run_cli(["classify", "--lambda", "50", "--problem", problem]) == 0
+
+
 @pytest.mark.parametrize("f", ["x", ["x"]], ids=["string", "list"])
 def test_non_object_f_is_a_bad_spec(f, capsys):
     spec = copy.deepcopy(DEFAULT_PROBLEM)

@@ -6,10 +6,12 @@ the places where a law changes piece, and their 1-ulp neighbours.  The forms,
 the middle piece of f and its head at p in {1/2, 1, 2} must agree bit for
 bit.  The tail h u^(-q), and the head at other p, may differ by a few ulp:
 the kernel's power is libm's pow, and numpy's array power rounds differently
-in the last ulp at about 5 % of points.
+in the last ulp at about 5 % of points.  A power form with exponent
+below 0 is unbounded at the node and has no kernel: scalar(z) refuses.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ def _forms(draw):
     elif kind == "poly":
         form = PolynomialForm(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5)))
     else:
-        exponent = draw(st.floats(-1.0, 3.0, exclude_min=True))
+        exponent = draw(st.floats(0.0, 3.0))
         form = PowerForm(draw(st.floats(0.01, 10.0)), exponent, kind)
     return form, z
 
@@ -56,9 +58,22 @@ def _forms(draw):
 def test_form_kernels_match_value_bit_for_bit(fz, xs):
     form, z = fz
     a = form.scalar(z)
-    with np.errstate(divide="ignore"):  # a power with exponent < 0 is infinite at the node
-        for x in _with_neighbours([0.0, 1.0, z, *xs]):
-            assert a(x) == form.value(x, z), (form, z, x)
+    for x in _with_neighbours([0.0, 1.0, z, *xs]):
+        assert a(x) == form.value(x, z), (form, z, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    amplitude=st.floats(0.01, 10.0),
+    exponent=st.floats(-1.0, -1e-12, exclude_min=True),
+    side=st.sampled_from(("left", "right")),
+    z=st.floats(0.05, 0.95),
+)
+def test_an_unbounded_power_form_refuses_its_kernel(amplitude, exponent, side, z):
+    # a is infinite at the node, so no shot can cross it: the kernel that
+    # every shot compiles refuses, naming the exponent
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exponent:g} < 0")):
+        PowerForm(amplitude, exponent, side).scalar(z)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
@@ -25,15 +25,20 @@ from curvebif import (
 )
 
 
+def _a(w, x):
+    """a(x) from the form of the piece of w.spans(0, 1) that holds x."""
+    return next(form for lo, hi, form in w.spans(0.0, 1.0) if lo <= x < hi).value(x, w.z)
+
+
 def test_step_weight_pointwise(jump_weight):
-    assert jump_weight.eval(0.2) == 1.0
-    assert jump_weight.eval(0.7) == -2.0
+    assert _a(jump_weight, 0.2) == 1.0
+    assert _a(jump_weight, 0.7) == -2.0
 
 
 def test_power_weight_pointwise():
     w = power_weight(1.0, 1.0, 2.0, 1.0, 0.4)
-    assert w.eval(0.3) == pytest.approx(0.1)
-    assert w.eval(0.9) == pytest.approx(-1.0)
+    assert _a(w, 0.3) == pytest.approx(0.1)
+    assert _a(w, 0.9) == pytest.approx(-1.0)
 
 
 def test_exact_integrals(jump_weight):
@@ -167,11 +172,11 @@ def test_spans_cover_the_interval(jump_weight, ramp_weight, ends):
         assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
         for a, b, form in pieces:
             mid = 0.5 * (a + b)
-            assert form.value(mid, w.z) == w.eval(mid)
+            assert form is next(s.form for s in w.segments if s.lo <= mid <= s.hi)
 
 
 def test_spans_reach_past_the_ends(jump_weight):
-    # as in eval, a mesh that overruns x = 1 by roundoff keeps its end point
+    # a mesh that overruns x = 1 by roundoff keeps its end point
     over = np.nextafter(1.0, 2.0)
     assert jump_weight.spans(0.5, over) == [(0.5, over, jump_weight.segments[-1].form)]
     assert jump_weight.spans(-1e-16, 0.3)[0][0] == -1e-16
@@ -180,8 +185,7 @@ def test_spans_reach_past_the_ends(jump_weight):
 def test_weight_json_roundtrip(jump_weight):
     blob = json.dumps(jump_weight.to_dict())
     back = Weight.from_dict(json.loads(blob))
-    xs = np.linspace(0, 1, 31)
-    assert np.allclose(back.eval(xs), jump_weight.eval(xs))
+    assert back.to_dict() == jump_weight.to_dict()
 
 
 def test_prototype_shape():
@@ -370,6 +374,43 @@ def test_balance_constant_witness(jump_weight, bump_f):
     got = neumann_balance(pb, xs, np.full_like(xs, 0.7))
     assert got == pytest.approx(bump_f(0.7) * jump_weight.mean, rel=1e-10)
     assert got < 0
+
+
+@st.composite
+def _linear_u_on_a_segmented_weight(draw):
+    """(weight, mesh, u0, u1): constant and poly segments, a random increasing mesh, u = u0 + u1 x."""
+    cuts = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True)))
+    ends = [0.0, *cuts, 1.0]
+    assume(min(np.diff(ends)) > 1e-3)
+    coeff = st.floats(-2.0, 2.0)
+    forms = [
+        draw(st.one_of(st.builds(ConstantForm, coeff), st.builds(PolynomialForm, st.lists(coeff, min_size=1, max_size=4))))
+        for _ in cuts + [1.0]
+    ]
+    z = draw(st.sampled_from(cuts))
+    w = Weight(z, tuple(Segment(lo, hi, form) for lo, hi, form in zip(ends, ends[1:], forms)))
+    # a jump's right piece may start a hair before the node
+    start = draw(st.one_of(st.just(z - 1e-12), st.floats(0.0, 0.9)))
+    inner = draw(st.lists(st.floats(start, 1.0, exclude_min=True), min_size=1, max_size=12, unique=True))
+    return w, np.array([start, *sorted(inner)]), draw(st.floats(1.0, 2.0)), draw(st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_linear_u_on_a_segmented_weight())
+def test_neumann_balance_is_exact_for_linear_u(case):
+    # f(u) = u below M = 10, so a f(u) is a polynomial of degree at most 4
+    # on each segment, which 4-point Gauss integrates exactly on every cell;
+    # segment ends fall inside mesh cells
+    w, xs, u0, u1 = case
+    pb = ProblemInstance(1.0, w, Nonlinearity(kind="prototype", p=1.0, q=0.5, M=10.0))
+    want = 0.0
+    for s in w.segments:
+        lo, hi = max(s.lo, xs[0]), min(s.hi, xs[-1])
+        if lo < hi:
+            coeffs = (s.form.c,) if isinstance(s.form, ConstantForm) else s.form.coeffs
+            anti = npoly.polyint(npoly.polymul(coeffs, (u0, u1)))
+            want += npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
+    assert abs(neumann_balance(pb, xs, u0 + u1 * xs) - want) <= 1e-13
 
 
 def test_dead_core_profile_residual_vanishes():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemInstance, acceptance, power_weight, singular
+from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, acceptance, power_weight, singular
 from curvebif.singular import Absent, SingularSolution, Witness, classify, smallness_guard, solve_singular
 
 
@@ -73,7 +73,7 @@ def test_witness_integral_reads_each_pieces_flux(producer):
     # H, the witness's cumulative lam |int_x^z a f(u)|, read at a side's
     # outer end is that side's whole flux budget
     pb, sing = producer()
-    (_, _, _, H_left), (_, _, _, H_right) = singular._trace_sides(pb, sing)
+    (_, _, H_left), (_, _, H_right) = singular._trace_sides(pb, sing)
     assert H_left[-1] == pytest.approx(sing.flux_left, abs=1e-6)
     assert H_right[-1] == pytest.approx(sing.flux_right, abs=1e-6)
 
@@ -336,6 +336,72 @@ def test_witness_splits_a_one_piece_solution_at_the_node(jump_weight, bump_f):
     assert v.witness.drop == pytest.approx(ul - ur, rel=1e-12)
     want = 2.0 * math.sqrt(0.1 / (lam * 1.0 * ul)) + 2.0 * math.sqrt(0.1 / (lam * 2.0 * ur))
     assert want - 2.0 * math.sqrt(2e-6 / (lam * ul)) <= v.witness.integral < want
+
+
+def _graded_trace(lam, z, ul, ur, first):
+    """A jump trace with u = ul left of z and ur right of it, each side graded geometrically from the node.
+
+    Each side has the node point and 4000 more, from first to the side's outer end.
+    """
+    dl, dr = (np.concatenate([[0.0], np.geomspace(first, end, 4000)]) for end in (z, 1.0 - z))
+    xl, xr = z - dl[::-1], z + dr
+    return SingularSolution(
+        lam=lam,
+        xs_left=xl,
+        us_left=np.full_like(xl, ul),
+        dus_left=np.zeros_like(xl),
+        xs_right=xr,
+        us_right=np.full_like(xr, ur),
+        dus_right=np.zeros_like(xr),
+        jump=ul - ur,
+        flux_left=1.0,
+        flux_right=1.0,
+        residual_left=0.0,
+        residual_right=0.0,
+    )
+
+
+@pytest.mark.parametrize("first", [1e-9, 1e-12])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_witness_node_cell_follows_the_node_law(alpha, first):
+    # a = k d^alpha and u constant on each side make H = lam k f(u)
+    # d^(alpha+1) / (alpha+1), so each half of the witness integral is
+    # 2 sqrt((alpha+1) / (lam k f(u))) off^((1-alpha)/2) / (1-alpha).  The
+    # first cell carries (first/off)^((1-alpha)/2) of it, 38 % at alpha =
+    # 0.9: it must follow the node law, not read a a float spacing from z.
+    # The trapezoids of the concave h and the convex integrand both read high
+    lam, z, ul, ur = 50.0, 0.4, 40.0, 0.01
+    f = Nonlinearity()
+    pb = ProblemInstance(lam, power_weight(1.0, alpha, 2.0, alpha, z), f)
+    w = singular._find_witness(pb, _graded_trace(lam, z, ul, ur, first))
+    assert w is not None
+    off = z - w.x1
+    want = sum(
+        2.0 * math.sqrt((alpha + 1.0) / (lam * k * f(u))) * off ** ((1.0 - alpha) / 2.0) / (1.0 - alpha)
+        for k, u in ((1.0, ul), (2.0, ur))
+    )
+    assert 0.0 <= (w.integral - want) / want <= 0.02
+
+
+def test_a_weight_unbounded_at_the_node_gives_no_witness():
+    # a = -+k d^(-1/2): H is infinite at the node, so no witness integral
+    # can be read; a half that read it as zero would certify a drop of 0.29
+    # against a closed form of 0.355
+    lam, z = 50.0, 0.4
+    pb = ProblemInstance(lam, power_weight(1.0, -0.5, 2.0, -0.5, z), Nonlinearity())
+    v = classify(pb, _graded_trace(lam, z, 0.3, 0.01, 1e-9))
+    assert v.tag == "Inconclusive" and v.witness is None
+
+
+def test_witness_reads_a_on_every_segment_of_a_side():
+    # two segments left of the node: H at the outer end is lam f(u) times
+    # the side's integral of a, up to the one cell that straddles x = 0.2
+    lam, z, ul, ur = 50.0, 0.4, 0.9, 0.01
+    w = Weight(z, (Segment(0.0, 0.2, ConstantForm(1.0)), Segment(0.2, z, ConstantForm(3.0)), Segment(z, 1.0, ConstantForm(-2.0))))
+    pb = ProblemInstance(lam, w, Nonlinearity())
+    (_, _, H_left), (_, _, H_right) = singular._trace_sides(pb, _graded_trace(lam, z, ul, ur, 1e-9))
+    assert H_left[-1] == pytest.approx(lam * pb.f(ul) * 0.8, rel=5e-3)
+    assert H_right[-1] == pytest.approx(lam * pb.f(ur) * 1.2, rel=1e-12)
 
 
 def test_left_node_height_below_the_right_is_refused(jump_weight, monkeypatch):
