@@ -206,7 +206,7 @@ def semilinear_positive_solution(weight, p):
     weight.spans(0, 1), with a shot that crosses zero counted as negative.
     util.scan_brackets walks 160 log-spaced sigma up from 1e-4 toward 1e4,
     and util.bisect_bracket refines each bracket as the walk yields it, by
-    inverse quadratic or secant steps in log sigma between exact ends,
+    brentq in log sigma once both ends are exact (bisection before that),
     until |v'(1)| <= 1e-11;
     returns sigma at the first root, and shoots no sigma above its bracket.
     This is an independent oracle: it never touches the arclength

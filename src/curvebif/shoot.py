@@ -481,13 +481,12 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     """All regular Neumann solutions with initial height in [s_min, s_max].
 
     Scans log-spaced heights, brackets sign changes of the shooting
-    residual, refines each bracket (util.bisect_bracket: inverse quadratic
-    or secant steps in log height between exact ends, bisection while an
-    end is a surrogate) to |theta(1)| <= theta_tol (or, when
-    the bracket collapses first, to its best reaching path within 1e-6),
-    and keeps each refined height once: two distinct heights are two
-    solutions, however close.  An empty list is meaningful: no regular
-    solution has its height in the scanned window.
+    residual, refines each bracket (util.bisect_bracket: bisection while an
+    end is a surrogate, then brentq in log height between exact ends) to
+    |theta(1)| <= theta_tol (or, when the bracket collapses first, to its
+    best reaching path within 1e-6), and keeps each refined height once:
+    two distinct heights are two solutions, however close.  An empty list
+    is meaningful: no regular solution has its height in the scanned window.
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")

@@ -156,8 +156,8 @@ def _piece_value(pb, height, side):
     turned early.  Vertical events may land just past the node, so the gap
     keeps its sign: only a tangent formed within tolerance of the node
     converges.  Both values are exact: the gap, too, is continuous in the
-    height and vanishes at the root, so the refinement interpolates across
-    the kink where the two meet.
+    height and vanishes at the root, so brentq refines across the kink
+    where the two meet.
     settled is True for a negative exact value whose whole path lies on a
     monotone side of f: u decreases toward the node on the left, so there
     its node height must be at least the law's b, where f decays; u
@@ -332,9 +332,10 @@ def _trace_sides(pb, u):
     """Per side, outward from the node: distance d, u and H = lam |int_x^z a f(u)|.
 
     u is a Solution: two pieces are its two sides, and one piece is split
-    at z.  d is z - x on the left and x - z on the right (a piece end may
-    lie a hair past z).  a is read on the side's own segments, spans(0, z)
-    or spans(z, 1).  H is the cumulative trapezoid of h = lam |a| f(u) in d.
+    at z, each side starting from a node point at z with its nearest value.
+    d is z - x on the left and x - z on the right (a piece end may lie a
+    hair past z).  a is read on the side's own segments, spans(0, z) or
+    spans(z, 1).  H is the cumulative trapezoid of h = lam |a| f(u) in d.
     """
     w, z = pb.weight, pb.weight.z
     pieces = u.pieces
@@ -345,6 +346,10 @@ def _trace_sides(pb, u):
     (xl, ul, _), (xr, ur, _) = pieces
     if xl.size == 0 or xr.size == 0:
         raise ValueError("the trace must reach both sides of the node")
+    if len(u.pieces) == 1:  # the split leaves the left side, at least, without a point at z
+        xl, ul = np.append(xl, z), np.append(ul, ul[-1])
+        if xr[0] > z:
+            xr, ur = np.insert(xr, 0, z), np.insert(ur, 0, ur[0])
     hl = pb.lam * np.abs(_a_on_side(w, xl, 0.0, z)) * pb.f(ul)
     hr = pb.lam * np.abs(_a_on_side(w, xr, z, 1.0)) * pb.f(ur)
     left = (z - xl[::-1], ul[::-1], hl[::-1])

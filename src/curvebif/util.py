@@ -2,8 +2,8 @@
 
 Regular heights and jump-piece heights are both found this way: walk a
 classifier over log-spaced heights, bracket its sign changes, then refine a
-bracket in log height, interpolating between exact values and bisecting
-while an end is a surrogate.  The walk is lazy, so a caller that needs only
+bracket: bisect while an end is a surrogate, then run scipy's brentq in log
+height between exact ends.  The walk is lazy, so a caller that needs only
 the first bracket from one end stops evaluating heights there, and a caller
 that can tell which heights hold no bracket skips them by bisection.  A
 classifier value(s) returns (v, exact, ...): v is the signed value, or None
@@ -18,6 +18,7 @@ import math
 import sys
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = ["scan_brackets", "bisect_bracket"]
 
@@ -27,8 +28,7 @@ COLLAPSE_RTOL = 1e-15
 MAX_EVALS = 200
 # a collapsed bracket keeps its best exact point only this close to a root
 FALLBACK_TOL = 1e-6
-# an interpolated height stays this share of the log width inside the bracket
-_CLIP = 1e-3
+_BRENTQ_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol brentq accepts
 
 
 def scan_brackets(value, start, stop, n, *, settled=None):
@@ -77,73 +77,76 @@ def scan_brackets(value, start, stop, n, *, settled=None):
         s_prev, v_prev = s, v
 
 
-def bisect_bracket(value, lo, hi, lo_positive, tol):
-    """Refine a bracket in heights 0 < lo < hi by Brent-style interpolation.
+class _Leave(Exception):
+    """Ends a brentq pass: a surrogate became an end, and bisection resumes."""
 
-    While both ends hold exact values the routine evaluated itself, the next
-    height interpolates in log height: inversely quadratic through the two
-    ends and the last exact end dropped from the bracket, or the secant of
-    the ends where that point is missing, shares a value with an end, or
-    interpolates outside the bracket (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4).  The step is clipped away from the
-    ends.  While either end is a surrogate or not yet evaluated, and after
-    two interpolation steps in a row that fail to halve the log width, it
-    takes the geometric midpoint.  Returns the first exact height with
-    |v| <= tol, and None as soon as a height has no sign.  When the bracket
-    collapses to hi - lo <= COLLAPSE_RTOL * hi or MAX_EVALS heights are
-    spent, returns the exact height with the smallest |v| if that is within
-    FALLBACK_TOL, else None.  Every height it evaluates lies strictly inside
-    the bracket of the moment, so none is evaluated twice.
+
+class _Done(Exception):
+    """Ends the refinement early with args[0]: an exact root, or None for a height with no sign."""
+
+
+def bisect_bracket(value, lo, hi, lo_positive, tol):
+    """Refine a bracket in heights 0 < lo < hi: bisection, then brentq in log height.
+
+    While either end is a surrogate or not yet evaluated, the next height is
+    the geometric midpoint.  Once both ends hold exact values the routine
+    evaluated itself, scipy.optimize.brentq runs in log height, served the
+    known ends without an evaluation; a surrogate it meets becomes an end,
+    and bisection resumes.  Returns the first exact height with |v| <= tol,
+    and None as soon as a height has no sign.  When the bracket collapses to
+    hi - lo <= COLLAPSE_RTOL * hi, brentq stops on its own (at a log width
+    below xtol + 4 eps |log s|, xtol = COLLAPSE_RTOL) or MAX_EVALS heights
+    are spent, returns the exact height with the smallest |v| if that is
+    within FALLBACK_TOL, else None.  Every height lies strictly inside the
+    bracket of the moment, brentq's at least xtol/2 + 2 eps |log s| in log
+    height from either end, so none is evaluated twice.
     """
     best = None
     v_lo = v_hi = None  # exact values at the ends, None for surrogate or unseen
-    dropped = None  # (height, value) of the last exact end dropped from the bracket
-    slow = 0  # interpolation steps in a row that failed to halve the log width
-    for _ in range(MAX_EVALS):
-        if hi - lo <= COLLAPSE_RTOL * hi:
-            break
-        width = math.log(hi / lo)
-        interpolate = v_lo is not None and v_hi is not None and slow < 2
-        if interpolate:
-            t = _interpolant(v_lo, v_hi, dropped, lo, width)
-            t = min(max(t, _CLIP), 1.0 - _CLIP)
-            mid = lo * math.exp(t * width)
-            # a bracket a few ulp wide can round the step onto an end
-            interpolate = lo < mid < hi
-        if not interpolate:
-            # lo * hi underflows for heights below about 1e-154
-            mid = math.sqrt(lo * hi) if lo * hi >= sys.float_info.min else math.sqrt(lo) * math.sqrt(hi)
-            slow = 0
-        v, exact = value(mid)[:2]
+    evals = 0
+
+    def step(s):  # evaluate s inside the bracket, shrink the bracket onto it, return its exact value or None
+        nonlocal lo, v_lo, hi, v_hi, best, evals
+        evals += 1
+        v, exact = value(s)[:2]
         if v is None:
-            return None
+            raise _Done(None)
         if exact:
             if abs(v) <= tol:
-                return mid
+                raise _Done(s)
             if best is None or abs(v) < abs(best[0]):
-                best = (v, mid)
+                best = (v, s)
         if (v >= 0.0) == lo_positive:
-            if v_lo is not None:
-                dropped = (lo, v_lo)
-            lo, v_lo = mid, v if exact else None
+            lo, v_lo = s, v if exact else None
         else:
-            if v_hi is not None:
-                dropped = (hi, v_hi)
-            hi, v_hi = mid, v if exact else None
-        if interpolate:
-            slow = slow + 1 if math.log(hi / lo) > 0.5 * width else 0
-    if best is not None and abs(best[0]) <= FALLBACK_TOL:
-        return best[1]
-    return None
+            hi, v_hi = s, v if exact else None
+        return v if exact else None
+
+    def in_log(t):  # brentq's function of the log height
+        if t in ends:
+            return ends[t]
+        v = step(math.exp(t))
+        if v is None:
+            raise _Leave
+        return v
+
+    try:
+        while evals < MAX_EVALS and hi - lo > COLLAPSE_RTOL * hi:
+            t_lo, t_hi = math.log(lo), math.log(hi)
+            if v_lo is None or v_hi is None or t_lo == t_hi:
+                step(_midpoint(lo, hi))
+                continue
+            ends = {t_lo: v_lo, t_hi: v_hi}  # brentq starts from the known ends, which cost no evaluation
+            try:
+                brentq(in_log, t_lo, t_hi, xtol=COLLAPSE_RTOL, rtol=_BRENTQ_RTOL, maxiter=MAX_EVALS - evals, disp=False)
+                break
+            except _Leave:
+                pass
+    except _Done as done:
+        return done.args[0]
+    return best[1] if best is not None and abs(best[0]) <= FALLBACK_TOL else None
 
 
-def _interpolant(v_lo, v_hi, dropped, lo, width):
-    """The zero of the values' interpolant, as a share t of the log width above lo."""
-    secant = v_lo / (v_lo - v_hi)
-    if dropped is None or dropped[1] in (v_lo, v_hi):
-        return secant
-    s_c, v_c = dropped
-    t_c = math.log(s_c / lo) / width
-    # Lagrange form of t(v) through (0, v_lo), (1, v_hi), (t_c, v_c), at v = 0
-    t = v_lo * v_c / ((v_hi - v_lo) * (v_hi - v_c)) + t_c * v_lo * v_hi / ((v_c - v_lo) * (v_c - v_hi))
-    return t if 0.0 < t < 1.0 else secant
+def _midpoint(lo, hi):
+    # lo * hi underflows for heights below about 1e-154 and overflows above 1e154
+    return math.sqrt(lo * hi) if sys.float_info.min <= lo * hi < math.inf else math.sqrt(lo) * math.sqrt(hi)

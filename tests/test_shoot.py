@@ -58,12 +58,13 @@ def test_scan_preconditions(jump_weight, bump_f):
 def test_stalled_bracket_keeps_its_root():
     # theta(1) is noisy at 1e-9..3e-8 near these roots.  The refine reaches
     # the default theta_tol on the first; on the second the bracket collapses
-    # above it, and the best reaching path is kept.  Its height is the secant
-    # root of the refine's two values near 1e-6, which the noise cannot move;
-    # the noise alone leaves the root uncertain by about 1.5e-8 relative
+    # above it, and the best reaching path is kept.  Its reference is the
+    # root of theta(1)'s sign, bisected with the integrator's rtol at 1e-12,
+    # 1e-13 and 3e-14, which agree to 1e-11: the kept path lies within the
+    # pinned 1e-8 of it
     cases = (
         (7.513497307218249, 1.9047457604562859, 0.4169952921108211, 0.059638553452812194, 0.0804258350),
-        (8.168059186542854, 2.1882432186696805, 0.41343389348168486, 0.0480474076243459, 0.0648003902),
+        (8.168059186542854, 2.1882432186696805, 0.41343389348168486, 0.0480474076243459, 0.06480038934),
     )
     for lam, neg, z, peak, sup in cases:
         f = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=peak)

@@ -208,7 +208,7 @@ def test_piece_values_scale_with_lambda(jump_weight, bump_f):
 def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f, monkeypatch):
     # each piece walks its 96 heights toward the bracket it keeps, bisects
     # past the settled heights before it and shoots none beyond it, then
-    # interpolates its exact values to the root: 37 shots here, where
+    # refines its exact values to the root by brentq: 32 shots here, where
     # bisecting gap-bounded brackets took 66, the plain walks 154 and full
     # scans 242
     shots = []
@@ -229,6 +229,21 @@ def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f,
     assert 1.1e-4 < sing.us_right[-1] < 5.6e-4
 
 
+def test_piece_roots_take_at_most_32_piece_values(jump_weight, bump_f, monkeypatch):
+    # both walks and both refinements at lam = 50, counted per classifier
+    # call: brentq between exact ends takes 32
+    calls = []
+    piece_value = singular._piece_value
+
+    def counting(pb, height, side):
+        calls.append((height, side))
+        return piece_value(pb, height, side)
+
+    monkeypatch.setattr(singular, "_piece_value", counting)
+    assert isinstance(solve_singular(ProblemInstance(50.0, jump_weight, bump_f)), SingularSolution)
+    assert len(calls) <= 32
+
+
 @pytest.mark.parametrize(
     "lam, s_left, s_right",
     [
@@ -239,7 +254,7 @@ def test_pieces_stop_their_height_walks_at_the_kept_bracket(jump_weight, bump_f,
 )
 def test_interpolated_piece_heights_keep_the_bisected_ones(jump_weight, bump_f, lam, s_left, s_right):
     # the heights geometric bisection of gap-bounded brackets kept, pinned:
-    # interpolating the exact gaps lands within the root tolerance of them
+    # brentq on the exact gaps lands within the root tolerance of them
     sing = solve_singular(ProblemInstance(lam, jump_weight, bump_f))
     assert isinstance(sing, SingularSolution)
     assert sing.us_left[0] == pytest.approx(s_left, rel=1e-7)
@@ -320,22 +335,44 @@ def test_witness_matches_closed_form(jump_weight, bump_f, lead, rel):
     assert w.integral == pytest.approx(want, rel=rel)
 
 
-def test_witness_splits_a_one_piece_solution_at_the_node(jump_weight, bump_f):
-    # the closed-form trace above as one piece: the node point goes to the
-    # right side, so the left side starts one mesh step, 2e-6, from z, and
-    # its half misses at most the strip 2 sqrt(2e-6 / (lam ul)) = 4.2e-4
+def _one_piece_trace(lam, z, ul, ur):
+    """The constant-u jump trace as one RegularSolution: uniform, 200 000 cells left of z, the node point on the right."""
     from curvebif.shoot import RegularSolution
 
-    lam, z, ul, ur = 50.0, 0.4, 0.9, 0.01
     xs = np.concatenate([np.linspace(0.0, z, 200001)[:-1], np.linspace(z, 1.0, 300001)])
     us = np.where(xs < z, ul, ur)
-    trace = RegularSolution(lam, xs, us, np.zeros_like(xs), residual=0.0, balance=0.0, theta_end=0.0)
-    v = classify(ProblemInstance(lam, jump_weight, bump_f), trace)
+    return RegularSolution(lam, xs, us, np.zeros_like(xs), residual=0.0, balance=0.0, theta_end=0.0)
+
+
+def test_witness_splits_a_one_piece_solution_at_the_node(jump_weight, bump_f):
+    # the closed-form trace above as one piece: the split gives the left
+    # side a node point of its own, so its half integrates the strip next
+    # to z as well, and the sqrt-graded rule is exact again
+    lam, z, ul, ur = 50.0, 0.4, 0.9, 0.01
+    v = classify(ProblemInstance(lam, jump_weight, bump_f), _one_piece_trace(lam, z, ul, ur))
     assert v.tag == "JumpCertified"
     assert (v.witness.x1, v.witness.x2) == pytest.approx((z - 0.1, z + 0.1), abs=1e-15)
     assert v.witness.drop == pytest.approx(ul - ur, rel=1e-12)
     want = 2.0 * math.sqrt(0.1 / (lam * 1.0 * ul)) + 2.0 * math.sqrt(0.1 / (lam * 2.0 * ur))
-    assert want - 2.0 * math.sqrt(2e-6 / (lam * ul)) <= v.witness.integral < want
+    assert v.witness.integral == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+def test_one_piece_witness_follows_the_node_law(alpha):
+    # on a = k d^alpha the strip [0, d0] next to the node carries
+    # (d0/off)^((1-alpha)/2) of a half, 9 % at alpha = 0.9 with d0 = 2e-6:
+    # a left side that started one mesh step before z read that much low
+    lam, z, ul, ur = 50.0, 0.4, 40.0, 0.01
+    f = Nonlinearity()
+    pb = ProblemInstance(lam, power_weight(1.0, alpha, 2.0, alpha, z), f)
+    w = singular._find_witness(pb, _one_piece_trace(lam, z, ul, ur))
+    assert w is not None
+    off = z - w.x1
+    want = sum(
+        2.0 * math.sqrt((alpha + 1.0) / (lam * k * f(u))) * off ** ((1.0 - alpha) / 2.0) / (1.0 - alpha)
+        for k, u in ((1.0, ul), (2.0, ur))
+    )
+    assert 0.0 <= (w.integral - want) / want <= 0.02
 
 
 def _graded_trace(lam, z, ul, ur, first):

@@ -180,7 +180,7 @@ def test_surrogate_ends_keep_the_geometric_midpoints():
 
 def test_stalled_brackets_stay_within_three_bisections():
     # interpolation can keep one end for ever on a jump, a pole or a flat
-    # root; the midpoint after two slow steps bounds the cost
+    # root; brentq's bisection steps bound the cost
     def step(s):
         return (s - 2.0) + (5e-8 if s > 2.0 else -5e-8)
 
@@ -298,3 +298,34 @@ def test_bisect_midpoint_of_heights_whose_product_underflows():
     root = bisect_bracket(value, 1e-210, 1e-190, False, 1e-12)
     assert calls[0] == pytest.approx(1e-200, rel=1e-12)
     assert root == pytest.approx(1e-200, rel=1e-11)
+
+
+def test_bisect_midpoint_of_heights_whose_product_overflows():
+    # above about 1e154 lo * hi overflows to inf; the geometric midpoint must not
+    calls = []
+
+    def value(s):
+        calls.append(s)
+        return (0.0, False) if s < 1e200 else (math.log(s / 1e200), True)
+
+    root = bisect_bracket(value, 1e190, 1e210, True, 1e-12)
+    assert calls[0] == pytest.approx(1e200, rel=1e-12)
+    assert root == pytest.approx(1e200, rel=1e-11)
+
+
+def test_log_height_coarser_than_the_bracket_falls_back_to_bisection():
+    # near 1e-300 one step of log height is 1.1e-13 relative, so the ends
+    # of a bracket 1e-13 wide share one log height and give brentq nothing
+    # to refine: the refinement bisects to the collapse instead, inside the
+    # bracket and never at one height twice
+    lo, hi = 1e-300, 1e-300 * (1.0 + 1e-13)
+    mid = math.sqrt(lo) * math.sqrt(hi)
+
+    def step(s):
+        return (s - mid) / mid + (5e-8 if s > mid else -5e-8)
+
+    value, calls = recorded(exact(step))
+    root = bisect_bracket(value, lo, hi, False, 1e-10)
+    assert root is not None and abs(root - mid) <= 1e-14 * mid
+    assert all(lo < s < hi for s in calls)
+    assert len(set(calls)) == len(calls) <= 60
