@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eigen, emit, singular
-from .shoot import Blocked, integrate_path, shoot_partials, solution_from_path
+from . import eigen, emit, model, singular
+from .shoot import Blocked, _path_piece, integrate_path, shoot_partials
 
 __all__ = [
     "BranchPoint",
@@ -147,12 +147,14 @@ def _tangent_fd(lam, s0, r_lam, r_s0):
 
 
 def _point_diagnostics(pb_family, lam, s0):
-    path = integrate_path(pb_family.at(lam), s0, collect=_TRACE_MESH)
+    pb = pb_family.at(lam)
+    path = integrate_path(pb, s0, collect=_TRACE_MESH)
     if path.terminal != "reached":
         return None
-    sol = solution_from_path(pb_family.at(lam), path)
+    xs, us, dus = _path_piece(path)
     kind = "near-singular" if np.min(np.cos(path.thetas)) < NEAR_SINGULAR_COS else "regular"
-    return BranchPoint(lam, s0, sol.sup_norm, sol.deriv_norm, kind, abs(path.theta_end), sol.residual)
+    curv = model.curvature_residual(pb, xs, us, dus)
+    return BranchPoint(lam, s0, float(np.max(us)), float(np.max(np.abs(dus))), kind, abs(path.theta_end), curv)
 
 
 def trace(

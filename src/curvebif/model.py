@@ -590,7 +590,7 @@ class Nonlinearity:
     @cached_property
     def sup_norm(self):
         *_, peaks = self._law
-        return float(np.max(self._f_pos(np.array(peaks))))
+        return float(np.max(self._f_pos(self._pieces(np.array(peaks)))))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -621,48 +621,77 @@ class Nonlinearity:
 
         return f
 
-    def _f_pos(self, u):
+    def _pieces(self, u):
+        """The law's pieces on an array u >= 0: (head base, tail, middle).
+
+        The tail and the middle are each (mask, u[mask]), or None when the
+        piece holds no entry, so no formula runs on an empty piece.  The
+        head is evaluated on the whole array, on a base capped at b when the
+        tail is not empty, so that the part the tail overwrites cannot
+        overflow; the base stays an ndarray, because a numpy scalar's **
+        calls libm pow where the array power squares exactly.
+        """
         a, b, mid_f, _, _ = self._law
-        c = self.c
-        u = np.asarray(u)
-        # the head on the whole array, capped at b so that the part the tail
-        # overwrites cannot overflow; the base stays an ndarray, because a
-        # numpy scalar's ** calls libm pow where the array power squares exactly
-        out = np.asarray(c * np.asarray(np.minimum(u, b)) ** self.p)
-        m = u > b
-        out[m] = self.h * u[m] ** (-self.q)
-        if mid_f is not None:
-            m = (a <= u) & (u <= b)
-            out[m] = mid_f(u[m])
+        tail = u > b
+        mid = None if mid_f is None else (a <= u) & (u <= b)
+        tail, mid = (None if m is None or not np.count_nonzero(m) else (m, u[m]) for m in (tail, mid))
+        return np.asarray(u if tail is None else np.minimum(u, b)), tail, mid
+
+    def _f_pos(self, pieces):
+        _, _, mid_f, _, _ = self._law
+        base, tail, mid = pieces
+        out = np.asarray(self.c * base ** self.p)
+        if tail is not None:
+            m, um = tail
+            out[m] = self.h * um ** (-self.q)
+        if mid is not None:
+            m, um = mid
+            out[m] = mid_f(um)
         return out
 
     def __call__(self, u):
         """f(u), extended to u < 0 as an odd function."""
         arr = np.asarray(u, dtype=float)
-        val = np.sign(arr) * self._f_pos(np.abs(arr))
+        val = np.sign(arr) * self._f_pos(self._pieces(np.abs(arr)))
         return float(val) if np.isscalar(u) or val.ndim == 0 else val
 
-    def _F_pos(self, u):
+    @cached_property
+    def _F_ends(self):
+        """F at the law's a and at its b, the constants that F's middle and tail add to."""
         a, b, _, mid_F, _ = self._law
-        c = self.c
+        p1 = self.p + 1.0
+        Fa = self.c * a ** p1 / p1
+        return Fa, (Fa if mid_F is None else Fa + mid_F(b))
+
+    def _F_pos(self, pieces):
+        _, b, _, mid_F, _ = self._law
         p1 = self.p + 1.0
         q1 = 1.0 - self.q
-        u = np.asarray(u)
-        out = np.asarray(c * np.asarray(np.minimum(u, b)) ** p1 / p1)
-        Fa = c * a ** p1 / p1
-        Fb = Fa if mid_F is None else Fa + mid_F(b)
-        m = u > b
-        out[m] = Fb + self.h * (u[m] ** q1 - b ** q1) / q1
-        if mid_F is not None:
-            m = (a <= u) & (u <= b)
-            out[m] = Fa + mid_F(u[m])
+        base, tail, mid = pieces
+        out = np.asarray(self.c * base ** p1 / p1)
+        Fa, Fb = self._F_ends
+        if tail is not None:
+            m, um = tail
+            out[m] = Fb + self.h * (um ** q1 - b ** q1) / q1
+        if mid is not None:
+            m, um = mid
+            out[m] = Fa + mid_F(um)
         return out
 
     def potential(self, u):
         """F(u) = integral of f from 0 to u, extended evenly to u < 0."""
-        arr = np.abs(np.asarray(u, dtype=float))
-        val = self._F_pos(arr)
+        val = self._F_pos(self._pieces(np.abs(np.asarray(u, dtype=float))))
         return float(val) if np.isscalar(u) or val.ndim == 0 else val
+
+    def value_and_potential(self, u):
+        """(f(u), F(u)) on an array, from one pass over the law's pieces.
+
+        |u|, the head base and the piece masks are found once and shared by
+        f and F; each float equals the one __call__ and potential give.
+        """
+        arr = np.asarray(u, dtype=float)
+        pieces = self._pieces(np.abs(arr))
+        return np.sign(arr) * self._f_pos(pieces), self._F_pos(pieces)
 
     # -- serialization -------------------------------------------------------
 

@@ -9,7 +9,9 @@ O(h) cost, and minimized by scipy's L-BFGS-B, whose accepted steps never
 raise the value.  Cell averages of the weight are exact, so constants
 reproduce their functional value to machine precision, and the potential
 F is extended evenly so replacing a minimizer by its absolute value never
-raises the value.
+raises the value.  One evaluation gives the value and the gradient
+together: functional_value and functional_gradient are its two halves, and
+the descent calls it once per point.
 """
 
 from __future__ import annotations
@@ -63,34 +65,47 @@ def _as_values(u, n=None):
     return v
 
 
+def _grid_cells(pb, n):
+    """(cells, lam * cells) on the n-grid, the weight's and lam's share of every evaluation there."""
+    if n < 16:
+        raise ValueError("grid too coarse (need n >= 16)")
+    cells = _cell_averages(pb.weight, n)
+    return cells, pb.lam * cells
+
+
+def _evaluate(pb, v, cells, lam_cells):
+    """(J(v), grad J(v)) from one sweep over the grid, with cells and lam_cells from _grid_cells.
+
+    One diff and one square root serve the length and its gradient
+    w = d / r, and one pass over f's law gives f(v) and F(v).  A value that
+    is not finite is refused, so no gradient is returned without a finite
+    value.
+    """
+    h = 1.0 / (len(v) - 1)
+    d = np.diff(v)
+    r = np.sqrt(h * h + d ** 2)
+    fv, Fv = pb.f.value_and_potential(v)
+    out = float((r - h).sum()) - pb.lam * float((cells * Fv).sum())
+    if not math.isfinite(out):
+        raise ValueError("functional value is not finite; check weight and nonlinearity")
+    w = d / r
+    g = np.zeros(len(v))
+    g[:-1] -= w
+    g[1:] += w
+    g -= lam_cells * fv  # dF/du is the odd extension of f
+    return out, g
+
+
 def functional_value(pb, u):
     """Discrete J(u): graph length over the grid minus the weighted potential."""
     v = _as_values(u)
-    n = len(v) - 1
-    if n < 16:
-        raise ValueError("grid too coarse (need n >= 16)")
-    h = 1.0 / n
-    length = float(np.sum(np.sqrt(h * h + np.diff(v) ** 2) - h))
-    cells = _cell_averages(pb.weight, n)
-    potential = float(np.sum(cells * pb.f.potential(v)))
-    out = length - pb.lam * potential
-    if not math.isfinite(out):
-        raise ValueError("functional value is not finite; check weight and nonlinearity")
-    return out
+    return _evaluate(pb, v, *_grid_cells(pb, len(v) - 1))[0]
 
 
 def functional_gradient(pb, u):
+    """The gradient of functional_value in the nodal values, refused wherever the value is."""
     v = _as_values(u)
-    n = len(v) - 1
-    h = 1.0 / n
-    d = np.diff(v)
-    w = d / np.sqrt(h * h + d ** 2)
-    g = np.zeros_like(v)
-    g[:-1] -= w
-    g[1:] += w
-    cells = _cell_averages(pb.weight, n)
-    g -= pb.lam * cells * pb.f(v)  # dF/du is the odd extension of f
-    return g
+    return _evaluate(pb, v, *_grid_cells(pb, len(v) - 1))[1]
 
 
 def minimize(pb, init=None, n=240):
@@ -100,7 +115,8 @@ def minimize(pb, init=None, n=240):
     that satisfy its sufficient-decrease line search, so the history of
     accepted values never increases.  Iteration stops on max |g| <= 1e-9, on
     a relative value change of at most 1e-15 in one step, or after _MAX_ITER
-    iterations.
+    iterations.  Each point the search visits costs one evaluation, which
+    gives the value and the gradient from one sweep over the grid.
     The absolute value of the final iterate is returned, which cannot raise
     the discrete functional.  An array init must hold n + 1 values.
     """
@@ -108,15 +124,14 @@ def minimize(pb, init=None, n=240):
     if v.shape != (n + 1,):
         raise ValueError(f"init has shape {v.shape}; a grid of n = {n} needs {n + 1} values")
     history = [functional_value(pb, v)]
-
-    def fun(x):
-        return functional_value(pb, x), functional_gradient(pb, x)
+    cells, lam_cells = _grid_cells(pb, n)
 
     def record(intermediate_result):
         history.append(float(intermediate_result.fun))
 
     res = optimize.minimize(
-        fun,
+        # _evaluate is looked up per call, so a wrapper on the module attribute sees every evaluation
+        lambda x: _evaluate(pb, x, cells, lam_cells),
         v,
         jac=True,
         method="L-BFGS-B",

@@ -58,8 +58,89 @@ def test_scaled_eigenfunction_goes_negative(pb_super, jump_weight):
 
 
 def test_rejects_coarse_grid(pb_super):
-    with pytest.raises(ValueError):
-        functional_value(pb_super, np.zeros(9))
+    # the gradient is refused wherever the value is: both come from one evaluation
+    for evaluate in (functional_value, functional_gradient):
+        with pytest.raises(ValueError, match="grid too coarse"):
+            evaluate(pb_super, np.zeros(9))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            evaluate(pb_super, np.full(33, np.inf))  # inf - inf in the differences
+
+
+def _reference_f_and_F(f, v):
+    """f(v) and F(v) by two separate masked passes over the law's pieces, the oracle of the one-pass path."""
+    a, b, mid_f, mid_F, _ = f._law
+    u = np.abs(v)
+    fu = np.asarray(f.c * np.asarray(np.minimum(u, b)) ** f.p)
+    m = u > b
+    fu[m] = f.h * u[m] ** (-f.q)
+    if mid_f is not None:
+        m = (a <= u) & (u <= b)
+        fu[m] = mid_f(u[m])
+    p1, q1 = f.p + 1.0, 1.0 - f.q
+    Fu = np.asarray(f.c * np.asarray(np.minimum(u, b)) ** p1 / p1)
+    Fa = f.c * a ** p1 / p1
+    Fb = Fa if mid_F is None else Fa + mid_F(b)
+    m = u > b
+    Fu[m] = Fb + f.h * (u[m] ** q1 - b ** q1) / q1
+    if mid_F is not None:
+        m = (a <= u) & (u <= b)
+        Fu[m] = Fa + mid_F(u[m])
+    return np.sign(v) * fu, Fu
+
+
+def _reference_functional(pb, v):
+    """J(v) and its gradient by the two separate formulas, each with its own diff and square root."""
+    n = len(v) - 1
+    h = 1.0 / n
+    edges = np.concatenate([[0.0], (np.arange(n) + 0.5) * h, [1.0]])
+    cells = np.array([pb.weight.integral(a, b) for a, b in zip(edges[:-1], edges[1:])])
+    fv, Fv = _reference_f_and_F(pb.f, v)
+    value = float(np.sum(np.sqrt(h * h + np.diff(v) ** 2) - h)) - pb.lam * float(np.sum(cells * Fv))
+    d = np.diff(v)
+    w = d / np.sqrt(h * h + d ** 2)
+    g = np.zeros_like(v)
+    g[:-1] -= w
+    g[1:] += w
+    g -= pb.lam * cells * fv
+    return value, g
+
+
+_LAWS = {
+    "prototype": Nonlinearity(),
+    "prototype-p2.5": Nonlinearity(p=2.5, q=0.3, M=0.7),
+    "smoothed": Nonlinearity(kind="smoothed", M=0.05),
+    "smoothed-p2": Nonlinearity(kind="smoothed", p=2.0, q=0.7, M=1.3, delta=0.4),
+    "table": Nonlinearity(kind="table", p=1.5, u_nodes=(0.1, 0.4, 1.0, 2.5), f_nodes=(0.2, 0.9, 0.6, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", _LAWS)
+def test_one_pass_evaluation_equals_the_two_formulas(kind, jump_weight):
+    # every float the descent sees is the one the separate formulas give:
+    # grids meeting any set of the law's pieces, exact zeros, negative entries
+    f = _LAWS[kind]
+    pb = ProblemInstance(7.3, jump_weight, f)
+    a, b = float(f._law[0]), float(f._law[1])
+    rng = np.random.default_rng(3)
+    pools = {"head": [0.3 * a, 0.9 * a, 1e-3 * a], "middle": [a, 0.5 * (a + b), b], "tail": [1.5 * b, 40.0 * b]}
+    grids = []
+    for pieces in (["head"], ["head", "middle"], ["head", "tail"], ["head", "middle", "tail"]):
+        pool = [0.0] + [x for p in pieces for x in pools[p]]
+        v = rng.choice(pool, 41) * rng.choice([1.0, -1.0], 41)
+        v[:2] = 0.0, -pool[-1]
+        grids.append(v)
+    grids += [rng.normal(0.0, scale, 33) for scale in (0.1 * a, b, 10.0 * b)]
+    for v in grids:
+        want_f, want_F = _reference_f_and_F(f, v)
+        got_f, got_F = f.value_and_potential(v)
+        for got, want in ((f(v), want_f), (f.potential(v), want_F), (got_f, want_f), (got_F, want_F)):
+            assert np.array_equal(got, want)
+        want_value, want_grad = _reference_functional(pb, v)
+        assert functional_value(pb, v) == want_value
+        assert np.array_equal(functional_gradient(pb, v), want_grad)
+    for x in (0.0, -0.5 * a, 0.5 * (a + b), -3.0 * b):
+        want_f, want_F = _reference_f_and_F(f, np.asarray(x))
+        assert f(x) == want_f and f.potential(x) == want_F
 
 
 def test_gradient_matches_finite_differences(pb_super):
