@@ -172,9 +172,11 @@ def trace(
     at lam_max, when the height leaves [1e-6, 1e7] (a return to the
     trivial line records the terminal lam), or when the corrector keeps
     failing at the minimum step, which is the usual sign of a singular
-    transition ahead.  step, the scaled predictor step, must be positive
-    and finite, max_points, which counts the start point, at least 1, and
-    lam_max a number (+inf sets no cap).
+    transition ahead.  A corrected point is kept only when its plain,
+    stored verification shot also reads |theta(1)| <= 1e-8, the corrector's
+    own tolerance on the augmented shot.  step, the scaled predictor step,
+    must be positive and finite, max_points, which counts the start point,
+    at least 1, and lam_max a number (+inf sets no cap).
     """
     if not (0 < step < math.inf):
         raise ValueError("the continuation step must be positive and finite")
@@ -219,8 +221,9 @@ def trace(
                 terminated = "height-max"
                 break
             diag = _point_diagnostics(pb_family, new_lam, new_s0)
-        # the corrector failed or the new point's verification run did
-        if diag is None or diag.residual > 10 * _CORRECTOR_TOL:
+        # the corrector failed, or the new point's plain verification shot
+        # reads above the tolerance the corrector accepted it at
+        if diag is None or diag.residual > _CORRECTOR_TOL:
             if h <= _H_MIN:
                 terminated = "corrector-failure"
                 break

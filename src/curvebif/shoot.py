@@ -14,19 +14,28 @@ residual.
 Weight discontinuities are integration breakpoints: each segment is
 integrated separately and the step never straddles the node.
 
+Plain shots, stored or not, run on scipy's solve_ivp (DOP853).
+
 shoot_partials also returns d theta(1)/d lam and d theta(1)/d s0, carried
-through the same march by the variational equations (Hairer, Norsett and
-Wanner, Solving ODEs I, section I.14), with a saltation jump at each jump
-of a and the event-time correction at x = 1.
+by the variational equations (Hairer, Norsett and Wanner, Solving ODEs I,
+section I.14) with a saltation jump at each jump of a and the event-time
+correction at x = 1.  Its nine-component march runs on a plain-float
+DOP853 loop (ibid., sections II.5-6): scipy's tableau, step controller,
+initial-step rule and event location, with straight-line stage sums
+compiled from scipy's coefficients on the first augmented shot, so no
+step pays solve_ivp's per-call array overhead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq
 
 from .model import curvature_residual, neumann_balance
 from .util import bisect_bracket, scan_brackets
@@ -54,11 +63,15 @@ _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
 _SHOOT_MESH = (5e-4, 2e-3)
 # about EPS^(1/3): the central differences' step for a'(x) (x lies in [0, 1]) and, times |u|, for f'(u)
 _CD_STEP = 6e-6
-_SQRT3 = math.sqrt(3.0)
+# scipy's step controller: safety factor, clip of the step-size factor, and
+# the exponent of DOP853's 7th-order error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_EVENT_TOL = 4.0 * np.finfo(float).eps  # brentq's xtol and rtol on an event, as solve_ivp's
 
 
 class _BudgetSpent(Exception):
-    """Raised by a march's right-hand side past _NFEV_MAX calls."""
+    """Raised by the plain march's right-hand side past _NFEV_MAX calls."""
 
 
 @dataclass
@@ -198,19 +211,13 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
-def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=False):
-    """Integrate the arclength system from x_start toward x_target.
+def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
+    """Integrate the arclength system from x_start toward x_target with solve_ivp.
 
     Returns an ArcPath.  collect is None for a scan shot, which skips mesh
-    assembly, or the (dtheta, dx) spacing of the stored path.
-
-    partials=True carries d(x, u, theta)/d lam and d(x, u, theta)/d u_start
-    as six more components through the same steps, events and budget, and
-    sets the path's partials.  Their right-hand side is J Y + dF/d lam,
-    with a'(x) and f'(u) taken by central differences of the plain-float
-    kernels.  They take no part in step control: their atol is 1e300, and
-    the state's rtol and atol shrink by sqrt(3), so the RMS error norm over
-    nine components equals the plain shot's over three.
+    assembly, or the (dtheta, dx) spacing of the stored path.  Every plain
+    shot, forward or backward, stored or not, runs here; the augmented
+    march of shoot_partials is _march_partials.
     """
     w, f = pb.weight, pb.f
     fs = f.scalar
@@ -228,55 +235,22 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=Fal
     nfev_max = _NFEV_MAX
     dead_core = False
     ys_parts = []
-    rtol = _RTOL
     atol = _ATOL if direction > 0 else _BACKWARD_ATOL
-    if partials:
-        # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
-        y = np.concatenate([y, (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)])
-        rtol = _RTOL / _SQRT3
-        atol = np.concatenate([np.broadcast_to(atol, 3) / _SQRT3, np.full(6, 1e300)])
-    a = None  # the current segment's a
 
     terminal = "reached"  # also the end of a march with no span to cross
-    theta_partials = None
 
     try:
         for lo, hi, form in spans:
             edge = hi if direction > 0 else lo
-            a_prev, a = a, form.scalar(z)
-            if partials and a_prev is not None:
-                _saltation(y, lam_dir * (a_prev(y[0]) - a(y[0])) * fs(y[1]), direction)
+            a = form.scalar(z)
 
             def rhs(s, yv, a=a):
                 nonlocal nfev
                 nfev += 1
                 if nfev > nfev_max:
                     raise _BudgetSpent
-                state = yv.tolist()
-                x, u, th = state[0], state[1], state[2]
-                dx, du = direction * math.cos(th), direction * math.sin(th)
-                ax, fu = a(x), fs(u)
-                dth = lam_dir * ax * fu
-                if not partials:
-                    return np.array([dx, du, dth])
-                x_l, u_l, th_l, x_s, u_s, th_s = state[3:]
-                hu = _CD_STEP * abs(u) or _CD_STEP
-                # d(theta')/dx and d(theta')/du
-                gx = lam_dir * (a(x + _CD_STEP) - a(x - _CD_STEP)) / (2.0 * _CD_STEP) * fu
-                gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
-                return np.array(
-                    [
-                        dx,
-                        du,
-                        dth,
-                        -du * th_l,
-                        dx * th_l,
-                        gx * x_l + gu * u_l - direction * ax * fu,
-                        -du * th_s,
-                        dx * th_s,
-                        gx * x_s + gu * u_s,
-                    ]
-                )
+                x, u, th = yv.tolist()
+                return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
 
             ev_edge = _event(lambda s, yv: yv[0] - edge, direction)
 
@@ -285,7 +259,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=Fal
                 (s_accum, s_budget),
                 y,
                 method="DOP853",
-                rtol=rtol,
+                rtol=_RTOL,
                 atol=atol,
                 dense_output=collect is not None,
                 events=(ev_edge, *_EVENT_FNS),
@@ -313,7 +287,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=Fal
                 if abs(edge - x_target) < 1e-14:
                     if stored:
                         # the stored path ends on the target, not at the event sample
-                        ys_parts[-1][:, -1] = y[:3]
+                        ys_parts[-1][:, -1] = y
                     break
                 continue  # next weight segment
             y = np.array(out.y_events[which][-1])
@@ -335,19 +309,10 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=Fal
                     tail_x = np.linspace(y[0], x_target, 65)
                     ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
                 y = np.array([x_target, 0.0, 0.0])
-                if partials:
-                    # the tail's sensitivities are not carried
-                    theta_partials = (math.nan, math.nan)
             break
     except _BudgetSpent:
         # the march ends where its last finished segment left it
         terminal = "cap"
-
-    if partials and terminal == "reached" and theta_partials is None:
-        # theta at the target moves with the event time: d theta_end/dp = theta_p - theta' x_p / x'
-        # (x_p = 0 when no span was crossed)
-        ratio = 0.0 if a is None else lam_dir * a(y[0]) * fs(y[1]) / (direction * math.cos(y[2]))
-        theta_partials = (float(y[5] - ratio * y[3]), float(y[8] - ratio * y[6]))
 
     if collect and ys_parts:
         xs, us, thetas = np.hstack(ys_parts)
@@ -364,20 +329,296 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect, partials=Fal
         state_end=(float(y[0]), float(y[1]), float(y[2])),
         dead_core=dead_core,
         nfev=nfev,
+    )
+
+
+def _march_partials(pb, x_start, u_start, theta_start, x_target):
+    """Integrate the arclength system and its sensitivities forward from x_start to x_target > x_start.
+
+    Returns an ArcPath with endpoint rows only and its partials set.  The
+    six more components are d(x, u, theta)/d lam, starting at 0, and
+    d(x, u, theta)/d u_start, starting at (0, 1, 0); their right-hand side
+    is J Y + dF/d lam, with a'(x) and f'(u) taken by central differences of
+    the plain-float kernels.
+
+    The loop is scipy's DOP853 on plain floats: its tableau, step controller
+    and initial-step rule, each weight segment started afresh (two calls)
+    and the last stage of a step reused as the first of the next.  The
+    error norm runs over (x, u, theta) alone, with _RTOL and _ATOL, so the
+    sensitivities take no part in step control.  A sign change of the x
+    edge or of an _EVENTS function over an accepted step, by solve_ivp's
+    rule, is located on the step's 7th-order dense output, and the earliest
+    root ends the step.  At an interior edge the sensitivities take the
+    saltation jump; at x_target theta's partials take the event-time
+    correction.  The march ends as _march does: on an event; on "cap" at
+    the arclength budget, or past _NFEV_MAX calls at the state its last
+    finished segment left; on "failure" when a step falls below 10 ulps of
+    the arclength.
+    """
+    step = _dop853_step()
+    f = pb.f
+    fs = f.scalar
+    lam_dir = -float(pb.lam)
+    z = pb.weight.z
+    rtol, atol, nfev_max = _RTOL, _ATOL, _NFEV_MAX
+    directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
+
+    # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
+    y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    s = 0.0
+    s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
+    nfev = 0
+    dead_core = False
+    terminal = "reached"  # also the end of a march with no span to cross
+    theta_partials = None
+    a = None  # the current segment's a
+
+    for _, edge, form in pb.weight.spans(x_start, x_target):
+        a_prev, a = a, form.scalar(z)
+        if a_prev is not None:
+            y = _saltation(y, lam_dir * (a_prev(y[0]) - a(y[0])) * fs(y[1]))
+        y_segment = y
+        rhs = _augmented_rhs(a, fs, lam_dir)
+        events = (lambda s, yv: yv[0] - edge, *_EVENT_FNS)
+        k = rhs(*y)
+        h_abs = _initial_step(rhs, y, k, s_budget - s, rtol, atol)
+        nfev += 2
+        g = [ev(s, y) for ev in events]
+        end = None  # "event", "failure" or "cap"
+        while end is None and nfev <= nfev_max:
+            # one accepted step, as scipy's RungeKutta._step_impl
+            min_step = 10.0 * (math.nextafter(s, math.inf) - s)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:  # a nan step fails too
+                    end = "failure"
+                    break
+                s_new = min(s + h_abs, s_budget)
+                h = s_new - s
+                y_new, k_new, err, stages = step(rhs, h, y, k, rtol, atol)
+                nfev += 12
+                if err < 1.0 or nfev > nfev_max:
+                    break
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+            if end is not None or nfev > nfev_max:
+                break
+            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            h_abs = h * (min(1.0, factor) if rejected else factor)
+            g_new = [ev(s_new, y_new) for ev in events]
+            active = [
+                i
+                for i, (g0, g1, d) in enumerate(zip(g, g_new, directions))
+                if (d >= 0.0 and g0 <= 0.0 <= g1) or (d <= 0.0 and g0 >= 0.0 >= g1)
+            ]
+            if active:
+                dense = _dense_output(rhs, stages, y, y_new, s, h)
+                nfev += 3
+                # the earliest root in the step ends it
+                roots = [
+                    brentq(lambda t, ev=events[i]: ev(t, dense(t, 3)), s, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                    for i in active
+                ]
+                s, hit = min(zip(roots, active))
+                y = dense(s, 9)
+                end = "event"
+            else:
+                y, k, s, g = y_new, k_new, s_new, g_new
+                if s >= s_budget:
+                    end = "cap"
+        if nfev > nfev_max:
+            # the march ends where its last finished segment left it
+            terminal, y = "cap", y_segment
+            break
+        if end != "event":
+            terminal = end
+            break
+        if hit == 0:
+            # the event lands within brentq's tolerance of the edge: snap onto it
+            y = (edge, *y[1:])
+            if abs(edge - x_target) < 1e-14:
+                break
+            continue  # next weight segment
+        terminal = _EVENTS[hit - 1][1]
+        if (
+            terminal == "u_zero"
+            and f.p < 1.0
+            and y[0] > z
+            and abs(y[2]) <= 1e-5
+            and abs(y[1]) <= 10 * _EPS_NEG
+        ):
+            # dead core, as in _march; the tail's sensitivities are not carried
+            dead_core = True
+            terminal = "reached"
+            y = (x_target, 0.0, 0.0)
+            theta_partials = (math.nan, math.nan)
+        break
+
+    if terminal == "reached" and theta_partials is None:
+        # theta at the target moves with the event time: d theta_end/dp = theta_p - theta' x_p / x'
+        # (x_p = 0 when no span was crossed)
+        ratio = 0.0 if a is None else lam_dir * a(y[0]) * fs(y[1]) / math.cos(y[2])
+        theta_partials = (y[5] - ratio * y[3], y[8] - ratio * y[6])
+
+    return ArcPath(
+        xs=np.array([x_start, y[0]]),
+        us=np.array([u_start, y[1]]),
+        thetas=np.array([theta_start, y[2]]),
+        terminal=terminal,
+        state_end=(float(y[0]), float(y[1]), float(y[2])),
+        dead_core=dead_core,
+        nfev=nfev,
         partials=theta_partials,
     )
 
 
-def _saltation(y, jump, direction):
-    """Shift the sensitivities in y across a jump (F- - F+)_theta of theta' at an x edge.
+def _augmented_rhs(a, fs, lam_dir):
+    """The forward arclength system on one segment with its six sensitivities: nine floats in, a 9-tuple out."""
+    cos, sin, cd = math.cos, math.sin, _CD_STEP
+
+    def rhs(x, u, th, x_l, u_l, th_l, x_s, u_s, th_s):
+        dx, du = cos(th), sin(th)
+        ax, fu = a(x), fs(u)
+        hu = cd * abs(u) or cd
+        # d(theta')/dx and d(theta')/du
+        gx = lam_dir * (a(x + cd) - a(x - cd)) / (2.0 * cd) * fu
+        gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
+        return (
+            dx,
+            du,
+            lam_dir * ax * fu,
+            -du * th_l,
+            dx * th_l,
+            gx * x_l + gu * u_l - ax * fu,
+            -du * th_s,
+            dx * th_s,
+            gx * x_s + gu * u_s,
+        )
+
+    return rhs
+
+
+def _saltation(y, jump):
+    """y with its sensitivities shifted across a jump (F- - F+)_theta of theta' at an x edge met going right.
 
     The edge is met at an arclength s* with ds*/dp = -x_p / x', so
     theta_p gains jump * ds*/dp (saltation matrix; x_p and u_p are
     continuous because x' and u' are).
     """
-    x_dot = direction * math.cos(y[2])
+    y = list(y)
+    x_dot = math.cos(y[2])
     y[5] -= jump * y[3] / x_dot
     y[8] -= jump * y[6] / x_dot
+    return tuple(y)
+
+
+def _rms3(v, scale):
+    """scipy's RMS norm of v / scale over the state (x, u, theta)."""
+    r0, r1, r2 = v[0] / scale[0], v[1] / scale[1], v[2] / scale[2]
+    return math.sqrt((r0 * r0 + r1 * r1 + r2 * r2) / 3.0)
+
+
+def _initial_step(rhs, y, f0, interval, rtol, atol):
+    """scipy's initial step for DOP853 (Hairer, Norsett and Wanner, section II.4), normed over the state; one call."""
+    if interval == 0.0:
+        return 0.0
+    scale = [at + abs(v) * rtol for at, v in zip(atol, y)]
+    d0, d1 = _rms3(y, scale), _rms3(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(*[v + h0 * fv for v, fv in zip(y, f0)])
+    d2 = _rms3([b - a for a, b in zip(f0, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, interval)
+
+
+def _dense_output(rhs, stages, y_old, y_new, s_old, h):
+    """The step's 7th-order interpolant as dense(t, n), the first n components at arclength t.
+
+    As scipy's Dop853DenseOutput: three more stages (three calls), then the
+    interpolant's rows, evaluated in scipy's order, so a state equals
+    scipy's bit for bit.
+    """
+    c = dop853_coefficients
+    n_stages, n = c.N_STAGES, len(y_old)
+    K = np.empty((c.N_STAGES_EXTENDED, n))
+    K[: n_stages + 1] = stages
+    y0 = np.array(y_old)
+    for i in range(n_stages + 1, c.N_STAGES_EXTENDED):
+        K[i] = rhs(*(y0 + np.dot(K[:i].T, c.A[i, :i]) * h).tolist())
+    delta = np.array(y_new) - y0
+    F = np.empty((c.INTERPOLATOR_POWER, n))
+    F[0] = delta
+    F[1] = h * K[0] - delta
+    F[2] = 2 * delta - h * (K[n_stages] + K[0])
+    F[3:] = h * np.dot(c.D, K)
+    rows = F[::-1].tolist()
+
+    def dense(t, n):
+        x = (t - s_old) / h
+        factors = [x if i % 2 == 0 else 1 - x for i in range(len(rows))]
+        out = []
+        for j in range(n):
+            v = 0.0
+            for row, m in zip(rows, factors):
+                v = (v + row[j]) * m
+            out.append(v + y_old[j])
+        return out
+
+    return dense
+
+
+def _dop853_step_source():
+    """Source of step(rhs, h, y, k0, rtol, atol) -> (y_new, k_new, error_norm, stages): one DOP853 step.
+
+    y and k0 = rhs(*y) are 9-tuples; rhs takes nine floats and returns a
+    9-tuple.  Every stage sum is written out with scipy's coefficients
+    (zero terms dropped), so a step makes 12 calls and no numpy call.  The
+    error norm is scipy's 5th/3rd-order blend over the state (x, u, theta),
+    the first three components; stages are the 13 stage tuples, the last
+    being rhs(*y_new).
+    """
+    c = dop853_coefficients
+    n_stages = c.N_STAGES
+    n, n_err = 9, 3
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def combo(coeffs, i):
+        return " + ".join(f"{float(v)!r} * k{s}_{i}" for s, v in enumerate(coeffs) if v != 0.0)
+
+    lines = ["def step(rhs, h, y, k0, rtol, atol):", f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
+    for s in range(1, n_stages):
+        args = ", ".join(f"y{i} + ({combo(c.A[s, :s], i)}) * h" for i in range(n))
+        lines += [f"    k{s} = rhs({args})", f"    {names(f'k{s}_')}, = k{s}"]
+    lines.append(f"    {names('n')}, = " + ", ".join(f"y{i} + h * ({combo(c.B, i)})" for i in range(n)))
+    lines += [f"    k{n_stages} = rhs({names('n')})", f"    {names(f'k{n_stages}_')}, = k{n_stages}"]
+    for i in range(n_err):
+        lines += [
+            f"    sc{i} = atol[{i}] + max(abs(y{i}), abs(n{i})) * rtol",
+            f"    e5_{i} = ({combo(c.E5, i)}) / sc{i}",
+            f"    e3_{i} = ({combo(c.E3, i)}) / sc{i}",
+        ]
+    lines += [
+        "    p5 = " + " + ".join(f"e5_{i} * e5_{i}" for i in range(n_err)),
+        "    p3 = " + " + ".join(f"e3_{i} * e3_{i}" for i in range(n_err)),
+        f"    err = 0.0 if p5 == 0.0 and p3 == 0.0 else abs(h) * p5 / sqrt((p5 + 0.01 * p3) * {n_err})",
+        f"    return ({names('n')}), k{n_stages}, err, ({', '.join(f'k{s}' for s in range(n_stages + 1))})",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _dop853_step():
+    """The nine-component DOP853 step, compiled on first use (a few ms), so imports do not pay for it."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_dop853_step_source(), "<dop853 step>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _mesh_times(out, dtheta, dx):
@@ -437,7 +678,7 @@ def shoot_partials(pb, s0):
     """
     if s0 < 0:
         raise ValueError("initial height must be nonnegative")
-    path = _march(pb, 0.0, s0, 0.0, 1.0, collect=None, partials=True)
+    path = _march_partials(pb, 0.0, s0, 0.0, 1.0)
     if path.terminal == "reached":
         return (path.theta_end, *path.partials)
     return Blocked(path.terminal, path.state_end[0], path.state_end)

@@ -199,3 +199,54 @@ def test_trace_rejects_a_bad_step(ramp_family, step):
     # checked before the start point is shot
     with pytest.raises(ValueError, match="step must be positive and finite"):
         trace(ramp_family, (1.0, 1.0), step=step)
+
+
+def test_corrector_gives_up_after_its_tenth_newton_step(monkeypatch):
+    # every damped step halves |r|, so each is accepted, but ten of them
+    # leave |r| above _CORRECTOR_TOL
+    from curvebif import continuation
+
+    shots = []
+
+    def halving(pb_family, lam, s0):
+        shots.append((lam, s0))
+        return 1e-3 * 0.5 ** len(shots), 1.0, 0.0
+
+    monkeypatch.setattr(continuation, "_shot", halving)
+    assert continuation._corrector(None, 1.0, 1.0, (0.0, 1.0), (1.0, 1.0)) is None
+    # the start's shot and one accepted candidate per Newton step
+    assert len(shots) == 11
+    assert 1e-3 * 0.5 ** 11 > continuation._CORRECTOR_TOL
+
+
+def test_trace_ends_on_lambda_min(ramp_family, monkeypatch):
+    from curvebif import continuation
+
+    seed = seed_from_lambda0(ramp_family)
+    monkeypatch.setattr(continuation, "_corrector", lambda *args: (-1.0, 0.01))
+    br = trace(ramp_family, seed, max_points=5)
+    assert br.terminated_by == "lambda-min"
+    assert [(p.lam, p.s0) for p in br.points] == [seed]
+
+
+@pytest.mark.parametrize("residual, kept", [(5e-9, True), (2e-8, False)])
+def test_trace_keeps_a_point_only_within_the_corrector_tolerance(ramp_family, monkeypatch, residual, kept):
+    # the plain re-shot of a corrected point must read |theta(1)| <= 1e-8,
+    # the tolerance the corrector accepted it at on the augmented shot
+    from curvebif import continuation
+
+    seed = seed_from_lambda0(ramp_family)
+    point = (seed[0] * 1.001, seed[1] * 1.01)
+    real = continuation._point_diagnostics
+
+    def diagnostics(pb_family, lam, s0):
+        got = real(pb_family, lam, s0)
+        if (lam, s0) == point:
+            got.residual = residual
+        return got
+
+    monkeypatch.setattr(continuation, "_corrector", lambda *args: point)
+    monkeypatch.setattr(continuation, "_point_diagnostics", diagnostics)
+    br = trace(ramp_family, seed, max_points=2)
+    assert br.terminated_by == ("max-points" if kept else "corrector-failure")
+    assert [(p.lam, p.s0) for p in br.points] == ([seed, point] if kept else [seed])

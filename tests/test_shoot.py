@@ -159,6 +159,89 @@ def test_arclength_budget_ends_the_march():
     assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
     assert float(np.sum(np.hypot(np.diff(path.xs), np.diff(path.us)))) == pytest.approx(6.04, rel=1e-6)
     assert shoot_residual(pb, 0.01) == Blocked("cap", x_end, path.state_end)
+    # the augmented loop ends the same shot on the same budget
+    aug = shoot._march_partials(pb, 0.0, 0.01, 0.0, 1.0)
+    assert aug.terminal == "cap" and aug.partials is None
+    assert shoot_partials(pb, 0.01) == Blocked("cap", aug.state_end[0], aug.state_end)
+    assert aug.state_end == pytest.approx(path.state_end, abs=1e-7)
+
+
+def test_augmented_march_fails_below_ten_ulps_of_the_arclength(monkeypatch):
+    # a right-hand side that turns nan past x = 0.2 rejects every step that
+    # reaches it, so accepted steps close in on x = 0.2 until the next one
+    # would be under 10 ulps of s: both marches end on "failure" at the last
+    # state they accepted
+    real = ConstantForm.scalar
+
+    def walled(form, z):
+        a = real(form, z)
+        return lambda x: a(x) if x < 0.2 else math.nan
+
+    monkeypatch.setattr(ConstantForm, "scalar", walled)
+    pb = ProblemInstance(2.0, two_constant_weight(1.0, 2.0, 0.4), Nonlinearity())
+    path = shoot._march_partials(pb, 0.0, 0.5, 0.0, 1.0)
+    assert path.terminal == "failure" and path.partials is None
+    assert 0.2 - 1e-12 < path.state_end[0] < 0.2
+    plain = shoot._march(pb, 0.0, 0.5, 0.0, 1.0, collect=None)
+    assert plain.terminal == "failure"
+    assert path.state_end == pytest.approx(plain.state_end, abs=1e-7)
+    assert shoot_partials(pb, 0.5) == Blocked("failure", path.state_end[0], path.state_end)
+
+
+def test_augmented_shots_leave_solve_ivp_alone(jump_weight, bump_f, ramp_weight, mild_f, lam0_jump, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an augmented shot called solve_ivp")
+
+    monkeypatch.setattr(shoot, "solve_ivp", refuse)
+    got = shoot_partials(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
+    assert len(got) == 3 and all(math.isfinite(v) for v in got)
+    assert isinstance(shoot_partials(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 1e-6), Blocked)
+    with pytest.raises(AssertionError, match="solve_ivp"):
+        shoot_residual(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
+
+
+def _toy_rhs(seed):
+    """A smooth nonlinear right-hand side on nine floats, as the loop calls it."""
+    m = np.random.default_rng(seed).normal(size=(9, 9)) / 3.0
+
+    def rhs(*y):
+        v = np.array(y)
+        return tuple((np.sin(m @ v) + 0.1 * v * v).tolist())
+
+    return rhs
+
+
+def test_generated_step_is_scipys_dop853_step():
+    # one generated step against scipy's rk_step with the same tableau, and
+    # its error norm against DOP853's over the state components (x, u, theta)
+    # for at least half the draws far above the norm's roundoff floor
+    from scipy.integrate._ivp.rk import DOP853, rk_step
+
+    eps = np.finfo(float).eps
+    step = shoot._dop853_step()
+    rng = np.random.default_rng(3)
+    rtol, atol = 1e-11, (1e-12, 1e-12, 1e-13)
+    compared = 0
+    for trial in range(200):
+        rhs = _toy_rhs(trial % 7)
+        y = tuple(rng.normal(size=9).tolist())
+        h = float(rng.uniform(0.01, 0.3))
+        k0 = rhs(*y)
+        y_new, k_new, err, stages = step(rhs, h, y, k0, rtol, atol)
+        K = np.empty((DOP853.n_stages + 1, 9))
+        want, f_want = rk_step(lambda t, v: np.array(rhs(*v)), 0.0, np.array(y), np.array(k0), h, DOP853.A, DOP853.B, DOP853.C, K)
+        assert np.all(np.abs(np.array(y_new) - want) <= 1e-13 * np.abs(want))
+        assert np.allclose(stages, K, rtol=0.0, atol=1e-13 * np.max(np.abs(K)))
+        assert np.array_equal(k_new, stages[-1]) and np.allclose(k_new, f_want, rtol=0.0, atol=1e-13 * np.max(np.abs(K)))
+        # the norm of these stages as DOP853 takes it; the estimate is a
+        # cancellation, whose roundoff floor is eps times its terms
+        K = np.array(stages)[:, :3]
+        scale = np.array(atol) + np.maximum(np.abs(y[:3]), np.abs(y_new[:3])) * rtol
+        want_err = DOP853._estimate_error_norm(DOP853, K, h, scale)
+        floor = abs(h) * eps * np.max(np.abs(K).T @ (np.abs(DOP853.E5) + 0.1 * np.abs(DOP853.E3)) / scale)
+        assert abs(err - want_err) <= floor
+        compared += want_err > 100.0 * floor
+    assert compared >= 100
 
 
 _TERMINAL_CASES = pytest.mark.parametrize(
@@ -176,32 +259,26 @@ _TERMINAL_CASES = pytest.mark.parametrize(
 )
 
 
-@_TERMINAL_CASES
-def test_every_terminal_derives_theta_end(
-    jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal, partials=False
-):
-    if patch is not None:
-        monkeypatch.setattr(shoot, *patch)
+def _terminal_shot(case, jump_weight, bump_f, mild_f, lam0_jump):
+    """(pb, x_start, u_start, theta_start) of one terminal case, marched to x = 1."""
     w = Weight(0.5, (Segment(0.0, 0.5, ConstantForm(1.0)), Segment(0.5, 1.0, ConstantForm(-2.0))))
     d = 0.05  # just under the touchdown manifold of test_dead_core_continuation_from_tangency
-    mesh = (5e-4, 2e-3)
-
-    def from_zero(pb, s0):
-        return shoot._march(pb, 0.0, s0, 0.0, 1.0, collect=mesh, partials=partials)
-
     shots = {
-        "reached": lambda: from_zero(ProblemInstance(0.0, jump_weight, bump_f), 0.7),
-        "vertical-down": lambda: from_zero(ProblemInstance(20.0 * lam0_jump, jump_weight, bump_f), 2.0),
-        "vertical-up": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
-        "u_zero": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
-        "cap-height": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
-        "cap-budget": lambda: from_zero(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
-        "dead-core": lambda: shoot._march(
-            ProblemInstance(1.0, w, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=10.0)),
-            0.85 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0), 1.0, collect=mesh, partials=partials,
-        ),
+        "reached": (ProblemInstance(0.0, jump_weight, bump_f), 0.7),
+        "vertical-down": (ProblemInstance(20.0 * lam0_jump, jump_weight, bump_f), 2.0),
+        "vertical-up": (ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "u_zero": (ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
+        "cap-height": (ProblemInstance(2.0 * lam0_jump, jump_weight, bump_f), 50.0),
+        "cap-budget": (ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 0.05),
     }
-    path = shots[case]()
+    if case == "dead-core":
+        pb = ProblemInstance(1.0, w, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=10.0))
+        return pb, 0.85 - d, 0.97 * d ** 4 / 36.0, math.atan(-(d ** 3) / 9.0)
+    pb, s0 = shots[case]
+    return pb, 0.0, s0, 0.0
+
+
+def _assert_terminal(path, case, terminal):
     assert path.terminal == terminal
     assert path.dead_core == (case == "dead-core")
     if terminal == "reached":
@@ -216,25 +293,42 @@ def test_every_terminal_derives_theta_end(
         assert path.state_end[1] == pytest.approx(50.05, rel=1e-12)
     if case == "cap-budget":
         assert 250 < path.nfev <= 250 + 12
-    # the stored path has the plain shot's three rows, and ends where the march did
+    # the path's last row is where the march ended
     assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
-    # partials exist only on a reached augmented march; a dead-core tail carries none
-    if not partials or terminal != "reached":
-        assert path.partials is None
-    elif case == "dead-core":
-        assert all(math.isnan(v) for v in path.partials)
-    else:
-        assert all(math.isfinite(v) for v in path.partials)
+
+
+@_TERMINAL_CASES
+def test_every_terminal_derives_theta_end(jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal):
+    if patch is not None:
+        monkeypatch.setattr(shoot, *patch)
+    pb, *start = _terminal_shot(case, jump_weight, bump_f, mild_f, lam0_jump)
+    path = shoot._march(pb, *start, 1.0, collect=(5e-4, 2e-3))
+    _assert_terminal(path, case, terminal)
+    assert path.partials is None
 
 
 @_TERMINAL_CASES
 def test_every_terminal_ends_the_augmented_march_alike(
     jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal
 ):
-    # the march that carries sensitivities ends every shot as the plain one does
-    test_every_terminal_derives_theta_end(
-        jump_weight, bump_f, mild_f, lam0_jump, monkeypatch, case, patch, terminal, partials=True
-    )
+    # the march that carries sensitivities ends every shot as the plain
+    # solve_ivp march of the same shot does, at the same state up to the
+    # integration noise
+    if patch is not None:
+        monkeypatch.setattr(shoot, *patch)
+    pb, *start = _terminal_shot(case, jump_weight, bump_f, mild_f, lam0_jump)
+    path = shoot._march_partials(pb, *start, 1.0)
+    _assert_terminal(path, case, terminal)
+    plain = shoot._march(pb, *start, 1.0, collect=None)
+    assert path.terminal == plain.terminal and path.dead_core == plain.dead_core
+    assert path.state_end == pytest.approx(plain.state_end, abs=1e-7)
+    # partials exist only on a reached augmented march; a dead-core tail carries none
+    if terminal != "reached":
+        assert path.partials is None
+    elif case == "dead-core":
+        assert all(math.isnan(v) for v in path.partials)
+    else:
+        assert all(math.isfinite(v) for v in path.partials)
 
 
 def _central_partials(pb, s0, step=1e-4):
