@@ -171,8 +171,11 @@ def trace(
     start must satisfy |theta(1)| <= 1e-6.  The trace stops at max_points,
     at lam_max, when the height leaves [1e-6, 1e7] (a return to the
     trivial line records the terminal lam), or when the corrector keeps
-    failing at the minimum step, which is the usual sign of a singular
-    transition ahead.  A corrected point is kept only when its plain,
+    failing at the minimum step: ahead lies a singular transition, or
+    shots that alternate between reaching x = 1 and turning vertical just
+    past the node, where a step hid the node's segment edge.  The second
+    end, met on the command line's default problem, is chaotic in the
+    start's last digits.  A corrected point is kept only when its plain,
     stored verification shot also reads |theta(1)| <= 1e-8, the corrector's
     own tolerance on the augmented shot.  step, the scaled predictor step,
     must be positive and finite, max_points, which counts the start point,

@@ -12,7 +12,9 @@ initial height, and regular solutions are the bracketed roots of that
 residual.
 
 Weight discontinuities are integration breakpoints: each segment is
-integrated separately and the step never straddles the node.
+integrated separately and the step never straddles the node.  _walk walks
+the segments and holds the end rule of every shot; each march hands it
+its own segment integrator.
 
 Plain shots, stored or not, run on scipy's solve_ivp (DOP853).
 
@@ -211,108 +213,118 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
+def _walk(pb, y, x_target, segment):
+    """March the state y from x = y[0] toward x_target one weight segment at a time; the end rule of every shot.
+
+    y is the start state: (x, u, theta), or those with their six
+    sensitivities.  Each span of Weight.spans, in march order, goes to
+    segment(a, edge, y, s, s_budget), which integrates it from arclength s
+    with a the span's plain-float kernel and returns (end, y, s): end is the
+    index of the event met in (x edge, *_EVENTS), "failure", "cap" at the
+    arclength budget s_budget, or "spent" past _NFEV_MAX calls.  The budget
+    is 6 + 4 |u_start|.
+
+    Returns (terminal, y, core), terminal as ArcPath's and core the x where
+    a dead core starts, else None.  An x edge snaps x onto itself and the
+    march goes on to the next span unless the edge is x_target.  A spent
+    march ends on "cap" at the state its last finished segment left.
+    """
+    w = pb.weight
+    forward = x_target > y[0]
+    spans = w.spans(min(y[0], x_target), max(y[0], x_target))
+    if not forward:
+        spans.reverse()
+    s, s_budget = 0.0, 6.0 + 4.0 * abs(y[1])
+    for lo, hi, form in spans:
+        edge = hi if forward else lo
+        end, y_end, s = segment(form.scalar(w.z), edge, y, s, s_budget)
+        if end == "spent":
+            # the march ends where its last finished segment left it
+            return "cap", y, None
+        if end in ("failure", "cap"):
+            return end, y_end, None
+        if end == 0:
+            # the event lands within brentq's tolerance of the edge: snap onto it
+            y = (edge, *y_end[1:])
+            if abs(edge - x_target) < 1e-14:
+                break
+            continue  # next weight segment
+        terminal, y = _EVENTS[end - 1][1], y_end
+        # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
+        # grazing crossings arrive well inside this angle tolerance
+        if (
+            terminal == "u_zero"
+            and pb.f.p < 1.0
+            and forward
+            and y[0] > w.z
+            and abs(y[2]) <= 1e-5
+            and abs(y[1]) <= 10 * _EPS_NEG
+        ):
+            # dead core: f(0) = 0 makes u == 0 an exact continuation
+            return "reached", (x_target, 0.0, 0.0), y[0]
+        return terminal, y, None
+    return "reached", y, None
+
+
 def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
     """Integrate the arclength system from x_start toward x_target with solve_ivp.
 
     Returns an ArcPath.  collect is None for a scan shot, which skips mesh
     assembly, or the (dtheta, dx) spacing of the stored path.  Every plain
     shot, forward or backward, stored or not, runs here; the augmented
-    march of shoot_partials is _march_partials.
+    march of shoot_partials is _march_partials.  _walk ends the march; each
+    of its segments is one solve_ivp call.
     """
-    w, f = pb.weight, pb.f
-    fs = f.scalar
+    fs = pb.f.scalar
     direction = 1.0 if x_target > x_start else -1.0
     lam_dir = -direction * pb.lam
-    spans = w.spans(min(x_start, x_target), max(x_start, x_target))
-    if direction < 0:
-        spans.reverse()
-    z = w.z
-
-    y = np.array([x_start, u_start, theta_start], dtype=float)
-    s_accum = 0.0
-    s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
+    atol = _ATOL if direction > 0 else _BACKWARD_ATOL
     nfev = 0  # right-hand-side calls, counted by rhs
     nfev_max = _NFEV_MAX
-    dead_core = False
     ys_parts = []
-    atol = _ATOL if direction > 0 else _BACKWARD_ATOL
+    stored = False  # whether the last segment added to ys_parts
 
-    terminal = "reached"  # also the end of a march with no span to cross
+    def segment(a, edge, y, s, s_budget):
+        nonlocal stored
 
-    try:
-        for lo, hi, form in spans:
-            edge = hi if direction > 0 else lo
-            a = form.scalar(z)
+        def rhs(s, yv):
+            nonlocal nfev
+            nfev += 1
+            if nfev > nfev_max:
+                raise _BudgetSpent
+            x, u, th = yv.tolist()
+            return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
 
-            def rhs(s, yv, a=a):
-                nonlocal nfev
-                nfev += 1
-                if nfev > nfev_max:
-                    raise _BudgetSpent
-                x, u, th = yv.tolist()
-                return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
-
-            ev_edge = _event(lambda s, yv: yv[0] - edge, direction)
-
+        try:
             out = solve_ivp(
                 rhs,
-                (s_accum, s_budget),
+                (s, s_budget),
                 y,
                 method="DOP853",
                 rtol=_RTOL,
                 atol=atol,
                 dense_output=collect is not None,
-                events=(ev_edge, *_EVENT_FNS),
+                events=(_event(lambda s, yv: yv[0] - edge, direction), *_EVENT_FNS),
             )
+        except _BudgetSpent:
+            return "spent", y, s
+        stored = collect and len(out.t) > 1
+        if stored:
+            ys_parts.append(_subsample(out, *collect))
+        if out.status == -1:
+            return "failure", out.y[:, -1], out.t[-1]
+        if out.status == 0:
+            return "cap", out.y[:, -1], out.t[-1]
+        which = next(i for i, te in enumerate(out.t_events) if len(te))
+        return which, out.y_events[which][-1], out.t_events[which][-1]
 
-            stored = collect and len(out.t) > 1
-            if stored:
-                ys_parts.append(_subsample(out, *collect))
-
-            y = out.y[:, -1]
-            s_accum = out.t[-1]
-
-            if out.status == -1:
-                terminal = "failure"
-                break
-            if out.status == 0:
-                terminal = "cap"
-                break
-            which = next(i for i, te in enumerate(out.t_events) if len(te))
-            if which == 0:
-                # the event lands within brentq's tolerance of the edge: snap onto it
-                y = np.array(out.y_events[0][-1])
-                y[0] = edge
-                s_accum = out.t_events[0][-1]
-                if abs(edge - x_target) < 1e-14:
-                    if stored:
-                        # the stored path ends on the target, not at the event sample
-                        ys_parts[-1][:, -1] = y
-                    break
-                continue  # next weight segment
-            y = np.array(out.y_events[which][-1])
-            terminal = _EVENTS[which - 1][1]
-            # the landing manifold has |theta| ~ |u|^(3/4) near touchdown, so
-            # grazing crossings arrive well inside this angle tolerance
-            if (
-                terminal == "u_zero"
-                and f.p < 1.0
-                and direction > 0
-                and y[0] > z
-                and abs(y[2]) <= 1e-5
-                and abs(y[1]) <= 10 * _EPS_NEG
-            ):
-                # dead core: f(0) = 0 makes u == 0 an exact continuation
-                dead_core = True
-                terminal = "reached"
-                if collect:
-                    tail_x = np.linspace(y[0], x_target, 65)
-                    ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
-                y = np.array([x_target, 0.0, 0.0])
-            break
-    except _BudgetSpent:
-        # the march ends where its last finished segment left it
-        terminal = "cap"
+    terminal, y, core = _walk(pb, (float(x_start), float(u_start), float(theta_start)), x_target, segment)
+    if core is not None and collect:
+        tail_x = np.linspace(core, x_target, 65)
+        ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
+    elif terminal == "reached" and stored:
+        # the stored path ends on the target, not at the event sample
+        ys_parts[-1][:, -1] = y
 
     if collect and ys_parts:
         xs, us, thetas = np.hstack(ys_parts)
@@ -327,7 +339,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
         thetas=thetas,
         terminal=terminal,
         state_end=(float(y[0]), float(y[1]), float(y[2])),
-        dead_core=dead_core,
+        dead_core=core is not None,
         nfev=nfev,
     )
 
@@ -341,51 +353,41 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     is J Y + dF/d lam, with a'(x) and f'(u) taken by central differences of
     the plain-float kernels.
 
-    The loop is scipy's DOP853 on plain floats: its tableau, step controller
-    and initial-step rule, each weight segment started afresh (two calls)
-    and the last stage of a step reused as the first of the next.  The
-    error norm runs over (x, u, theta) alone, with _RTOL and _ATOL, so the
+    _walk ends the march, as it ends _march's; each of its segments is a
+    plain-float copy of scipy's DOP853 loop: its tableau, step controller
+    and initial-step rule, each segment started afresh (two calls) and the
+    last stage of a step reused as the first of the next.  The error norm
+    runs over (x, u, theta) alone, with _RTOL and _ATOL, so the
     sensitivities take no part in step control.  A sign change of the x
     edge or of an _EVENTS function over an accepted step, by solve_ivp's
     rule, is located on the step's 7th-order dense output, and the earliest
-    root ends the step.  At an interior edge the sensitivities take the
+    root ends the step.  A step below 10 ulps of the arclength ends the
+    segment on "failure".  At an interior edge the sensitivities take the
     saltation jump; at x_target theta's partials take the event-time
-    correction.  The march ends as _march does: on an event; on "cap" at
-    the arclength budget, or past _NFEV_MAX calls at the state its last
-    finished segment left; on "failure" when a step falls below 10 ulps of
-    the arclength.
+    correction.
     """
     step = _dop853_step()
-    f = pb.f
-    fs = f.scalar
+    fs = pb.f.scalar
     lam_dir = -float(pb.lam)
-    z = pb.weight.z
     rtol, atol, nfev_max = _RTOL, _ATOL, _NFEV_MAX
     directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
+    nfev = 0  # right-hand-side calls of the finished segments
+    a_last = None  # the last segment's a
 
-    # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
-    y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    s = 0.0
-    s_budget = 6.0 + 4.0 * abs(u_start)  # arclength budget
-    nfev = 0
-    dead_core = False
-    terminal = "reached"  # also the end of a march with no span to cross
-    theta_partials = None
-    a = None  # the current segment's a
-
-    for _, edge, form in pb.weight.spans(x_start, x_target):
-        a_prev, a = a, form.scalar(z)
-        if a_prev is not None:
-            y = _saltation(y, lam_dir * (a_prev(y[0]) - a(y[0])) * fs(y[1]))
-        y_segment = y
+    def segment(a, edge, y, s, s_budget):
+        nonlocal nfev, a_last
+        if a_last is not None:
+            y = _saltation(y, lam_dir * (a_last(y[0]) - a(y[0])) * fs(y[1]))
+        a_last = a
+        calls_max = nfev_max - nfev
         rhs = _augmented_rhs(a, fs, lam_dir)
         events = (lambda s, yv: yv[0] - edge, *_EVENT_FNS)
         k = rhs(*y)
         h_abs = _initial_step(rhs, y, k, s_budget - s, rtol, atol)
-        nfev += 2
+        calls = 2
         g = [ev(s, y) for ev in events]
-        end = None  # "event", "failure" or "cap"
-        while end is None and nfev <= nfev_max:
+        end = None  # an event index, "failure" or "cap"
+        while end is None and calls <= calls_max:
             # one accepted step, as scipy's RungeKutta._step_impl
             min_step = 10.0 * (math.nextafter(s, math.inf) - s)
             h_abs = max(h_abs, min_step)
@@ -397,12 +399,12 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
                 s_new = min(s + h_abs, s_budget)
                 h = s_new - s
                 y_new, k_new, err, stages = step(rhs, h, y, k, rtol, atol)
-                nfev += 12
-                if err < 1.0 or nfev > nfev_max:
+                calls += 12
+                if err < 1.0 or calls > calls_max:
                     break
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                 rejected = True
-            if end is not None or nfev > nfev_max:
+            if end is not None or calls > calls_max:
                 break
             factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             h_abs = h * (min(1.0, factor) if rejected else factor)
@@ -414,51 +416,32 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
             ]
             if active:
                 dense = _dense_output(rhs, stages, y, y_new, s, h)
-                nfev += 3
+                calls += 3
                 # the earliest root in the step ends it
                 roots = [
                     brentq(lambda t, ev=events[i]: ev(t, dense(t, 3)), s, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
                     for i in active
                 ]
-                s, hit = min(zip(roots, active))
+                s, end = min(zip(roots, active))
                 y = dense(s, 9)
-                end = "event"
             else:
                 y, k, s, g = y_new, k_new, s_new, g_new
                 if s >= s_budget:
                     end = "cap"
-        if nfev > nfev_max:
-            # the march ends where its last finished segment left it
-            terminal, y = "cap", y_segment
-            break
-        if end != "event":
-            terminal = end
-            break
-        if hit == 0:
-            # the event lands within brentq's tolerance of the edge: snap onto it
-            y = (edge, *y[1:])
-            if abs(edge - x_target) < 1e-14:
-                break
-            continue  # next weight segment
-        terminal = _EVENTS[hit - 1][1]
-        if (
-            terminal == "u_zero"
-            and f.p < 1.0
-            and y[0] > z
-            and abs(y[2]) <= 1e-5
-            and abs(y[1]) <= 10 * _EPS_NEG
-        ):
-            # dead core, as in _march; the tail's sensitivities are not carried
-            dead_core = True
-            terminal = "reached"
-            y = (x_target, 0.0, 0.0)
-            theta_partials = (math.nan, math.nan)
-        break
+        nfev += calls
+        return ("spent" if calls > calls_max else end), y, s
 
-    if terminal == "reached" and theta_partials is None:
+    # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
+    y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    terminal, y, core = _walk(pb, y, x_target, segment)
+    theta_partials = None
+    if core is not None:
+        # the dead-core tail's sensitivities are not carried
+        theta_partials = (math.nan, math.nan)
+    elif terminal == "reached":
         # theta at the target moves with the event time: d theta_end/dp = theta_p - theta' x_p / x'
         # (x_p = 0 when no span was crossed)
-        ratio = 0.0 if a is None else lam_dir * a(y[0]) * fs(y[1]) / math.cos(y[2])
+        ratio = 0.0 if a_last is None else lam_dir * a_last(y[0]) * fs(y[1]) / math.cos(y[2])
         theta_partials = (y[5] - ratio * y[3], y[8] - ratio * y[6])
 
     return ArcPath(
@@ -467,7 +450,7 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
         thetas=np.array([theta_start, y[2]]),
         terminal=terminal,
         state_end=(float(y[0]), float(y[1]), float(y[2])),
-        dead_core=dead_core,
+        dead_core=core is not None,
         nfev=nfev,
         partials=theta_partials,
     )
@@ -727,7 +710,12 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     |theta(1)| <= theta_tol (or, when the bracket collapses first, to its
     best reaching path within 1e-6), and keeps each refined height once:
     two distinct heights are two solutions, however close.  An empty list
-    is meaningful: no regular solution has its height in the scanned window.
+    does not mean that the window holds no solution.  A bracket is dropped
+    when it meets a height with no sign ("cap" or "failure"), or when it
+    collapses with no reaching path within 1e-6: at lam = 50 on the power
+    weight with alpha = 1 and p = 1, one collapses between a downward and an
+    upward vertical on 16.0784034, where varmin finds a solution.  Two roots
+    in one scan interval make no sign change.
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")

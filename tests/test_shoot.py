@@ -142,6 +142,33 @@ def test_nfev_budget_ends_the_march(jump_weight, mild_f, lam0_jump, monkeypatch)
     assert shoot_residual(pb, 0.05).event == "cap"
 
 
+def test_nfev_budget_past_the_first_segment_ends_at_its_edge(jump_weight, mild_f, lam0_jump, monkeypatch):
+    # a budget that outlasts the segment [0, z] but not the shot ends every
+    # march at the state that segment left: the node state, x snapped onto z
+    pb = ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f)
+    z = jump_weight.z
+    marches = {
+        "plain": lambda x_target: shoot._march(pb, 0.0, 0.05, 0.0, x_target, collect=None),
+        "stored": lambda x_target: shoot._march(pb, 0.0, 0.05, 0.0, x_target, collect=shoot._SHOOT_MESH),
+        "augmented": lambda x_target: shoot._march_partials(pb, 0.0, 0.05, 0.0, x_target),
+    }
+    ends = {}
+    for name, march in marches.items():
+        first, whole = march(z).nfev, march(1.0).nfev
+        assert first < whole
+        with monkeypatch.context() as m:
+            m.setattr(shoot, "_NFEV_MAX", (first + whole) // 2)
+            path = march(1.0)
+        assert path.terminal == "cap" and path.partials is None
+        x_end, u_end, theta_end = ends[name] = path.state_end
+        assert x_end == z
+        assert u_end == pytest.approx(0.0122740, abs=1e-7)
+        assert theta_end == pytest.approx(-0.1606237, abs=1e-7)
+        assert path.state_end == (path.xs[-1], path.us[-1], path.thetas[-1])
+    assert ends["stored"] == ends["plain"]
+    assert ends["augmented"] == pytest.approx(ends["plain"], abs=1e-7)
+
+
 def test_arclength_budget_ends_the_march():
     # a short strong segment turns a flat start from 0.01 almost vertical
     # (theta 1.44 at x = 0.05), and a = 0 beyond keeps that straight line:
