@@ -228,6 +228,8 @@ def _cmd_minimize(args):
         "sup_norm": best_u.sup_norm,
         "minimizer": list(best_u.values),
         "iterations": info["iterations"],
+        "stop": info["stop"],
+        "max_grad": info["max_grad"],
         "starts": [{"value": r[1], "sup_norm": r[0].sup_norm} for r in runs],
     }
     _write(args.out, json_text(out) + "\n")

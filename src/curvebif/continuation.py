@@ -12,7 +12,10 @@ Every Newton here (the corrector, the start's tangent and
 solve_lambda_at_height) reads the exact Jacobian (dR/d lam, dR/d s0) from
 the same augmented shot that gives R (shoot.shoot_partials), so an
 iteration costs one shot and no finite-difference step meets the
-integration noise of R.
+integration noise of R.  That shot also gives the path's max u and max
+|theta|, so a kept point reads its sup norm, slope and kind from the shot
+the corrector accepted; its one more shot is a plain, unstored gate on
+|theta(1)|.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import eigen, emit, model, singular
-from .shoot import Blocked, _path_piece, integrate_path, shoot_partials
+from . import eigen, emit, singular
+from .shoot import Blocked, integrate_path, shoot_partials
 
 __all__ = [
     "BranchPoint",
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_COS = 1e-3
-_TRACE_MESH = (2e-3, 5e-3)  # stored-path spacing (max angle change, max x advance)
 _H_MIN = 1e-7  # smallest predictor step before the trace gives up
 _CORRECTOR_TOL = 1e-8  # |theta(1)| accepted by the corrector
 
@@ -49,8 +49,7 @@ class BranchPoint:
     sup_norm: float
     deriv_norm: float
     kind: str  # "regular" | "near-singular"
-    residual: float  # |theta(1)| of the independent verification run
-    curv_residual: float = 0.0
+    residual: float  # |theta(1)| of the plain, unstored gate shot
 
 
 @dataclass
@@ -78,15 +77,18 @@ class Branch:
         return [(p.lam, p.sup_norm, p.kind) for p in self.points]
 
 
-_BLOCKED = (math.nan, math.nan, math.nan)
+_BLOCKED = (math.nan, math.nan, math.nan, None)
 
 
 def _shot(pb_family, lam, s0):
-    """(R, dR/d lam, dR/d s0) at (lam, s0), all nan where the shot is blocked or a partial is nan."""
+    """(R, dR/d lam, dR/d s0, extrema) at (lam, s0), as shoot_partials.
+
+    Blocked shots and nan partials give _BLOCKED: nan, and no extrema.
+    """
     if lam < 0 or s0 < 0:
         return _BLOCKED
     got = shoot_partials(pb_family.at(lam), s0)
-    if isinstance(got, Blocked) or any(math.isnan(v) for v in got):
+    if isinstance(got, Blocked) or any(math.isnan(v) for v in got[:3]):
         return _BLOCKED
     return got
 
@@ -99,9 +101,11 @@ def _corrector(pb_family, lam, s0, tangent, ref):
     """Damped Newton on (residual, arclength normalization), at most 10 steps.
 
     Each accepted shot gives the next step's residual and Jacobian.
+    Returns (lam, s0, extrema) with the extrema of the last accepted shot,
+    or None.
     """
     sl, ss = _scales(*ref)
-    r, j00, j01 = _shot(pb_family, lam, s0)
+    r, j00, j01, extrema = _shot(pb_family, lam, s0)
     if math.isnan(r):
         return None
     j10 = tangent[0] / sl
@@ -109,7 +113,7 @@ def _corrector(pb_family, lam, s0, tangent, ref):
     for _ in range(10):
         n = tangent[0] * (lam - ref[0]) / sl + tangent[1] * (s0 - ref[1]) / ss
         if abs(r) <= _CORRECTOR_TOL and abs(n) <= 1e-9:
-            return lam, s0
+            return lam, s0, extrema
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             return None
@@ -119,16 +123,16 @@ def _corrector(pb_family, lam, s0, tangent, ref):
         base = abs(r) + abs(n)
         for _ in range(6):
             cand = (lam + damp * step_l, s0 + damp * step_s)
-            rc, jl, js = _shot(pb_family, cand[0], cand[1])
+            rc, jl, js, ec = _shot(pb_family, cand[0], cand[1])
             nc = tangent[0] * (cand[0] - ref[0]) / sl + tangent[1] * (cand[1] - ref[1]) / ss
             if not math.isnan(rc) and abs(rc) + abs(nc) < base:
-                (lam, s0), r, j00, j01 = cand, rc, jl, js
+                (lam, s0), r, j00, j01, extrema = cand, rc, jl, js, ec
                 break
             damp *= 0.5
         else:
             return None
     if abs(r) <= _CORRECTOR_TOL:
-        return lam, s0
+        return lam, s0, extrema
     return None
 
 
@@ -146,15 +150,22 @@ def _tangent_fd(lam, s0, r_lam, r_s0):
     return (rs / norm, -rl / norm)
 
 
-def _point_diagnostics(pb_family, lam, s0):
-    pb = pb_family.at(lam)
-    path = integrate_path(pb, s0, collect=_TRACE_MESH)
+def _point_diagnostics(pb_family, lam, s0, extrema):
+    """The BranchPoint at (lam, s0), or None when its plain gate shot does not reach x = 1.
+
+    extrema is (max u, max |theta|) of the augmented shot at (lam, s0):
+    it gives the sup norm, deriv_norm = tan(max |theta|) and the kind,
+    near-singular when cos(max |theta|) < NEAR_SINGULAR_COS.  residual is
+    |theta(1)| of one plain, unstored shot; trace keeps the point only when
+    it is at most the corrector's tolerance.
+    """
+    path = integrate_path(pb_family.at(lam), s0, collect=None)
     if path.terminal != "reached":
         return None
-    xs, us, dus = _path_piece(path)
-    kind = "near-singular" if np.min(np.cos(path.thetas)) < NEAR_SINGULAR_COS else "regular"
-    curv = model.curvature_residual(pb, xs, us, dus)
-    return BranchPoint(lam, s0, float(np.max(us)), float(np.max(np.abs(dus))), kind, abs(path.theta_end), curv)
+    u_max, theta_max = extrema
+    theta_max = min(theta_max, math.pi / 2.0)
+    kind = "near-singular" if math.cos(theta_max) < NEAR_SINGULAR_COS else "regular"
+    return BranchPoint(lam, s0, u_max, math.tan(theta_max), kind, abs(path.theta_end))
 
 
 def trace(
@@ -176,8 +187,10 @@ def trace(
     past the node, where a step hid the node's segment edge.  The second
     end, met on the command line's default problem, is chaotic in the
     start's last digits.  A corrected point is kept only when its plain,
-    stored verification shot also reads |theta(1)| <= 1e-8, the corrector's
-    own tolerance on the augmented shot.  step, the scaled predictor step,
+    unstored verification shot also reads |theta(1)| <= 1e-8, the
+    corrector's own tolerance on the augmented shot; its sup norm, slope
+    and kind come from the corrector's accepted augmented shot, so a kept
+    point costs that one plain shot more.  step, the scaled predictor step,
     must be positive and finite, max_points, which counts the start point,
     at least 1, and lam_max a number (+inf sets no cap).
     """
@@ -188,11 +201,11 @@ def trace(
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     lam, s0 = float(start[0]), float(start[1])
-    r0, r_lam, r_s0 = _shot(pb_family, lam, s0)
+    r0, r_lam, r_s0, extrema = _shot(pb_family, lam, s0)
     if math.isnan(r0) or abs(r0) > 1e-6:
         raise ValueError("start point is not converged (|theta(1)| > 1e-6)")
 
-    first = _point_diagnostics(pb_family, lam, s0)
+    first = _point_diagnostics(pb_family, lam, s0, extrema)
     if first is None:
         raise ValueError("start point does not integrate to x = 1")
     points = [first]
@@ -209,7 +222,7 @@ def trace(
         got = _corrector(pb_family, pred[0], pred[1], tangent, pred)
         diag = None
         if got is not None:
-            new_lam, new_s0 = got
+            new_lam, new_s0, extrema = got
             if new_s0 <= 1e-6:
                 terminated = "trivial-line"
                 terminal_lam = new_lam
@@ -223,7 +236,7 @@ def trace(
             if new_s0 > 1e7:
                 terminated = "height-max"
                 break
-            diag = _point_diagnostics(pb_family, new_lam, new_s0)
+            diag = _point_diagnostics(pb_family, new_lam, new_s0, extrema)
         # the corrector failed, or the new point's plain verification shot
         # reads above the tolerance the corrector accepted it at
         if diag is None or diag.residual > _CORRECTOR_TOL:
@@ -281,7 +294,7 @@ def solve_lambda_at_height(pb_family, s0, lam_guess):
     """
     lam = float(lam_guess)
     for _ in range(60):
-        r, r_lam, _ = _shot(pb_family, lam, s0)
+        r, r_lam, _, _ = _shot(pb_family, lam, s0)
         if math.isnan(r):
             raise RuntimeError("shooting blocked while solving for lam")
         if abs(r) <= 1e-10:

@@ -25,7 +25,10 @@ correction at x = 1.  Its nine-component march runs on a plain-float
 DOP853 loop (ibid., sections II.5-6): scipy's tableau, step controller,
 initial-step rule and event location, with straight-line stage sums
 compiled from scipy's coefficients on the first augmented shot, so no
-step pays solve_ivp's per-call array overhead.
+step pays solve_ivp's per-call array overhead.  The same march keeps the
+path's max u and max |theta| (a peak inside a step is located on the
+step's dense output), so a branch point reads its sup norm, slope and kind
+from the Newton shot that produced it, with no stored re-shot.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class ArcPath:
     spent) or "failure".  nfev counts right-hand-side calls.  partials is
     (d theta_end/d lam, d theta_end/d u_start) when the march carried
     sensitivities and reached its target, else None; a dead-core tail
-    gives nan.
+    gives nan.  extrema is (max u, max |theta|) over the march when it
+    carried sensitivities, else None.
     """
 
     xs: np.ndarray
@@ -97,6 +101,7 @@ class ArcPath:
     dead_core: bool
     nfev: int
     partials: tuple | None = None
+    extrema: tuple | None = None
 
     @property
     def theta_end(self):
@@ -364,7 +369,10 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     root ends the step.  A step below 10 ulps of the arclength ends the
     segment on "failure".  At an interior edge the sensitivities take the
     saltation jump; at x_target theta's partials take the event-time
-    correction.
+    correction.  The march keeps the path's max u and max |theta| as
+    extrema: over the start, every accepted step end and event state, and
+    the peaks _step_peaks finds inside a step where theta falls through 0
+    or theta' changes sign, so no mesh is needed to read them.
     """
     step = _dop853_step()
     fs = pb.f.scalar
@@ -373,9 +381,10 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
     nfev = 0  # right-hand-side calls of the finished segments
     a_last = None  # the last segment's a
+    u_max, th_max = float(u_start), abs(float(theta_start))  # over the states met so far
 
     def segment(a, edge, y, s, s_budget):
-        nonlocal nfev, a_last
+        nonlocal nfev, a_last, u_max, th_max
         if a_last is not None:
             y = _saltation(y, lam_dir * (a_last(y[0]) - a(y[0])) * fs(y[1]))
         a_last = a
@@ -414,9 +423,13 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
                 for i, (g0, g1, d) in enumerate(zip(g, g_new, directions))
                 if (d >= 0.0 and g0 <= 0.0 <= g1) or (d <= 0.0 and g0 >= 0.0 >= g1)
             ]
-            if active:
+            # u peaks where theta falls through 0, |theta| where theta' changes sign
+            peaked = y[2] > 0.0 >= y_new[2] or k[2] * k_new[2] < 0.0
+            if active or peaked:
                 dense = _dense_output(rhs, stages, y, y_new, s, h)
                 calls += 3
+            peaks = _step_peaks(dense, s, s_new, lambda x, u: a(x) * fs(u)) if peaked else ()
+            if active:
                 # the earliest root in the step ends it
                 roots = [
                     brentq(lambda t, ev=events[i]: ev(t, dense(t, 3)), s, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
@@ -428,6 +441,13 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
                 y, k, s, g = y_new, k_new, s_new, g_new
                 if s >= s_budget:
                     end = "cap"
+            for t, (_, u, th) in peaks:
+                if t <= s:
+                    u_max, th_max = max(u_max, u), max(th_max, abs(th))
+            if y[1] > u_max:
+                u_max = y[1]
+            if abs(y[2]) > th_max:
+                th_max = abs(y[2])
         nfev += calls
         return ("spent" if calls > calls_max else end), y, s
 
@@ -453,6 +473,7 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
         dead_core=core is not None,
         nfev=nfev,
         partials=theta_partials,
+        extrema=(u_max, th_max),
     )
 
 
@@ -494,6 +515,22 @@ def _saltation(y, jump):
     y[5] -= jump * y[3] / x_dot
     y[8] -= jump * y[6] / x_dot
     return tuple(y)
+
+
+def _step_peaks(dense, s_old, s_new, theta_slope):
+    """(t, (x, u, theta)) at each zero of theta or of theta' inside one step, located on its dense output.
+
+    A maximum of u lies where theta falls through 0, and a peak of |theta|
+    where theta' changes sign; theta_slope(x, u) has theta's sign.  Each
+    root is brentq's at _EVENT_TOL; a function that keeps its sign over the
+    step gives none.
+    """
+    out = []
+    for fn in (lambda t: dense(t, 3)[2], lambda t: theta_slope(*dense(t, 2))):
+        if fn(s_old) * fn(s_new) < 0.0:
+            t = brentq(fn, s_old, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+            out.append((t, dense(t, 3)))
+    return out
 
 
 def _rms3(v, scale):
@@ -655,15 +692,16 @@ def shoot_residual(pb, s0):
 
 
 def shoot_partials(pb, s0):
-    """(theta(1), d theta(1)/d lam, d theta(1)/d s0) from one augmented shot, or Blocked as shoot_residual.
+    """(theta(1), d theta(1)/d lam, d theta(1)/d s0, extrema) from one augmented shot, or Blocked as shoot_residual.
 
-    The partials are nan where the shot ends on a dead-core tail.
+    The partials are nan where the shot ends on a dead-core tail.  extrema
+    is the path's (max u, max |theta|).
     """
     if s0 < 0:
         raise ValueError("initial height must be nonnegative")
     path = _march_partials(pb, 0.0, s0, 0.0, 1.0)
     if path.terminal == "reached":
-        return (path.theta_end, *path.partials)
+        return (path.theta_end, *path.partials, path.extrema)
     return Blocked(path.terminal, path.state_end[0], path.state_end)
 
 

@@ -108,6 +108,18 @@ def functional_gradient(pb, u):
     return _evaluate(pb, v, *_grid_cells(pb, len(v) - 1))[1]
 
 
+def _stop_reason(res):
+    """How an L-BFGS-B run ended: "gradient-tolerance", "value-change", "iteration-cap" or "abnormal".
+
+    Read from its status, and from its message only to tell the two
+    convergence tests apart (scipy words them differently across releases).
+    """
+    if res.status == 0:
+        return "gradient-tolerance" if "GRAD" in res.message.upper() else "value-change"
+    # maxfun never binds before maxiter (see minimize)
+    return "iteration-cap" if res.status == 1 else "abnormal"
+
+
 def minimize(pb, init=None, n=240):
     """L-BFGS-B descent to a stationary point; returns (|u|, value, info).
 
@@ -115,10 +127,13 @@ def minimize(pb, init=None, n=240):
     that satisfy its sufficient-decrease line search, so the history of
     accepted values never increases.  Iteration stops on max |g| <= 1e-9, on
     a relative value change of at most 1e-15 in one step, or after _MAX_ITER
-    iterations.  Each point the search visits costs one evaluation, which
-    gives the value and the gradient from one sweep over the grid.
-    The absolute value of the final iterate is returned, which cannot raise
-    the discrete functional.  An array init must hold n + 1 values.
+    iterations; info's "stop" names which ("gradient-tolerance",
+    "value-change" or "iteration-cap", else "abnormal", a line search that
+    could not go on), and "max_grad" is max |g| at the final iterate.  Each
+    point the search visits costs one evaluation, which gives the value and
+    the gradient from one sweep over the grid.  The absolute value of the
+    final iterate is returned, which cannot raise the discrete functional.
+    An array init must hold n + 1 values.
     """
     v = np.zeros(n + 1) if init is None else _as_values(init, n)
     if v.shape != (n + 1,):
@@ -142,7 +157,13 @@ def minimize(pb, init=None, n=240):
     )
     v = np.abs(res.x)
     fval = functional_value(pb, v)
-    return DiscreteBVFunction(v), fval, {"iterations": int(res.nit), "history": history}
+    info = {
+        "iterations": int(res.nit),
+        "history": history,
+        "stop": _stop_reason(res),
+        "max_grad": float(np.max(np.abs(res.jac))),
+    }
+    return DiscreteBVFunction(v), fval, info
 
 
 def minimize_multistart(pb, n=240, starts=6):

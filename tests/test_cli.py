@@ -143,6 +143,8 @@ def test_minimize_subcommand(tmp_path, lam0_jump):
     got = json.loads(out.read_text())
     assert got["value"] < 0
     assert len(got["minimizer"]) == 121
+    # the best run's stop reason and final max |g|
+    assert got["stop"] == "value-change" and 0.0 < got["max_grad"] < 1e-3
 
 
 def test_branch_and_diagram_roundtrip(tmp_path):

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from curvebif import Nonlinearity, ProblemFamily, power_weight
+from curvebif import Nonlinearity, ProblemFamily, power_weight, two_constant_weight
 from curvebif.continuation import (
+    NEAR_SINGULAR_COS,
     diagram,
     seed_from_lambda0,
     solve_lambda_at_height,
     trace,
 )
 from curvebif.eigen import bif_direction, principal_neumann
+from curvebif.model import curvature_residual
+from curvebif.shoot import _path_piece, integrate_path
+
+# spacing (max angle change, max x advance) of a stored plain re-shot of a branch point
+_RESHOT_MESH = (2e-3, 5e-3)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +31,24 @@ def ramp_family():
 def ramp_branch(ramp_family):
     seed = seed_from_lambda0(ramp_family)
     return trace(ramp_family, seed, step=0.1, max_points=120, lam_max=250.0)
+
+
+@pytest.fixture(scope="module")
+def step_family():
+    # the command line's default problem, traced as the benchmark's step family
+    return ProblemFamily(two_constant_weight(1.0, 2.0, 0.4), Nonlinearity(kind="prototype", p=1.0, q=0.5, M=1.0))
+
+
+@pytest.fixture(scope="module")
+def step_branch(step_family):
+    return trace(step_family, seed_from_lambda0(step_family), step=0.1, max_points=60, lam_max=1e3)
+
+
+def _reshot(family, point):
+    """A branch point's stored plain re-shot and its (xs, us, dus) piece."""
+    path = integrate_path(family.at(point.lam), point.s0, collect=_RESHOT_MESH)
+    assert path.terminal == "reached"
+    return path, _path_piece(path)
 
 
 def test_seed_is_converged(ramp_family):
@@ -70,9 +94,50 @@ def test_branch_subcritical_fold_then_growth(ramp_family, ramp_branch):
     assert sups[-1] > sups[0]
 
 
-def test_branch_points_verified(ramp_branch):
+def test_branch_points_verified(ramp_family, ramp_branch):
     assert all(p.residual <= 1e-8 for p in ramp_branch.points)
-    assert all(p.curv_residual <= 1e-5 for p in ramp_branch.points)
+    for p in ramp_branch.points:
+        _, (xs, us, dus) = _reshot(ramp_family, p)
+        assert curvature_residual(ramp_family.at(p.lam), xs, us, dus) <= 1e-5
+
+
+@pytest.mark.parametrize("family, branch", [("ramp_family", "ramp_branch"), ("step_family", "step_branch")])
+def test_point_reads_what_a_stored_reshot_reads(request, family, branch):
+    # sup_norm, deriv_norm and kind come from the corrector's augmented
+    # shot; a stored plain re-shot of the point reads the same
+    family, branch = request.getfixturevalue(family), request.getfixturevalue(branch)
+    assert len(branch.points) > 20
+    for p in branch.points:
+        path, (_, us, dus) = _reshot(family, p)
+        assert p.sup_norm == float(np.max(us))
+        assert p.kind == ("near-singular" if np.min(np.cos(path.thetas)) < NEAR_SINGULAR_COS else "regular")
+        assert p.deriv_norm == pytest.approx(float(np.max(np.abs(dus))), rel=1e-6)
+
+
+def test_a_kept_point_costs_one_unstored_plain_shot(ramp_family, monkeypatch):
+    from curvebif import continuation, shoot
+
+    seed = seed_from_lambda0(ramp_family)
+    collects, per_point, read = [], [], []
+    march, diagnostics = shoot._march, continuation._point_diagnostics
+
+    def recording_march(*args, collect):
+        collects.append(collect)
+        return march(*args, collect=collect)
+
+    def recording_diagnostics(*args):
+        before = len(collects)
+        read.append(diagnostics(*args))
+        per_point.append(len(collects) - before)
+        return read[-1]
+
+    monkeypatch.setattr(shoot, "_march", recording_march)
+    monkeypatch.setattr(continuation, "_point_diagnostics", recording_diagnostics)
+    br = trace(ramp_family, seed, step=0.1, max_points=8)
+    assert len(br.points) == 8 and all(p in read for p in br.points)
+    # each point read takes one plain shot, the trace takes no other, and none is stored
+    assert per_point == [1] * len(read)
+    assert collects == [None] * len(read)
 
 
 def test_no_near_singular_under_divergent_criterion(ramp_branch):
@@ -174,10 +239,11 @@ def test_point_kind_reads_the_steepest_angle_of_the_path(ramp_branch, ramp_famil
 
     p = max(ramp_branch.points, key=lambda q: q.deriv_norm)
     min_cos = 1.0 / math.hypot(1.0, p.deriv_norm)
+    extrema = continuation._shot(ramp_family, p.lam, p.s0)[3]
     monkeypatch.setattr(continuation, "NEAR_SINGULAR_COS", min_cos * (1.0 - 1e-6))
-    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0).kind == "regular"
+    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0, extrema).kind == "regular"
     monkeypatch.setattr(continuation, "NEAR_SINGULAR_COS", min_cos * (1.0 + 1e-6))
-    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0).kind == "near-singular"
+    assert continuation._point_diagnostics(ramp_family, p.lam, p.s0, extrema).kind == "near-singular"
 
 
 def test_solve_lambda_at_height_matches_branch(ramp_family):
@@ -210,7 +276,7 @@ def test_corrector_gives_up_after_its_tenth_newton_step(monkeypatch):
 
     def halving(pb_family, lam, s0):
         shots.append((lam, s0))
-        return 1e-3 * 0.5 ** len(shots), 1.0, 0.0
+        return 1e-3 * 0.5 ** len(shots), 1.0, 0.0, None
 
     monkeypatch.setattr(continuation, "_shot", halving)
     assert continuation._corrector(None, 1.0, 1.0, (0.0, 1.0), (1.0, 1.0)) is None
@@ -223,7 +289,7 @@ def test_trace_ends_on_lambda_min(ramp_family, monkeypatch):
     from curvebif import continuation
 
     seed = seed_from_lambda0(ramp_family)
-    monkeypatch.setattr(continuation, "_corrector", lambda *args: (-1.0, 0.01))
+    monkeypatch.setattr(continuation, "_corrector", lambda *args: (-1.0, 0.01, None))
     br = trace(ramp_family, seed, max_points=5)
     assert br.terminated_by == "lambda-min"
     assert [(p.lam, p.s0) for p in br.points] == [seed]
@@ -237,15 +303,16 @@ def test_trace_keeps_a_point_only_within_the_corrector_tolerance(ramp_family, mo
 
     seed = seed_from_lambda0(ramp_family)
     point = (seed[0] * 1.001, seed[1] * 1.01)
+    extrema = continuation._shot(ramp_family, *point)[3]
     real = continuation._point_diagnostics
 
-    def diagnostics(pb_family, lam, s0):
-        got = real(pb_family, lam, s0)
+    def diagnostics(pb_family, lam, s0, extrema):
+        got = real(pb_family, lam, s0, extrema)
         if (lam, s0) == point:
             got.residual = residual
         return got
 
-    monkeypatch.setattr(continuation, "_corrector", lambda *args: point)
+    monkeypatch.setattr(continuation, "_corrector", lambda *args: (*point, extrema))
     monkeypatch.setattr(continuation, "_point_diagnostics", diagnostics)
     br = trace(ramp_family, seed, max_points=2)
     assert br.terminated_by == ("max-points" if kept else "corrector-failure")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import OdeSolution
 from scipy.optimize import brentq
 
-from curvebif import ConstantForm, Nonlinearity, ProblemInstance, Segment, Weight, two_constant_weight
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemInstance, Segment, Weight, two_constant_weight
 from curvebif import shoot, singular
 from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_partials, shoot_residual
 from curvebif.varmin import functional_value
@@ -220,8 +220,8 @@ def test_augmented_shots_leave_solve_ivp_alone(jump_weight, bump_f, ramp_weight,
         raise AssertionError("an augmented shot called solve_ivp")
 
     monkeypatch.setattr(shoot, "solve_ivp", refuse)
-    got = shoot_partials(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
-    assert len(got) == 3 and all(math.isfinite(v) for v in got)
+    *got, extrema = shoot_partials(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
+    assert len(got) == 3 and all(math.isfinite(v) for v in (*got, *extrema))
     assert isinstance(shoot_partials(ProblemInstance(2.0 * lam0_jump, jump_weight, mild_f), 1e-6), Blocked)
     with pytest.raises(AssertionError, match="solve_ivp"):
         shoot_residual(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
@@ -379,12 +379,37 @@ def test_augmented_shot_partials_match_central_differences(jump_weight, bump_f, 
         pb = ProblemInstance(lam, jump_weight, bump_f)
     else:
         pb = ProblemInstance(lam, ramp_weight, Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.0018))
-    theta, r_lam, r_s0 = shoot_partials(pb, s0)
+    theta, r_lam, r_s0, _ = shoot_partials(pb, s0)
     assert theta == pytest.approx(shoot_residual(pb, s0), abs=1e-7)
     want_lam, want_s0 = _central_partials(pb, s0)
     assert r_lam == pytest.approx(want_lam, rel=1e-5)
     assert r_s0 == pytest.approx(want_s0, rel=1e-5)
 
+
+
+@pytest.mark.parametrize(
+    "lam, left, right, which",
+    [
+        # a < 0 then a > 0: theta rises, then falls through 0 inside a step of the right segment
+        (0.5, ConstantForm(-1.0), ConstantForm(2.0), 0),
+        # a = 0.3 - x changes sign inside the left segment, and a = 0 beyond keeps theta
+        (2.0, PolynomialForm((0.3, -1.0)), ConstantForm(0.0), 1),
+    ],
+    ids=["u-peak", "theta-peak"],
+)
+def test_augmented_extrema_find_a_peak_inside_a_step(monkeypatch, lam, left, right, which):
+    weight = Weight(0.4, (Segment(0.0, 0.4, left), Segment(0.4, 1.0, right)))
+    pb = ProblemInstance(lam, weight, Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=1.0))
+    path = shoot._march_partials(pb, 0.0, 0.5, 0.0, 1.0)
+    assert path.terminal == "reached"
+    tracked = path.extrema[which]
+    stored = shoot._march(pb, 0.0, 0.5, 0.0, 1.0, collect=(2e-5, 2e-5))
+    mesh = np.abs((stored.us, stored.thetas)[which])
+    assert tracked == pytest.approx(float(np.max(mesh)), rel=1e-9)
+    assert np.all(tracked >= mesh)
+    # step ends and event states alone fall short of the peak
+    monkeypatch.setattr(shoot, "_step_peaks", lambda *args: [])
+    assert shoot._march_partials(pb, 0.0, 0.5, 0.0, 1.0).extrema[which] < tracked * (1.0 - 1e-4)
 
 def test_find_regular_mild_existence(mild_solution):
     pb, sol = mild_solution
@@ -395,6 +420,26 @@ def test_find_regular_mild_existence(mild_solution):
     assert np.all(np.diff(sol.us) <= 1e-12)  # non-increasing
     assert np.min(sol.us) > 0
 
+
+
+@pytest.mark.parametrize("dip, kept", [(1e-8, True), (1e-6, False)])
+def test_find_regular_skips_a_solution_that_dips_below_zero(mild_solution, monkeypatch, dip, kept):
+    # a shot that reaches x = 1 never dips below -_EPS_NEG, so no natural
+    # input meets this skip: each root's stored shot is lowered until its
+    # least u reads -dip, against the skip's bound -1e-7 max(1, sup|u|)
+    pb, sol = mild_solution
+    assert sol.sup_norm < 1.0
+    real = shoot.integrate_path
+
+    def lowered(pb, s0, collect=shoot._SHOOT_MESH):
+        path = real(pb, s0, collect)
+        if collect is not None:
+            path.us = path.us - (float(np.min(path.us)) + dip)
+        return path
+
+    monkeypatch.setattr(shoot, "integrate_path", lowered)
+    got = find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64)
+    assert [float(np.min(s.us)) for s in got] == pytest.approx([-dip] if kept else [], abs=1e-12)
 
 def test_default_tolerance_root_matches_brentq(mild_solution):
     # an independent root of the same residual near the returned height

@@ -186,6 +186,22 @@ def test_no_left_piece_below_the_jump_regime(jump_weight, bump_f):
     assert got == Absent("no-left-piece", "no height closes the left flux budget")
 
 
+
+def test_no_right_piece_is_refused(jump_weight, bump_f, monkeypatch):
+    # no natural input is known to reach this refusal, so the right walk is
+    # made to find no height while the left one finds its own
+    solve_piece = singular._solve_piece
+    sides = []
+
+    def left_only(pb, side, *, n_scan):
+        sides.append(side)
+        return solve_piece(pb, side, n_scan=n_scan) if side == "left" else None
+
+    monkeypatch.setattr(singular, "_solve_piece", left_only)
+    got = solve_singular(ProblemInstance(50.0, jump_weight, bump_f))
+    assert got == Absent("no-right-piece", "no height closes the right flux budget")
+    assert sides == ["left", "right"]
+
 @pytest.mark.parametrize("lam", [1e6, 1e200])
 def test_lambda_past_the_float_range_refuses_before_shooting(jump_weight, bump_f, lam, monkeypatch):
     # at 1e6 the right floor is exp(-849) below 1e-10; at 1e200 the left budget height overflows

@@ -162,6 +162,29 @@ def test_descent_is_monotone(pb_super):
     assert val <= hist[0]
 
 
+
+@pytest.mark.parametrize(
+    "init, max_iter, stop",
+    [
+        (0.0, None, "gradient-tolerance"),  # u = 0 is stationary: no step is taken
+        (0.1, None, "value-change"),
+        (0.1, 5, "iteration-cap"),
+    ],
+)
+def test_minimize_says_why_it_stopped(pb_super, monkeypatch, init, max_iter, stop):
+    from curvebif import varmin
+
+    if max_iter is not None:
+        monkeypatch.setattr(varmin, "_MAX_ITER", max_iter)
+    _, _, info = minimize(pb_super, init=np.full(121, init), n=120)
+    assert info["stop"] == stop
+    if stop == "gradient-tolerance":
+        assert info["iterations"] == 0 and info["max_grad"] <= 1e-9
+    elif stop == "iteration-cap":
+        assert info["iterations"] == max_iter and info["max_grad"] > 1e-3
+    else:
+        assert 0.0 < info["max_grad"] < 1e-3
+
 def test_minimizer_is_nonnegative(pb_super):
     u, _, _ = minimize(pb_super, init=np.full(241, 0.08))
     assert np.min(u.values) >= 0.0
