@@ -230,7 +230,10 @@ def _cmd_minimize(args):
         "iterations": info["iterations"],
         "stop": info["stop"],
         "max_grad": info["max_grad"],
-        "starts": [{"value": r[1], "sup_norm": r[0].sup_norm} for r in runs],
+        "starts": [
+            {"value": v, "sup_norm": u.sup_norm, "stop": run_info["stop"], "max_grad": run_info["max_grad"]}
+            for u, v, run_info in runs
+        ],
     }
     _write(args.out, json_text(out) + "\n")
     return 0

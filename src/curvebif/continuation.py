@@ -83,12 +83,12 @@ _BLOCKED = (math.nan, math.nan, math.nan, None)
 def _shot(pb_family, lam, s0):
     """(R, dR/d lam, dR/d s0, extrema) at (lam, s0), as shoot_partials.
 
-    Blocked shots and nan partials give _BLOCKED: nan, and no extrema.
+    Blocked shots and non-finite partials give _BLOCKED: nan, and no extrema.
     """
     if lam < 0 or s0 < 0:
         return _BLOCKED
     got = shoot_partials(pb_family.at(lam), s0)
-    if isinstance(got, Blocked) or any(math.isnan(v) for v in got[:3]):
+    if isinstance(got, Blocked) or not all(math.isfinite(v) for v in got[:3]):
         return _BLOCKED
     return got
 

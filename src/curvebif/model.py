@@ -17,6 +17,7 @@ identity any Neumann solution must satisfy).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,8 +45,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # segment forms: each states its value, antiderivative, scaling, checks,
 # node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node,
-# sign_changes(lo, hi), the points inside (lo, hi) where a changes sign, and
-# scalar(z), its value as a float -> float closure for ODE right-hand sides
+# sign_changes(lo, hi), the points inside (lo, hi) where a changes sign,
+# scalar(z), its value as a float -> float closure for ODE right-hand sides,
+# and scalar_and_slope(z), the closure x -> (a(x), a'(x)) whose value half is
+# scalar's bit for bit and whose slope half is the derivative of that very
+# function; at a breakpoint the slope is the right-hand one, the side x moves
+# into in a forward march
 
 def _check_finite(*numbers):
     if not all(math.isfinite(v) for v in numbers):
@@ -83,6 +88,10 @@ class ConstantForm:
     def scalar(self, z):
         c = self.c
         return lambda x: c
+
+    def scalar_and_slope(self, z):
+        pair = (self.c, 0.0)
+        return lambda x: pair
 
     def anti(self, x, z):
         return self.c * np.asarray(x, dtype=float)
@@ -137,6 +146,20 @@ class PolynomialForm:
             for c in rest:
                 acc = c + acc * x
             return acc
+
+        return a
+
+    def scalar_and_slope(self, z):
+        *rest, top = self.coeffs
+        rest.reverse()
+
+        def a(x):
+            # Horner's rule for the value, as scalar's, and its derivative beside it
+            acc, slope = top, 0.0
+            for c in rest:
+                slope = acc + slope * x
+                acc = c + acc * x
+            return acc, slope
 
         return a
 
@@ -205,6 +228,35 @@ class PowerForm:
         def a(x):
             d = z - x if left else x - z
             return k * d ** e if d > 0.0 else at_node
+
+        return a
+
+    def scalar_and_slope(self, z):
+        """x -> (a(x), a'(x)); the value is scalar's, and the slope is +-k e d^(e - 1), taken as e a / d.
+
+        Past the node, where scalar gives the constant k 0^e, the slope is
+        0, and so it is at the left form's node, which x leaves into that
+        constant.  The right form takes its right-hand slope at the node
+        where that is finite: k for e = 1 and 0 for e > 1.  For e < 1 it
+        is infinite, and the node takes 0 instead, so a march that enters
+        the segment there starts on a finite slope; the singularity
+        d^(e - 1) is integrable.  An exponent of exactly 0 has slope 0
+        everywhere.
+        """
+        value = self.scalar(z)  # refuses an exponent below 0
+        k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
+        if e == 0.0:
+            return lambda x: (value(x), 0.0)
+        at_node = k * 0.0 ** e
+        past, node = (at_node, 0.0), (at_node, k if e == 1.0 and not left else 0.0)
+        de = -e if left else e  # dd/dx times e
+
+        def a(x):
+            d = z - x if left else x - z
+            if d > 0.0:
+                v = k * d ** e
+                return v, de * v / d
+            return node if d == 0.0 else past
 
         return a
 
@@ -534,15 +586,17 @@ class Nonlinearity:
 
     @cached_property
     def _law(self):
-        """(a, b, middle f, middle F, peak candidates) of the three-piece law.
+        """(a, b, middle f, middle f', middle F, peak candidates) of the three-piece law.
 
-        The head below a is c u^p, with c its own property.  The middle F
-        integrates the middle f from a; both are None when the law has no
-        middle piece.  The peak candidates are points that include a
-        maximizer of f.
+        The head below a is c u^p, with c its own property.  The middle f'
+        is a plain-float (u, up) -> slope, up saying whether the side above
+        a breakpoint is wanted; a table's takes the head's slope below a and
+        the tail's above b.  The middle F integrates the middle f from a;
+        all three are None when the law has no middle piece.  The peak
+        candidates are points that include a maximizer of f.
         """
         if self.kind == "prototype":
-            return self.M, self.M, None, None, (self.M,)
+            return self.M, self.M, None, None, None, (self.M,)
         if self.kind == "table":
             un = np.asarray(self.u_nodes, float)
             fn = np.asarray(self.f_nodes, float)
@@ -556,10 +610,20 @@ class Nonlinearity:
                 s = u - un[j]
                 return cum[j] + s * (fn[j] + 0.5 * s * slope[j])
 
+            # slopes by bisect in the node list: the head's below a, each
+            # cell's, and the tail's above b (f is continuous at a and b)
+            nodes = un.tolist()
+            a, b = nodes[0], nodes[-1]
+            sides = [self.p * float(fn[0]) / a, *slope[:-1].tolist(), -self.q * float(fn[-1]) / b]
+
+            def mid_df(u, up):
+                return sides[bisect.bisect_right(nodes, u) if up else bisect.bisect_left(nodes, u)]
+
             return (
                 un[0],
                 un[-1],
                 lambda u: np.interp(u, un, fn),
+                mid_df,
                 mid_F,
                 (*self.u_nodes, self.M),
             )
@@ -578,6 +642,11 @@ class Nonlinearity:
             s = u - a
             return fa + s * (da + s * (c2 + s * c3))
 
+        def mid_df(u, up):
+            # the blend is C1 at a and b: either side's slope is its own
+            s = u - a
+            return da + s * (2.0 * c2 + s * 3.0 * c3)
+
         def mid_F(u):
             s = u - a
             return s * (fa + s * (da / 2 + s * (c2 / 3 + s * c3 / 4)))
@@ -585,7 +654,7 @@ class Nonlinearity:
         # the blend peaks at a root of its derivative inside (a, b)
         roots = np.roots([3.0 * c3, 2.0 * c2, da])
         peaks = [a + r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < w]
-        return a, b, mid_f, mid_F, (a, b, *peaks)
+        return a, b, mid_f, mid_df, mid_F, (a, b, *peaks)
 
     @cached_property
     def sup_norm(self):
@@ -605,7 +674,7 @@ class Nonlinearity:
         power is libm's, which can differ from numpy's array power in the
         last ulp.
         """
-        a, b, mid_f, _, _ = self._law
+        a, b, mid_f, _, _, _ = self._law
         a, b = float(a), float(b)  # a table's law holds numpy floats
         c, power, h, mq = self.c, _scalar_power(self.p), self.h, -self.q
 
@@ -621,6 +690,41 @@ class Nonlinearity:
 
         return f
 
+    @cached_property
+    def scalar_and_slope(self):
+        """(u, rate) -> (f(u), f'(u)), the plain-float kernel of the law and its derivative.
+
+        The value half is scalar's bit for bit.  The slope is the head's
+        c p u^(p-1) (taken as p f / u), the middle piece's own, or the
+        tail's -q h u^(-q-1) (taken as -q f / u), and even in u, as the
+        odd extension's.  rate is any float with the sign of u's motion: at
+        a breakpoint of the law (a, b, a table node) the slope is that of
+        the side u moves into, the upper one when u rate > 0.  At u = 0 the
+        head's slope is c for p = 1, 0 for p > 1 and inf for p < 1.
+        """
+        a, b, mid_f, mid_df, _, _ = self._law
+        a, b = float(a), float(b)
+        c, p, power, h, mq = self.c, self.p, _scalar_power(self.p), self.h, -self.q
+        at_zero = c if p == 1.0 else (0.0 if p > 1.0 else math.inf)
+
+        def f(v, rate):
+            u = -v if v < 0.0 else v
+            if u > b:
+                r = h * u ** mq
+                slope = mq * r / u
+            elif mid_f is not None and u >= a:
+                r = float(mid_f(u))
+                slope = mid_df(u, v * rate > 0.0)
+            else:
+                r = c * power(u)
+                if u == b and v * rate > 0.0:  # the prototype's kink, left upward
+                    slope = mq * r / u
+                else:
+                    slope = p * r / u if u else at_zero
+            return (-r if v < 0.0 else r), slope
+
+        return f
+
     def _pieces(self, u):
         """The law's pieces on an array u >= 0: (head base, tail, middle).
 
@@ -631,14 +735,14 @@ class Nonlinearity:
         overflow; the base stays an ndarray, because a numpy scalar's **
         calls libm pow where the array power squares exactly.
         """
-        a, b, mid_f, _, _ = self._law
+        a, b, mid_f, _, _, _ = self._law
         tail = u > b
         mid = None if mid_f is None else (a <= u) & (u <= b)
         tail, mid = (None if m is None or not np.count_nonzero(m) else (m, u[m]) for m in (tail, mid))
         return np.asarray(u if tail is None else np.minimum(u, b)), tail, mid
 
     def _f_pos(self, pieces):
-        _, _, mid_f, _, _ = self._law
+        _, _, mid_f, _, _, _ = self._law
         base, tail, mid = pieces
         out = np.asarray(self.c * base ** self.p)
         if tail is not None:
@@ -658,13 +762,13 @@ class Nonlinearity:
     @cached_property
     def _F_ends(self):
         """F at the law's a and at its b, the constants that F's middle and tail add to."""
-        a, b, _, mid_F, _ = self._law
+        a, b, _, _, mid_F, _ = self._law
         p1 = self.p + 1.0
         Fa = self.c * a ** p1 / p1
         return Fa, (Fa if mid_F is None else Fa + mid_F(b))
 
     def _F_pos(self, pieces):
-        _, b, _, mid_F, _ = self._law
+        _, b, _, _, mid_F, _ = self._law
         p1 = self.p + 1.0
         q1 = 1.0 - self.q
         base, tail, mid = pieces

@@ -21,7 +21,13 @@ Plain shots, stored or not, run on scipy's solve_ivp (DOP853).
 shoot_partials also returns d theta(1)/d lam and d theta(1)/d s0, carried
 by the variational equations (Hairer, Norsett and Wanner, Solving ODEs I,
 section I.14) with a saltation jump at each jump of a and the event-time
-correction at x = 1.  Its nine-component march runs on a plain-float
+correction at x = 1.  Their Jacobian is exact: a'(x) and f'(u) come with
+a(x) and f(u) from one fused kernel call each (the segment form's
+scalar_and_slope and Nonlinearity.scalar_and_slope), the derivatives of
+the very functions the plain shots call.  At a breakpoint of a or of f the
+slope is that of the side x or u moves into; a power form's node, where
+a' is infinite for an exponent below 1, takes a finite slope.  Its
+nine-component march runs on a plain-float
 DOP853 loop (ibid., sections II.5-6): scipy's tableau, step controller,
 initial-step rule and event location, with straight-line stage sums
 compiled from scipy's coefficients on the first augmented shot, so no
@@ -66,8 +72,6 @@ _NFEV_MAX = 4_000_000  # right-hand-side calls per march; past it the march ends
 _EPS_NEG = 1e-9  # how far below zero a trajectory may dip
 # stored-path spacing (max angle change, max x advance) per mesh interval
 _SHOOT_MESH = (5e-4, 2e-3)
-# about EPS^(1/3): the central differences' step for a'(x) (x lies in [0, 1]) and, times |u|, for f'(u)
-_CD_STEP = 6e-6
 # scipy's step controller: safety factor, clip of the step-size factor, and
 # the exponent of DOP853's 7th-order error estimate
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -218,13 +222,14 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
-def _walk(pb, y, x_target, segment):
+def _walk(pb, y, x_target, segment, kernel):
     """March the state y from x = y[0] toward x_target one weight segment at a time; the end rule of every shot.
 
     y is the start state: (x, u, theta), or those with their six
     sensitivities.  Each span of Weight.spans, in march order, goes to
     segment(a, edge, y, s, s_budget), which integrates it from arclength s
-    with a the span's plain-float kernel and returns (end, y, s): end is the
+    with a = kernel(form, z), the plain-float kernel that the march
+    compiles from the span's form, and returns (end, y, s): end is the
     index of the event met in (x edge, *_EVENTS), "failure", "cap" at the
     arclength budget s_budget, or "spent" past _NFEV_MAX calls.  The budget
     is 6 + 4 |u_start|.
@@ -242,7 +247,7 @@ def _walk(pb, y, x_target, segment):
     s, s_budget = 0.0, 6.0 + 4.0 * abs(y[1])
     for lo, hi, form in spans:
         edge = hi if forward else lo
-        end, y_end, s = segment(form.scalar(w.z), edge, y, s, s_budget)
+        end, y_end, s = segment(kernel(form, w.z), edge, y, s, s_budget)
         if end == "spent":
             # the march ends where its last finished segment left it
             return "cap", y, None
@@ -323,7 +328,8 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
         which = next(i for i, te in enumerate(out.t_events) if len(te))
         return which, out.y_events[which][-1], out.t_events[which][-1]
 
-    terminal, y, core = _walk(pb, (float(x_start), float(u_start), float(theta_start)), x_target, segment)
+    y = (float(x_start), float(u_start), float(theta_start))
+    terminal, y, core = _walk(pb, y, x_target, segment, lambda form, z: form.scalar(z))
     if core is not None and collect:
         tail_x = np.linspace(core, x_target, 65)
         ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
@@ -355,8 +361,13 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     Returns an ArcPath with endpoint rows only and its partials set.  The
     six more components are d(x, u, theta)/d lam, starting at 0, and
     d(x, u, theta)/d u_start, starting at (0, 1, 0); their right-hand side
-    is J Y + dF/d lam, with a'(x) and f'(u) taken by central differences of
-    the plain-float kernels.
+    is J Y + dF/d lam with the exact J: each segment compiles its form's
+    scalar_and_slope, and f comes from Nonlinearity.scalar_and_slope, so
+    a'(x) and f'(u) are the derivatives of the functions the plain shots
+    call, and the values (hence x, u and theta) are theirs bit for bit.
+    At a breakpoint the slope is that of the side x or u moves into (see
+    _augmented_rhs); where it is infinite (f' at u = 0 for p < 1) the
+    partials come back nan, as after a dead-core tail.
 
     _walk ends the march, as it ends _march's; each of its segments is a
     plain-float copy of scipy's DOP853 loop: its tableau, step controller
@@ -375,7 +386,7 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     or theta' changes sign, so no mesh is needed to read them.
     """
     step = _dop853_step()
-    fs = pb.f.scalar
+    fs, f_and_slope = pb.f.scalar, pb.f.scalar_and_slope
     lam_dir = -float(pb.lam)
     rtol, atol, nfev_max = _RTOL, _ATOL, _NFEV_MAX
     directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
@@ -383,13 +394,14 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     a_last = None  # the last segment's a
     u_max, th_max = float(u_start), abs(float(theta_start))  # over the states met so far
 
-    def segment(a, edge, y, s, s_budget):
+    def segment(a_and_slope, edge, y, s, s_budget):
         nonlocal nfev, a_last, u_max, th_max
+        a = lambda x: a_and_slope(x)[0]  # for the value-only reads: saltation, peaks, the end
         if a_last is not None:
             y = _saltation(y, lam_dir * (a_last(y[0]) - a(y[0])) * fs(y[1]))
         a_last = a
         calls_max = nfev_max - nfev
-        rhs = _augmented_rhs(a, fs, lam_dir)
+        rhs = _augmented_rhs(a_and_slope, f_and_slope, lam_dir)
         events = (lambda s, yv: yv[0] - edge, *_EVENT_FNS)
         k = rhs(*y)
         h_abs = _initial_step(rhs, y, k, s_budget - s, rtol, atol)
@@ -453,7 +465,7 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
 
     # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
     y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    terminal, y, core = _walk(pb, y, x_target, segment)
+    terminal, y, core = _walk(pb, y, x_target, segment, lambda form, z: form.scalar_and_slope(z))
     theta_partials = None
     if core is not None:
         # the dead-core tail's sensitivities are not carried
@@ -463,6 +475,9 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
         # (x_p = 0 when no span was crossed)
         ratio = 0.0 if a_last is None else lam_dir * a_last(y[0]) * fs(y[1]) / math.cos(y[2])
         theta_partials = (y[5] - ratio * y[3], y[8] - ratio * y[6])
+        if not all(map(math.isfinite, theta_partials)):
+            # an infinite slope met on the way (f' at u = 0 for p < 1)
+            theta_partials = (math.nan, math.nan)
 
     return ArcPath(
         xs=np.array([x_start, y[0]]),
@@ -477,17 +492,25 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     )
 
 
-def _augmented_rhs(a, fs, lam_dir):
-    """The forward arclength system on one segment with its six sensitivities: nine floats in, a 9-tuple out."""
-    cos, sin, cd = math.cos, math.sin, _CD_STEP
+def _augmented_rhs(a_and_slope, f_and_slope, lam_dir):
+    """The forward arclength system on one segment with its six sensitivities: nine floats in, a 9-tuple out.
+
+    Two fused kernel calls give a, a', f and f'.  x only moves right in a
+    forward march, and the form kernel's slope at a breakpoint is the
+    right-hand one.  u moves with sin(theta), or, where theta = 0 (a
+    shot's start), with the sign of theta' = lam_dir a f(u), f having u's
+    sign: that rate tells the f kernel which side of a breakpoint u moves
+    into.
+    """
+    cos, sin = math.cos, math.sin
 
     def rhs(x, u, th, x_l, u_l, th_l, x_s, u_s, th_s):
         dx, du = cos(th), sin(th)
-        ax, fu = a(x), fs(u)
-        hu = cd * abs(u) or cd
+        ax, dax = a_and_slope(x)
+        fu, dfu = f_and_slope(u, du or lam_dir * ax * u)
         # d(theta')/dx and d(theta')/du
-        gx = lam_dir * (a(x + cd) - a(x - cd)) / (2.0 * cd) * fu
-        gu = lam_dir * ax * (fs(u + hu) - fs(u - hu)) / (2.0 * hu)
+        gx = lam_dir * dax * fu
+        gu = lam_dir * ax * dfu
         return (
             dx,
             du,

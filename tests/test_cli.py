@@ -147,6 +147,24 @@ def test_minimize_subcommand(tmp_path, lam0_jump):
     assert got["stop"] == "value-change" and 0.0 < got["max_grad"] < 1e-3
 
 
+def test_minimize_says_why_each_start_stopped(tmp_path, monkeypatch, lam0_jump):
+    # every start carries its own run's stop reason and final max |g|: with
+    # the iteration cap at a few steps, runs stop on it (the zero start sits
+    # on a critical point and stops on the gradient at once)
+    from curvebif import varmin
+
+    monkeypatch.setattr(varmin, "_MAX_ITER", 3)
+    out = tmp_path / "min.json"
+    argv = ["minimize", "--lambda", str(2 * lam0_jump), "--n", "40", "--starts", "3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    got = json.loads(out.read_text())
+    stops = [s["stop"] for s in got["starts"]]
+    assert "iteration-cap" in stops
+    assert set(stops) <= {"gradient-tolerance", "value-change", "iteration-cap", "abnormal"}
+    assert all(s["max_grad"] >= 0.0 for s in got["starts"])
+    assert got["starts"][0]["stop"] == got["stop"] and got["starts"][0]["max_grad"] == got["max_grad"]
+
+
 def test_branch_and_diagram_roundtrip(tmp_path):
     problem = json.dumps(
         {

@@ -317,3 +317,22 @@ def test_trace_keeps_a_point_only_within_the_corrector_tolerance(ramp_family, mo
     br = trace(ramp_family, seed, max_points=2)
     assert br.terminated_by == ("max-points" if kept else "corrector-failure")
     assert [(p.lam, p.s0) for p in br.points] == ([seed, point] if kept else [seed])
+
+
+def test_trace_crosses_a_node_with_an_unbounded_slope():
+    # at alpha = 0.5, a' ~ d^(-1/2) at the node, which every Newton shot
+    # crosses: the node takes a finite slope, and the branch climbs past its
+    # fold to the point cap
+    fam = ProblemFamily(power_weight(1.0, 0.5, 2.0, 0.5, 0.4), Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.0018))
+    br = trace(fam, seed_from_lambda0(fam), step=0.1, max_points=12, lam_max=1e3)
+    assert br.terminated_by == "max-points" and len(br.points) == 12
+    assert br.folds == [3]
+    assert all(p.residual <= 1e-8 for p in br.points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_partial_blocks_the_shot(monkeypatch, bad):
+    from curvebif import continuation
+
+    monkeypatch.setattr(continuation, "shoot_partials", lambda pb, s0: (0.0, -1.0, bad, (s0, 0.1)))
+    assert continuation._shot(ProblemFamily(None, None), 1.0, 0.5) is continuation._BLOCKED

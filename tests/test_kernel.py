@@ -8,6 +8,12 @@ bit.  The tail h u^(-q), and the head at other p, may differ by a few ulp:
 the kernel's power is libm's pow, and numpy's array power rounds differently
 in the last ulp at about 5 % of points.  A power form with exponent
 below 0 is unbounded at the node and has no kernel: scalar(z) refuses.
+
+The fused kernels that the augmented march calls, each form's
+scalar_and_slope(z) and Nonlinearity.scalar_and_slope, give scalar's value
+bit for bit and the derivative of that very function: it matches a
+fourth-order central difference away from the breakpoints, and at a
+breakpoint it is the slope of the side x or u moves into.
 """
 
 import math
@@ -77,9 +83,9 @@ def test_an_unbounded_power_form_refuses_its_kernel(amplitude, exponent, side, z
 
 
 @st.composite
-def _nonlinearities(draw):
+def _nonlinearities(draw, p=st.one_of(st.sampled_from(_EXACT_P), st.floats(0.2, 3.0))):
     kind = draw(st.sampled_from(("prototype", "smoothed", "table")))
-    p = draw(st.one_of(st.sampled_from(_EXACT_P), st.floats(0.2, 3.0)))
+    p = draw(p)
     q = draw(st.floats(0.05, 0.95))
     M = draw(st.floats(0.01, 10.0))
     if kind == "prototype":
@@ -124,8 +130,9 @@ def test_head_power_rounds_as_numpy_at_exact_p(p):
 
 
 def test_shots_call_no_numpy_path(monkeypatch):
-    # the shooting right-hand sides call form.scalar(z) and f.scalar;
-    # form.value and f(u) are for meshes, residuals and quadrature
+    # the shooting right-hand sides call form.scalar(z) and f.scalar, or
+    # their scalar_and_slope on an augmented shot; form.value and f(u) are
+    # for meshes, residuals and quadrature
     w = Weight(
         0.5,
         (
@@ -145,6 +152,100 @@ def test_shots_call_no_numpy_path(monkeypatch):
     monkeypatch.setattr(Nonlinearity, "__call__", refuse)
     for collect in (None, shoot._SHOOT_MESH):
         assert integrate_path(pb, 0.6, collect=collect).nfev > 0
+    assert shoot._march_partials(pb, 0.0, 0.6, 0.0, 1.0).nfev > 0
     phi, *_ = _shoot_linear(w, 5.0)
     assert math.isfinite(phi)
     assert semilinear_positive_solution(w, 2.0) > 0.0
+
+
+_GAP = 1e-4  # how far from a breakpoint a slope is checked against differences
+
+
+def _difference(fn, x, h):
+    """The fourth-order central difference of fn at x, and the roundoff it can carry."""
+    ends = [fn(x + k * h) for k in (-2.0, -1.0, 1.0, 2.0)]
+    slope = (ends[0] - 8.0 * ends[1] + 8.0 * ends[2] - ends[3]) / (12.0 * h)
+    return slope, 4.0 * math.ulp(max(map(abs, ends))) / h
+
+
+@settings(max_examples=150, deadline=None)
+@given(fz=_forms(), xs=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
+def test_form_slope_kernels_are_exact_derivatives(fz, xs):
+    form, z = fz
+    a, pair = form.scalar(z), form.scalar_and_slope(z)
+    for x in _with_neighbours([0.0, 1.0, z, *xs]):
+        value, slope = pair(x)
+        assert value == a(x), (form, z, x)
+        assert math.isfinite(slope), (form, z, x)
+    for x in xs:
+        if form.kind == "power" and abs(x - z) < _GAP:
+            continue
+        want, noise = _difference(a, x, 1e-6)
+        assert abs(pair(x)[1] - want) <= 1e-7 * abs(want) + noise, (form, z, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_nonlinearities(p=st.sampled_from(_EXACT_P)), scale=st.lists(st.floats(0.0, 3.0), min_size=20, max_size=20))
+def test_nonlinearity_slope_kernel_is_the_exact_derivative(f, scale):
+    a, b, *_ = f._law
+    breaks = [0.0, float(a), float(b), *(f.u_nodes or ())]
+    kernel, pair = f.scalar, f.scalar_and_slope
+    points = _with_neighbours(breaks + [s * float(b) for s in scale])
+    for u in points + [-u for u in points]:
+        for rate in (-1.0, 0.0, 1.0):
+            value, slope = pair(u, rate)
+            assert value == kernel(u), (f, u, rate)
+            assert not math.isnan(slope), (f, u, rate)
+    for u in [s * float(b) for s in scale]:
+        if min(abs(u - v) for v in breaks) < _GAP:
+            continue
+        want, noise = _difference(kernel, u, min(1e-6 * u, _GAP / 4.0))
+        for v, w in ((u, want), (-u, want)):  # f' is even
+            assert abs(pair(v, 1.0)[1] - w) <= 1e-7 * abs(w) + noise, (f, v)
+
+
+def test_f_slope_takes_the_side_u_moves_into():
+    # the prototype's kink at M: the head's p M^(p-1) below, the tail's -q M^(p-1) above
+    f = Nonlinearity("prototype", 2.0, 0.5, 1.5)
+    pair = f.scalar_and_slope
+    assert pair(1.5, -1.0)[1] == pytest.approx(2.0 * 1.5)
+    assert pair(1.5, 1.0)[1] == pytest.approx(-0.5 * 1.5)
+    assert pair(1.5, 0.0)[1] == pair(1.5, -1.0)[1]  # u at rest: the side below
+    # on the odd extension, |u| rises when u falls
+    assert pair(-1.5, -1.0)[1] == pair(1.5, 1.0)[1]
+    assert pair(-1.5, 1.0)[1] == pair(1.5, -1.0)[1]
+    # a table: the head's slope below its first node, each cell's own, the tail's above its last
+    t = Nonlinearity("table", 1.0, 0.5, 1.0, u_nodes=(0.2, 0.4, 0.8), f_nodes=(0.2, 0.6, 0.4))
+    pair = t.scalar_and_slope
+    assert pair(0.2, -1.0)[1] == pytest.approx(1.0)
+    assert pair(0.2, 1.0)[1] == pytest.approx(2.0)
+    assert pair(0.4, -1.0)[1] == pytest.approx(2.0)
+    assert pair(0.4, 1.0)[1] == pytest.approx(-0.5)
+    assert pair(0.8, -1.0)[1] == pytest.approx(-0.5)
+    assert pair(0.8, 1.0)[1] == pytest.approx(-0.5 * 0.4 / 0.8)
+
+
+@pytest.mark.parametrize("p, slope", [(0.5, math.inf), (1.0, 1.0), (2.0, 0.0)])
+def test_f_slope_at_zero_never_raises(p, slope):
+    # f' is infinite at u = 0 for p < 1: the kernel returns inf, where a
+    # Python power or division would raise
+    for kind in ("prototype", "smoothed"):
+        assert Nonlinearity(kind, p, 0.5, 1.0).scalar_and_slope(0.0, 1.0) == (0.0, slope)
+
+
+@pytest.mark.parametrize("exponent", [0.0, 1e-12, 0.3, 0.5, 1.0, 1.5])
+def test_power_slope_at_the_node_is_finite_and_never_raises(exponent):
+    z, tiny = 0.4, 5e-324
+    left = PowerForm(3.0, exponent, "left").scalar_and_slope(z)
+    right = PowerForm(3.0, exponent, "right").scalar_and_slope(z)
+    # past the node and on it the left form is the constant k 0^e: slope 0
+    assert left(z)[1] == 0.0 and left(z + 0.1)[1] == 0.0
+    # the right form enters d > 0: k e 0^(e - 1) where finite (e >= 1), else 0
+    assert right(z)[1] == (-3.0 if exponent == 1.0 else 0.0)
+    for x in (z - tiny, z + tiny, math.nextafter(z, 0.0), math.nextafter(z, 1.0)):
+        for kernel in (left, right):
+            _, slope = kernel(x)
+            assert not math.isnan(slope)
+    if exponent == 0.0:
+        # an exponent of exactly 0 is a constant, slope 0 everywhere
+        assert {left(x)[1] for x in (0.0, 0.2, z - tiny)} == {0.0}

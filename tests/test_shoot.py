@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import OdeSolution
 from scipy.optimize import brentq
 
-from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemInstance, Segment, Weight, two_constant_weight
+from curvebif import ConstantForm, Nonlinearity, PolynomialForm, ProblemInstance, Segment, Weight, power_weight, two_constant_weight
 from curvebif import shoot, singular
+from curvebif.model import PowerForm
 from curvebif.shoot import Blocked, find_regular, integrate_path, shoot_partials, shoot_residual
 from curvebif.varmin import functional_value
 
@@ -197,14 +198,15 @@ def test_augmented_march_fails_below_ten_ulps_of_the_arclength(monkeypatch):
     # a right-hand side that turns nan past x = 0.2 rejects every step that
     # reaches it, so accepted steps close in on x = 0.2 until the next one
     # would be under 10 ulps of s: both marches end on "failure" at the last
-    # state they accepted
-    real = ConstantForm.scalar
+    # state they accepted; the wall stands in both kernels a march can compile
+    for name, wall in (("scalar", math.nan), ("scalar_and_slope", (math.nan, math.nan))):
+        real = getattr(ConstantForm, name)
 
-    def walled(form, z):
-        a = real(form, z)
-        return lambda x: a(x) if x < 0.2 else math.nan
+        def walled(form, z, real=real, wall=wall):
+            a = real(form, z)
+            return lambda x: a(x) if x < 0.2 else wall
 
-    monkeypatch.setattr(ConstantForm, "scalar", walled)
+        monkeypatch.setattr(ConstantForm, name, walled)
     pb = ProblemInstance(2.0, two_constant_weight(1.0, 2.0, 0.4), Nonlinearity())
     path = shoot._march_partials(pb, 0.0, 0.5, 0.0, 1.0)
     assert path.terminal == "failure" and path.partials is None
@@ -365,25 +367,85 @@ def _central_partials(pb, s0, step=1e-4):
     return r_lam, r_s0
 
 
-@pytest.mark.parametrize(
-    "problem, lam, s0",
-    [
-        # a jumps by 3 at the node z = 0.4: the saltation jump is crossed
-        ("step", 4.4259, 0.4828),
-        # a vanishes linearly at the node, so a' != 0 on both sides
-        ("ramp", 72.866, 0.003927),
-    ],
-)
+_SMOOTHED_F = Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.0018)
+# a table law whose middle has four cells of different slopes
+_TABLE_F = Nonlinearity("table", 1.0, 0.5, 1.0, u_nodes=(0.2, 0.4, 0.6, 0.8, 1.0), f_nodes=(0.2, 0.35, 0.45, 0.5, 0.48))
+
+
+def _partials_problem(problem, lam, jump_weight, bump_f, ramp_weight):
+    weight, f = {
+        "step": (jump_weight, bump_f),
+        "ramp": (ramp_weight, _SMOOTHED_F),
+        "power-0.5": (power_weight(1.0, 0.5, 2.0, 0.5, 0.4), _SMOOTHED_F),
+        "table": (jump_weight, _TABLE_F),
+    }[problem]
+    return ProblemInstance(lam, weight, f)
+
+
+_PARTIALS_CASES = [
+    # a jumps by 3 at the node z = 0.4: the saltation jump is crossed
+    ("step", 4.4259, 0.4828),
+    # a vanishes linearly at the node, so a' != 0 on both sides
+    ("ramp", 72.866, 0.003927),
+    # a' ~ d^(-1/2) is unbounded at the node, and the node takes a finite slope
+    ("power-0.5", 26.3632, 3.157e-3),
+    # u falls from 0.74 to 0.58: the path leaves one middle cell of the table for the next
+    ("table", 2.0, 0.7),
+]
+
+
+@pytest.mark.parametrize("problem, lam, s0", _PARTIALS_CASES)
 def test_augmented_shot_partials_match_central_differences(jump_weight, bump_f, ramp_weight, problem, lam, s0):
-    if problem == "step":
-        pb = ProblemInstance(lam, jump_weight, bump_f)
-    else:
-        pb = ProblemInstance(lam, ramp_weight, Nonlinearity(kind="smoothed", p=1.0, q=0.5, M=0.0018))
+    pb = _partials_problem(problem, lam, jump_weight, bump_f, ramp_weight)
     theta, r_lam, r_s0, _ = shoot_partials(pb, s0)
     assert theta == pytest.approx(shoot_residual(pb, s0), abs=1e-7)
     want_lam, want_s0 = _central_partials(pb, s0)
     assert r_lam == pytest.approx(want_lam, rel=1e-5)
     assert r_s0 == pytest.approx(want_s0, rel=1e-5)
+
+
+@pytest.mark.parametrize("problem, lam, s0", _PARTIALS_CASES[:2])
+def test_sensitivities_take_no_part_in_step_control(jump_weight, bump_f, ramp_weight, monkeypatch, problem, lam, s0):
+    # the slopes feed only the six sensitivities, and step control, events
+    # and extrema read (x, u, theta) alone: with every slope zeroed the
+    # march takes the same steps to the same end, and only the partials move
+    pb = _partials_problem(problem, lam, jump_weight, bump_f, ramp_weight)
+    exact = shoot._march_partials(pb, 0.0, s0, 0.0, 1.0)
+    for cls in (ConstantForm, PowerForm):
+        real = cls.scalar_and_slope
+        monkeypatch.setattr(cls, "scalar_and_slope", lambda form, z, real=real: _no_slope(real(form, z)))
+    real_f = Nonlinearity.__dict__["scalar_and_slope"].func
+    monkeypatch.setattr(Nonlinearity, "scalar_and_slope", property(lambda f: _no_slope(real_f(f))))
+    flat = shoot._march_partials(pb, 0.0, s0, 0.0, 1.0)
+    assert flat.terminal == exact.terminal == "reached"
+    assert flat.state_end == exact.state_end
+    assert flat.extrema == exact.extrema
+    assert flat.nfev == exact.nfev
+    assert flat.partials != exact.partials
+
+
+def _no_slope(kernel):
+    return lambda *args: (kernel(*args)[0], 0.0)
+
+
+def test_partials_at_the_kink_take_the_side_u_moves_into(jump_weight, bump_f):
+    # the shot starts on the prototype's kink u = M = 1 and u falls from
+    # there: d theta(1)/d s0 is the one-sided derivative from below, where
+    # central differences of f straddled the kink and read -12.617
+    pb = ProblemInstance(2.7, jump_weight, bump_f)
+    _, _, r_s0, _ = shoot_partials(pb, 1.0)
+    assert r_s0 == pytest.approx(-12.661, abs=1e-3)
+    h = 1e-7
+    below = (shoot_residual(pb, 1.0) - shoot_residual(pb, 1.0 - h)) / h
+    assert r_s0 == pytest.approx(below, abs=1e-3)
+
+
+def test_an_infinite_slope_gives_nan_partials(jump_weight):
+    # f' is infinite at u = 0 for p < 1: the shot along the trivial line
+    # reaches x = 1 with theta(1) = 0 and nan partials, and raises nothing
+    pb = ProblemInstance(3.0, jump_weight, Nonlinearity(kind="prototype", p=0.5, q=0.5, M=1.0))
+    theta, r_lam, r_s0, _ = shoot_partials(pb, 0.0)
+    assert theta == 0.0 and math.isnan(r_lam) and math.isnan(r_s0)
 
 
 

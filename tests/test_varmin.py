@@ -68,7 +68,7 @@ def test_rejects_coarse_grid(pb_super):
 
 def _reference_f_and_F(f, v):
     """f(v) and F(v) by two separate masked passes over the law's pieces, the oracle of the one-pass path."""
-    a, b, mid_f, mid_F, _ = f._law
+    a, b, mid_f, _, mid_F, _ = f._law
     u = np.abs(v)
     fu = np.asarray(f.c * np.asarray(np.minimum(u, b)) ** f.p)
     m = u > b
