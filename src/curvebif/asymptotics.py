@@ -217,9 +217,9 @@ def semilinear_positive_solution(weight, p):
     def value(sigma):
         y = np.array([sigma, 0.0])
         for lo, hi, form in weight.spans(0.0, 1.0):
-            def rhs(x, yv, a=form.scalar(z)):
+            def rhs(x, yv, a=form.scalar_and_slope(z)):
                 v, dv = yv.tolist()
-                return [dv, -a(x) * abs(v) ** p * math.copysign(1.0, v)]
+                return [dv, -a(x)[0] * abs(v) ** p * math.copysign(1.0, v)]
 
             def ev_zero(x, yv):
                 return yv[0]

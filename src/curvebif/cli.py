@@ -9,7 +9,8 @@ the p=1, q=0.5, M=1 bump).  Defaults and checks that the library states,
 such as eig's tolerance range and the rates ladder, are not restated here.
 Exit codes: 0 success, 1 usage or configuration error (a library
 ValueError included), 2 verification failure.  Identical inputs yield
-byte-identical outputs.
+byte-identical outputs.  minimize writes one stderr line when its best run
+stopped on its iteration cap or abnormally.
 """
 
 from __future__ import annotations
@@ -151,10 +152,8 @@ def _cmd_eig(args):
 
 def _cmd_solve(args):
     lo, hi, n = args.scan
-    if not float(n).is_integer():
-        raise UsageError(f"the scan count N must be a whole number, got {n}")
     pb = _load_problem(args)
-    sols = shoot.find_regular(pb, s_min=lo, s_max=hi, n_scan=int(n))
+    sols = shoot.find_regular(pb, s_min=lo, s_max=hi, n_scan=n)
     payload = [_thin_mesh(s.to_dict()) for s in sols]
     _write(args.out, json_text(payload) + "\n")
     return 0
@@ -213,8 +212,6 @@ def _cmd_singular(args):
 
 
 def _cmd_minimize(args):
-    if args.starts < 1:
-        raise UsageError("--starts must be at least 1")
     if args.n < 16:
         raise UsageError("--n must be at least 16")
     pb = _load_problem(args)
@@ -236,6 +233,8 @@ def _cmd_minimize(args):
         ],
     }
     _write(args.out, json_text(out) + "\n")
+    if info["stop"] in ("iteration-cap", "abnormal"):
+        print(f"curvebif: the best run stopped on {info['stop']}, at max |g| = {info['max_grad']:.3g}", file=sys.stderr)
     return 0
 
 

@@ -77,9 +77,9 @@ def _shoot_linear(weight, lam, dense=False):
     zero.direction = -1.0  # phi starts at 1, so the first crossing is downward
 
     for lo, hi, form in weight.spans(0.0, 1.0):
-        def rhs(x, yv, a=form.scalar(z)):
+        def rhs(x, yv, a=form.scalar_and_slope(z)):
             phi, dphi = yv.tolist()
-            return [dphi, -lam * a(x) * phi]
+            return [dphi, -lam * a(x)[0] * phi]
 
         out = solve_ivp(
             rhs,

@@ -46,11 +46,11 @@ __all__ = [
 # segment forms: each states its value, antiderivative, scaling, checks,
 # node_terms, the expansion a = sum c d^e in the distance d = |x - z| to the node,
 # sign_changes(lo, hi), the points inside (lo, hi) where a changes sign,
-# scalar(z), its value as a float -> float closure for ODE right-hand sides,
-# and scalar_and_slope(z), the closure x -> (a(x), a'(x)) whose value half is
-# scalar's bit for bit and whose slope half is the derivative of that very
-# function; at a breakpoint the slope is the right-hand one, the side x moves
-# into in a forward march
+# and scalar_and_slope(z), its one fused kernel: the plain-float closure
+# x -> (a(x), a'(x)) that every ODE right-hand side compiles, whose value
+# half is value's bit for bit and whose slope half is the derivative of that
+# very function; at a breakpoint the slope is the right-hand one, the side x
+# moves into in a forward march
 
 def _check_finite(*numbers):
     if not all(math.isfinite(v) for v in numbers):
@@ -84,10 +84,6 @@ class ConstantForm:
 
     def value(self, x, z):
         return np.full_like(np.asarray(x, dtype=float), self.c)
-
-    def scalar(self, z):
-        c = self.c
-        return lambda x: c
 
     def scalar_and_slope(self, z):
         pair = (self.c, 0.0)
@@ -136,25 +132,12 @@ class PolynomialForm:
     def value(self, x, z):
         return npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
 
-    def scalar(self, z):
-        *rest, top = self.coeffs
-        rest.reverse()
-
-        def a(x):
-            # Horner's rule in polyval's order of operations
-            acc = top
-            for c in rest:
-                acc = c + acc * x
-            return acc
-
-        return a
-
     def scalar_and_slope(self, z):
         *rest, top = self.coeffs
         rest.reverse()
 
         def a(x):
-            # Horner's rule for the value, as scalar's, and its derivative beside it
+            # Horner's rule in polyval's order of operations, and the derivative beside it
             acc, slope = top, 0.0
             for c in rest:
                 slope = acc + slope * x
@@ -219,36 +202,26 @@ class PowerForm:
     def value(self, x, z):
         return self.sign * self.amplitude * self._distance(x, z) ** self.exponent
 
-    def scalar(self, z):
+    def scalar_and_slope(self, z):
+        """x -> (a(x), a'(x)); the value is k d^e, and the slope is +-k e d^(e - 1), taken as e a / d.
+
+        An exponent below 0 is refused: a is unbounded at the node, so no
+        shot can cross it.  At and past the node the value is the constant
+        k 0^e, and the slope past it is 0, and so it is at the left form's
+        node, which x leaves into that constant.  The right form takes its
+        right-hand slope at the node where that is finite: k for e = 1 and
+        0 for e > 1.  For e < 1 it is infinite, and the node takes 0
+        instead, so a march that enters the segment there starts on a
+        finite slope; the singularity d^(e - 1) is integrable.  An exponent
+        of exactly 0 has slope 0 everywhere.
+        """
         k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
         if e < 0.0:
             raise ValueError(f"a power segment with exponent {e:g} < 0 is unbounded at the node, so no shot can cross it")
         at_node = k * 0.0 ** e  # the value at and past the node
-
-        def a(x):
-            d = z - x if left else x - z
-            return k * d ** e if d > 0.0 else at_node
-
-        return a
-
-    def scalar_and_slope(self, z):
-        """x -> (a(x), a'(x)); the value is scalar's, and the slope is +-k e d^(e - 1), taken as e a / d.
-
-        Past the node, where scalar gives the constant k 0^e, the slope is
-        0, and so it is at the left form's node, which x leaves into that
-        constant.  The right form takes its right-hand slope at the node
-        where that is finite: k for e = 1 and 0 for e > 1.  For e < 1 it
-        is infinite, and the node takes 0 instead, so a march that enters
-        the segment there starts on a finite slope; the singularity
-        d^(e - 1) is integrable.  An exponent of exactly 0 has slope 0
-        everywhere.
-        """
-        value = self.scalar(z)  # refuses an exponent below 0
-        k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
-        if e == 0.0:
-            return lambda x: (value(x), 0.0)
-        at_node = k * 0.0 ** e
         past, node = (at_node, 0.0), (at_node, k if e == 1.0 and not left else 0.0)
+        if e == 0.0:
+            return lambda x: past  # the constant k
         de = -e if left else e  # dd/dx times e
 
         def a(x):
@@ -427,12 +400,12 @@ class Weight:
     def sup_positive_part(self):
         """max(a, 0) at 65 points per segment: a scale, never a sign test.
 
-        a is read through the shots' kernels, so a weight no shot can cross is refused here.
+        a is the value half of the shots' fused kernels, so a weight no shot can cross is refused here.
         """
         best = 0.0
         for seg in self.segments:
-            a = seg.form.scalar(self.z)
-            best = max(best, *map(a, np.linspace(seg.lo, seg.hi, 65).tolist()))
+            a = seg.form.scalar_and_slope(self.z)
+            best = max(best, *(a(x)[0] for x in np.linspace(seg.lo, seg.hi, 65).tolist()))
         return best
 
     def scaled(self, c):
@@ -664,46 +637,24 @@ class Nonlinearity:
     # -- evaluation ----------------------------------------------------------
 
     @cached_property
-    def scalar(self):
-        """f as a float -> float closure of the one law, for ODE right-hand sides.
+    def scalar_and_slope(self):
+        """(u, rate) -> (f(u), f'(u)), the one plain-float kernel of the law, for ODE right-hand sides.
 
         The head c u^p and the tail h u^(-q) are built from math and Python
         floats, with no numpy per call; the middle piece is the law's own,
         so a table's middle still calls np.interp.  The law is extended
         oddly.  The head and the middle round as __call__ does; the tail's
         power is libm's, which can differ from numpy's array power in the
-        last ulp.
-        """
-        a, b, mid_f, _, _, _ = self._law
-        a, b = float(a), float(b)  # a table's law holds numpy floats
-        c, power, h, mq = self.c, _scalar_power(self.p), self.h, -self.q
-
-        def f(v):
-            u = -v if v < 0.0 else v
-            if u > b:
-                r = h * u ** mq
-            elif mid_f is not None and u >= a:
-                r = float(mid_f(u))
-            else:
-                r = c * power(u)
-            return -r if v < 0.0 else r
-
-        return f
-
-    @cached_property
-    def scalar_and_slope(self):
-        """(u, rate) -> (f(u), f'(u)), the plain-float kernel of the law and its derivative.
-
-        The value half is scalar's bit for bit.  The slope is the head's
-        c p u^(p-1) (taken as p f / u), the middle piece's own, or the
-        tail's -q h u^(-q-1) (taken as -q f / u), and even in u, as the
-        odd extension's.  rate is any float with the sign of u's motion: at
-        a breakpoint of the law (a, b, a table node) the slope is that of
-        the side u moves into, the upper one when u rate > 0.  At u = 0 the
+        last ulp.  The slope is the head's c p u^(p-1) (taken as p f / u),
+        the middle piece's own, or the tail's -q h u^(-q-1) (taken as
+        -q f / u), and even in u, as the odd extension's.  rate is any float
+        with the sign of u's motion: at a breakpoint of the law (a, b, a
+        table node) the slope is that of the side u moves into, the upper
+        one when u rate > 0; the value does not read it.  At u = 0 the
         head's slope is c for p = 1, 0 for p > 1 and inf for p < 1.
         """
         a, b, mid_f, mid_df, _, _ = self._law
-        a, b = float(a), float(b)
+        a, b = float(a), float(b)  # a table's law holds numpy floats
         c, p, power, h, mq = self.c, self.p, _scalar_power(self.p), self.h, -self.q
         at_zero = c if p == 1.0 else (0.0 if p > 1.0 else math.inf)
 

@@ -13,25 +13,25 @@ residual.
 
 Weight discontinuities are integration breakpoints: each segment is
 integrated separately and the step never straddles the node.  _walk walks
-the segments and holds the end rule of every shot; each march hands it
-its own segment integrator.
-
-Plain shots, stored or not, run on scipy's solve_ivp (DOP853).
+the segments, compiles each one's kernel and holds the end rule of every
+shot; each march hands it its own segment integrator.  There is one fused
+kernel per law: the form's scalar_and_slope gives (a(x), a'(x)), and
+Nonlinearity.scalar_and_slope (f(u), f'(u)).  Plain shots read the value
+halves and run on scipy's solve_ivp (DOP853).
 
 shoot_partials also returns d theta(1)/d lam and d theta(1)/d s0, carried
 by the variational equations (Hairer, Norsett and Wanner, Solving ODEs I,
 section I.14) with a saltation jump at each jump of a and the event-time
-correction at x = 1.  Their Jacobian is exact: a'(x) and f'(u) come with
-a(x) and f(u) from one fused kernel call each (the segment form's
-scalar_and_slope and Nonlinearity.scalar_and_slope), the derivatives of
-the very functions the plain shots call.  At a breakpoint of a or of f the
-slope is that of the side x or u moves into; a power form's node, where
-a' is infinite for an exponent below 1, takes a finite slope.  Its
-nine-component march runs on a plain-float
-DOP853 loop (ibid., sections II.5-6): scipy's tableau, step controller,
-initial-step rule and event location, with straight-line stage sums
-compiled from scipy's coefficients on the first augmented shot, so no
-step pays solve_ivp's per-call array overhead.  The same march keeps the
+correction at x = 1.  Their Jacobian is exact: a'(x) and f'(u) are the
+slope halves of the same two kernel calls that give a(x) and f(u), the
+derivatives of the very functions the plain shots call.  At a breakpoint
+of a or of f the slope is that of the side x or u moves into; a power
+form's node, where a' is infinite for an exponent below 1, takes a finite
+slope.  Its nine-component march runs on a plain-float DOP853 loop
+(ibid., sections II.5-6): scipy's tableau, step controller, initial-step
+rule and event location, with straight-line stage sums compiled from
+scipy's coefficients on the first augmented shot, so no step pays
+solve_ivp's per-call array overhead.  The same march keeps the
 path's max u and max |theta| (a peak inside a step is located on the
 step's dense output), so a branch point reads its sup norm, slope and kind
 from the Newton shot that produced it, with no stored re-shot.
@@ -222,14 +222,14 @@ _EVENTS = (
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
 
-def _walk(pb, y, x_target, segment, kernel):
+def _walk(pb, y, x_target, segment):
     """March the state y from x = y[0] toward x_target one weight segment at a time; the end rule of every shot.
 
     y is the start state: (x, u, theta), or those with their six
     sensitivities.  Each span of Weight.spans, in march order, goes to
     segment(a, edge, y, s, s_budget), which integrates it from arclength s
-    with a = kernel(form, z), the plain-float kernel that the march
-    compiles from the span's form, and returns (end, y, s): end is the
+    with a = form.scalar_and_slope(z), the span's fused kernel
+    x -> (a(x), a'(x)), and returns (end, y, s): end is the
     index of the event met in (x edge, *_EVENTS), "failure", "cap" at the
     arclength budget s_budget, or "spent" past _NFEV_MAX calls.  The budget
     is 6 + 4 |u_start|.
@@ -247,7 +247,7 @@ def _walk(pb, y, x_target, segment, kernel):
     s, s_budget = 0.0, 6.0 + 4.0 * abs(y[1])
     for lo, hi, form in spans:
         edge = hi if forward else lo
-        end, y_end, s = segment(kernel(form, w.z), edge, y, s, s_budget)
+        end, y_end, s = segment(form.scalar_and_slope(w.z), edge, y, s, s_budget)
         if end == "spent":
             # the march ends where its last finished segment left it
             return "cap", y, None
@@ -283,9 +283,10 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
     assembly, or the (dtheta, dx) spacing of the stored path.  Every plain
     shot, forward or backward, stored or not, runs here; the augmented
     march of shoot_partials is _march_partials.  _walk ends the march; each
-    of its segments is one solve_ivp call.
+    of its segments is one solve_ivp call, whose right-hand side reads
+    the value halves of the two fused kernels.
     """
-    fs = pb.f.scalar
+    f = pb.f.scalar_and_slope
     direction = 1.0 if x_target > x_start else -1.0
     lam_dir = -direction * pb.lam
     atol = _ATOL if direction > 0 else _BACKWARD_ATOL
@@ -303,7 +304,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
             if nfev > nfev_max:
                 raise _BudgetSpent
             x, u, th = yv.tolist()
-            return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x) * fs(u)])
+            return np.array([direction * math.cos(th), direction * math.sin(th), lam_dir * a(x)[0] * f(u, 0.0)[0]])
 
         try:
             out = solve_ivp(
@@ -329,7 +330,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
         return which, out.y_events[which][-1], out.t_events[which][-1]
 
     y = (float(x_start), float(u_start), float(theta_start))
-    terminal, y, core = _walk(pb, y, x_target, segment, lambda form, z: form.scalar(z))
+    terminal, y, core = _walk(pb, y, x_target, segment)
     if core is not None and collect:
         tail_x = np.linspace(core, x_target, 65)
         ys_parts.append(np.vstack([tail_x, np.zeros_like(tail_x), np.zeros_like(tail_x)]))
@@ -361,10 +362,9 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     Returns an ArcPath with endpoint rows only and its partials set.  The
     six more components are d(x, u, theta)/d lam, starting at 0, and
     d(x, u, theta)/d u_start, starting at (0, 1, 0); their right-hand side
-    is J Y + dF/d lam with the exact J: each segment compiles its form's
-    scalar_and_slope, and f comes from Nonlinearity.scalar_and_slope, so
-    a'(x) and f'(u) are the derivatives of the functions the plain shots
-    call, and the values (hence x, u and theta) are theirs bit for bit.
+    is J Y + dF/d lam with the exact J: a'(x) and f'(u) are the slope
+    halves of the fused kernels whose value halves the plain shots read
+    (as do the saltation jump, the peaks inside a step and the end ratio).
     At a breakpoint the slope is that of the side x or u moves into (see
     _augmented_rhs); where it is infinite (f' at u = 0 for p < 1) the
     partials come back nan, as after a dead-core tail.
@@ -386,7 +386,8 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     or theta' changes sign, so no mesh is needed to read them.
     """
     step = _dop853_step()
-    fs, f_and_slope = pb.f.scalar, pb.f.scalar_and_slope
+    f_and_slope = pb.f.scalar_and_slope
+    fs = lambda u: f_and_slope(u, 0.0)[0]  # for the value-only reads
     lam_dir = -float(pb.lam)
     rtol, atol, nfev_max = _RTOL, _ATOL, _NFEV_MAX
     directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
@@ -465,7 +466,7 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
 
     # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
     y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    terminal, y, core = _walk(pb, y, x_target, segment, lambda form, z: form.scalar_and_slope(z))
+    terminal, y, core = _walk(pb, y, x_target, segment)
     theta_partials = None
     if core is not None:
         # the dead-core tail's sensitivities are not carried
@@ -776,12 +777,15 @@ def find_regular(pb, s_min=1e-6, s_max=1e3, n_scan=64, theta_tol=1e-10):
     collapses with no reaching path within 1e-6: at lam = 50 on the power
     weight with alpha = 1 and p = 1, one collapses between a downward and an
     upward vertical on 16.0784034, where varmin finds a solution.  Two roots
-    in one scan interval make no sign change.
+    in one scan interval make no sign change.  n_scan is a whole number.
     """
     if not (0 <= pb.lam < math.inf):
         raise ValueError("solvers accept finite lam >= 0 only")
     if not (0 < s_min < s_max < math.inf):
         raise ValueError(f"need 0 < s_min < s_max < inf for the height window, got [{s_min}, {s_max}]")
+    if not float(n_scan).is_integer():
+        raise ValueError(f"n_scan must be a whole number, got {n_scan}")
+    n_scan = int(n_scan)
     if n_scan < 16:
         raise ValueError("need n_scan >= 16")
 

@@ -167,7 +167,9 @@ def minimize(pb, init=None, n=240):
 
 
 def minimize_multistart(pb, n=240, starts=6):
-    """Deterministic multi-start minimization; returns runs sorted by value."""
+    """Deterministic multi-start minimization of starts >= 1 runs; returns them sorted by value."""
+    if starts < 1:
+        raise ValueError(f"need at least 1 start, got {starts}")
     height_scale = 2.0 * pb.f.M
     rng = np.random.default_rng(0)
     xs = np.linspace(0.0, 1.0, n + 1)

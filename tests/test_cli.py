@@ -165,6 +165,26 @@ def test_minimize_says_why_each_start_stopped(tmp_path, monkeypatch, lam0_jump):
     assert got["starts"][0]["stop"] == got["stop"] and got["starts"][0]["max_grad"] == got["max_grad"]
 
 
+def test_minimize_flags_a_best_run_that_did_not_converge(tmp_path, monkeypatch, capsys, lam0_jump):
+    # a best run cut by the iteration cap is flagged on stderr, not ranked
+    # silently; stdout is the payload that --out writes, and nothing else
+    from curvebif import varmin
+
+    argv = ["minimize", "--lambda", str(2 * lam0_jump), "--n", "40", "--starts", "3"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(varmin, "_MAX_ITER", 3)
+    assert run_cli(argv) == 0
+    capped = capsys.readouterr()
+    got = json.loads(capped.out)
+    assert got["stop"] == "iteration-cap"
+    assert capped.err == f"curvebif: the best run stopped on iteration-cap, at max |g| = {got['max_grad']:.3g}\n"
+    out = tmp_path / "min.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == capped.out
+    assert capsys.readouterr() == ("", capped.err)
+
+
 def test_branch_and_diagram_roundtrip(tmp_path):
     problem = json.dumps(
         {

@@ -1,19 +1,19 @@
-"""The plain-float kernels that ODE right-hand sides call agree with the numpy paths.
+"""The one fused kernel per law that ODE right-hand sides call agrees with the numpy paths.
 
-Each segment form's scalar(z) and Nonlinearity.scalar are compared with
-form.value and Nonlinearity.__call__ at scalar arguments: random points plus
-the places where a law changes piece, and their 1-ulp neighbours.  The forms,
-the middle piece of f and its head at p in {1/2, 1, 2} must agree bit for
-bit.  The tail h u^(-q), and the head at other p, may differ by a few ulp:
-the kernel's power is libm's pow, and numpy's array power rounds differently
-in the last ulp at about 5 % of points.  A power form with exponent
-below 0 is unbounded at the node and has no kernel: scalar(z) refuses.
+Each segment form's scalar_and_slope(z) and Nonlinearity.scalar_and_slope
+return (value, slope).  Their value halves are compared with form.value and
+Nonlinearity.__call__ at scalar arguments: random points plus the places
+where a law changes piece, and their 1-ulp neighbours.  The forms, the
+middle piece of f and its head at p in {1/2, 1, 2} must agree bit for bit.
+The tail h u^(-q), and the head at other p, may differ by a few ulp: the
+kernel's power is libm's pow, and numpy's array power rounds differently in
+the last ulp at about 5 % of points.  A power form with exponent below 0 is
+unbounded at the node and has no kernel: scalar_and_slope(z) refuses.
 
-The fused kernels that the augmented march calls, each form's
-scalar_and_slope(z) and Nonlinearity.scalar_and_slope, give scalar's value
-bit for bit and the derivative of that very function: it matches a
+The slope half is the derivative of the value half: it matches a
 fourth-order central difference away from the breakpoints, and at a
-breakpoint it is the slope of the side x or u moves into.
+breakpoint it is the slope of the side x or u moves into.  f's value half
+does not read the rate that picks that side.
 """
 
 import math
@@ -41,6 +41,11 @@ def _with_neighbours(points):
     return out
 
 
+def _value_half(kernel, *rate):
+    """The value half of a fused kernel, as a one-argument function."""
+    return lambda v: kernel(v, *rate)[0]
+
+
 def _ulps(got, want):
     return abs(got - want) / math.ulp(want) if want else abs(got) / math.ulp(0.0)
 
@@ -63,7 +68,7 @@ def _forms(draw):
 @given(fz=_forms(), xs=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
 def test_form_kernels_match_value_bit_for_bit(fz, xs):
     form, z = fz
-    a = form.scalar(z)
+    a = _value_half(form.scalar_and_slope(z))
     for x in _with_neighbours([0.0, 1.0, z, *xs]):
         assert a(x) == form.value(x, z), (form, z, x)
 
@@ -79,7 +84,7 @@ def test_an_unbounded_power_form_refuses_its_kernel(amplitude, exponent, side, z
     # a is infinite at the node, so no shot can cross it: the kernel that
     # every shot compiles refuses, naming the exponent
     with pytest.raises(ValueError, match=re.escape(f"exponent {exponent:g} < 0")):
-        PowerForm(amplitude, exponent, side).scalar(z)
+        PowerForm(amplitude, exponent, side).scalar_and_slope(z)
 
 
 @st.composite
@@ -107,7 +112,7 @@ def test_nonlinearity_kernel_matches_call(f, scale):
     a, b = float(a), float(b)
     special = [0.0, a, b, f.M, *(f.u_nodes or ())]
     points = _with_neighbours(special + [s * b for s in scale])
-    kernel = f.scalar
+    kernel = _value_half(f.scalar_and_slope, 0.0)
     for u in points + [-u for u in points]:
         got, want = kernel(u), f(u)
         if abs(u) > b:
@@ -126,13 +131,14 @@ def test_head_power_rounds_as_numpy_at_exact_p(p):
     # 0.1 % of points, too rare for the random draws above to meet reliably
     f = Nonlinearity("prototype", p, 0.5, 4.0)
     us = np.linspace(0.0, f.M, 20001)
-    assert [f.scalar(u) for u in us.tolist()] == f(us).tolist()
+    kernel = _value_half(f.scalar_and_slope, 0.0)
+    assert [kernel(u) for u in us.tolist()] == f(us).tolist()
 
 
 def test_shots_call_no_numpy_path(monkeypatch):
-    # the shooting right-hand sides call form.scalar(z) and f.scalar, or
-    # their scalar_and_slope on an augmented shot; form.value and f(u) are
-    # for meshes, residuals and quadrature
+    # the shooting right-hand sides call form.scalar_and_slope(z) and
+    # f.scalar_and_slope; form.value and f(u) are for meshes, residuals and
+    # quadrature
     w = Weight(
         0.5,
         (
@@ -172,10 +178,11 @@ def _difference(fn, x, h):
 @given(fz=_forms(), xs=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10))
 def test_form_slope_kernels_are_exact_derivatives(fz, xs):
     form, z = fz
-    a, pair = form.scalar(z), form.scalar_and_slope(z)
+    pair = form.scalar_and_slope(z)
+    a = _value_half(pair)
     for x in _with_neighbours([0.0, 1.0, z, *xs]):
         value, slope = pair(x)
-        assert value == a(x), (form, z, x)
+        assert value == form.value(x, z), (form, z, x)
         assert math.isfinite(slope), (form, z, x)
     for x in xs:
         if form.kind == "power" and abs(x - z) < _GAP:
@@ -189,7 +196,8 @@ def test_form_slope_kernels_are_exact_derivatives(fz, xs):
 def test_nonlinearity_slope_kernel_is_the_exact_derivative(f, scale):
     a, b, *_ = f._law
     breaks = [0.0, float(a), float(b), *(f.u_nodes or ())]
-    kernel, pair = f.scalar, f.scalar_and_slope
+    pair = f.scalar_and_slope
+    kernel = _value_half(pair, 0.0)
     points = _with_neighbours(breaks + [s * float(b) for s in scale])
     for u in points + [-u for u in points]:
         for rate in (-1.0, 0.0, 1.0):

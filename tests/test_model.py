@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -150,6 +151,35 @@ def test_node_orders(jump_weight):
     )
     order, coeff = wp.node_order("left")
     assert order == 1.0 and coeff == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "weight, sup",
+    [
+        (two_constant_weight(1.5, 2.0, 0.4), 1.5),
+        # 0.2 + 3x - 4x^2 peaks at x = 0.375, one of the 65 samples on [0, 0.5]
+        (Weight(0.5, (Segment(0.0, 0.5, PolynomialForm((0.2, 3.0, -4.0))), Segment(0.5, 1.0, ConstantForm(-1.0)))), 0.7625),
+        # a <= 0 everywhere: the positive part is 0
+        (Weight(0.5, (Segment(0.0, 0.5, PolynomialForm((-1.0, 0.5))), Segment(0.5, 1.0, ConstantForm(-2.0)))), 0.0),
+        (power_weight(1.0, 0.5, 2.0, 1.5, 0.4), math.sqrt(0.4)),
+    ],
+    ids=["constant", "poly", "nonpositive", "power"],
+)
+def test_sup_positive_part_is_the_largest_sample(weight, sup):
+    # max(a, 0) over 65 samples per segment, each segment's a read on the numpy path
+    samples = [s.form.value(np.linspace(s.lo, s.hi, 65), weight.z) for s in weight.segments]
+    want = max(0.0, *(float(np.max(v)) for v in samples))
+    assert weight.sup_positive_part() == want
+    assert want == pytest.approx(sup, rel=1e-15)
+
+
+@pytest.mark.parametrize("exponent", [-0.5, -1e-3])
+def test_sup_positive_part_refuses_an_unbounded_power_weight(exponent):
+    # a is read through the shots' fused kernels, and a power form below
+    # exponent 0 has none: the refusal names the exponent
+    w = power_weight(1.0, exponent, 2.0, 0.5, 0.4)
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exponent:g} < 0")):
+        w.sup_positive_part()
 
 
 def test_nonfinite_power_amplitude_raises():

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,6 +55,20 @@ def test_scan_preconditions(jump_weight, bump_f):
         find_regular(pb, s_min=0.0, s_max=1.0)
     with pytest.raises(ValueError):
         find_regular(pb, n_scan=8)
+
+
+@pytest.mark.parametrize("n_scan", [16.9, 20.5, math.inf, math.nan])
+def test_scan_count_must_be_a_whole_number(jump_weight, bump_f, n_scan):
+    pb = ProblemInstance(1.0, jump_weight, bump_f)
+    with pytest.raises(ValueError, match=re.escape(f"whole number, got {n_scan}")):
+        find_regular(pb, n_scan=n_scan)
+
+
+def test_an_integral_float_scan_count_scans_as_its_int(mild_family, lam0_jump):
+    pb = mild_family.at(2.0 * lam0_jump)
+    want = find_regular(pb, n_scan=16)
+    got = find_regular(pb, n_scan=16.0)
+    assert want and [s.us.tolist() for s in got] == [s.us.tolist() for s in want]
 
 
 def test_stalled_bracket_keeps_its_root():
@@ -198,15 +213,14 @@ def test_augmented_march_fails_below_ten_ulps_of_the_arclength(monkeypatch):
     # a right-hand side that turns nan past x = 0.2 rejects every step that
     # reaches it, so accepted steps close in on x = 0.2 until the next one
     # would be under 10 ulps of s: both marches end on "failure" at the last
-    # state they accepted; the wall stands in both kernels a march can compile
-    for name, wall in (("scalar", math.nan), ("scalar_and_slope", (math.nan, math.nan))):
-        real = getattr(ConstantForm, name)
+    # state they accepted; the wall stands in the one kernel both marches compile
+    real = ConstantForm.scalar_and_slope
 
-        def walled(form, z, real=real, wall=wall):
-            a = real(form, z)
-            return lambda x: a(x) if x < 0.2 else wall
+    def walled(form, z):
+        a = real(form, z)
+        return lambda x: a(x) if x < 0.2 else (math.nan, math.nan)
 
-        monkeypatch.setattr(ConstantForm, name, walled)
+    monkeypatch.setattr(ConstantForm, "scalar_and_slope", walled)
     pb = ProblemInstance(2.0, two_constant_weight(1.0, 2.0, 0.4), Nonlinearity())
     path = shoot._march_partials(pb, 0.0, 0.5, 0.0, 1.0)
     assert path.terminal == "failure" and path.partials is None

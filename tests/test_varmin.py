@@ -185,6 +185,13 @@ def test_minimize_says_why_it_stopped(pb_super, monkeypatch, init, max_iter, sto
     else:
         assert 0.0 < info["max_grad"] < 1e-3
 
+@pytest.mark.parametrize("starts", [0, -1, -4])
+def test_multistart_refuses_fewer_than_one_start(pb_super, starts):
+    # 0 would return no runs, and a negative count would run a slice of the inits
+    with pytest.raises(ValueError, match=f"need at least 1 start, got {starts}"):
+        minimize_multistart(pb_super, n=120, starts=starts)
+
+
 def test_minimizer_is_nonnegative(pb_super):
     u, _, _ = minimize(pb_super, init=np.full(241, 0.08))
     assert np.min(u.values) >= 0.0
