@@ -6,18 +6,18 @@ jump solutions from the two-sided construction otherwise) and their probe
 values are fitted in log-log coordinates: growth like lam^(1/q) on the
 positive side of the weight, decay like lam^(-1/p) on the negative side,
 bounded slopes in between.  The small-branch scaling for p > 1 is checked
-against a frozen semilinear limit problem solved by its own shooting
-oracle.
+against a frozen semilinear limit problem shot on eigen's x-form march.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+# unused here, but bench/tracing.py wraps asymptotics.solve_ivp (ROADMAP item 3B)
 from scipy.integrate import solve_ivp
 
+from .eigen import _shoot_x
 from .shoot import find_regular
 from .singular import Absent, solve_singular
 from .util import bisect_bracket, scan_brackets
@@ -202,8 +202,8 @@ def flatness_and_node(members, z, M):
 def semilinear_positive_solution(weight, p):
     """Positive Neumann solution of the frozen limit problem -v'' = a |v|^p sgn v.
 
-    Shot directly in x from v(0) = sigma, v'(0) = 0 across the pieces of
-    weight.spans(0, 1), with a shot that crosses zero counted as negative.
+    Shot on eigen's x-form march from v(0) = sigma, v'(0) = 0, with a
+    shot that crosses zero counted as negative.
     util.scan_brackets walks 160 log-spaced sigma up from 1e-4 toward 1e4,
     and util.bisect_bracket refines each bracket as the walk yields it, by
     brentq in log sigma once both ends are exact (bisection before that),
@@ -212,25 +212,10 @@ def semilinear_positive_solution(weight, p):
     This is an independent oracle: it never touches the arclength
     machinery.
     """
-    z = weight.z
 
     def value(sigma):
-        y = np.array([sigma, 0.0])
-        for lo, hi, form in weight.spans(0.0, 1.0):
-            def rhs(x, yv, a=form.scalar_and_slope(z)):
-                v, dv = yv.tolist()
-                return [dv, -a(x)[0] * abs(v) ** p * math.copysign(1.0, v)]
-
-            def ev_zero(x, yv):
-                return yv[0]
-
-            ev_zero.terminal = True
-            ev_zero.direction = -1.0
-            out = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-13, events=ev_zero)
-            y = out.y[:, -1]
-            if out.status == 1:  # v crossed zero: not a positive solution
-                return -1.0, False
-        return float(y[1]), True
+        _, dv, crossed, _ = _shoot_x(weight, 1.0, p, sigma, 1e-11, 1e-13)
+        return (-1.0, False) if crossed else (dv, True)  # a crossing is not a positive solution
 
     for lo, hi, lo_positive in scan_brackets(value, 1e-4, 1e4, 160):
         root = bisect_bracket(value, lo, hi, lo_positive, 1e-11)

@@ -212,8 +212,6 @@ def _cmd_singular(args):
 
 
 def _cmd_minimize(args):
-    if args.n < 16:
-        raise UsageError("--n must be at least 16")
     pb = _load_problem(args)
     if pb.lam <= 0:
         raise UsageError("minimize needs lambda > 0 (pass --lambda)")

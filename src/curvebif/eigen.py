@@ -9,9 +9,10 @@ phi'(0) = 0 and reads the signed end value phi'(1), restricted to the
 window where the solution stays positive: a shot that crosses zero is an
 overshoot whose value is only a sign.  The bracket is bisected while its
 upper end is such a crossing and then refined by Brent's method between
-its two exact ends.  bif_direction evaluates the closed-form quadratures
-that give the slope and curvature of the branch of nontrivial solutions
-leaving the trivial line at lam0.
+its two exact ends.  Each shot is the p = 1 case of _shoot_x, the x-form
+march that the semilinear limit oracle shares.  bif_direction evaluates
+the closed-form quadratures that give the slope and curvature of the
+branch of nontrivial solutions leaving the trivial line at lam0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = ["EigenPair", "principal_neumann", "bif_direction", "rayleigh_identity
 
 _RTOL = 1e-12
 _ATOL = 1e-14
-_MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap on [0, 1]
+_MAX_STEP_FRAC = 1.0 / 16.0  # integrator step cap on [0, 1]; it binds, and the branch seed's bits depend on it
 _LAM_MAX = 1e6  # the bracket gives up doubling above this
 _CROSSED = -math.inf  # end value of a shot that crossed zero: an overshoot, never a root
 _BRENTQ_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
@@ -57,16 +58,15 @@ class EigenPair:
         return float(total)
 
 
-def _shoot_linear(weight, lam, dense=False):
-    """Integrate phi'' = -lam a phi across [0, 1] from phi = 1, phi' = 0.
+def _shoot_x(weight, k, p, v0, rtol, atol, max_step=math.inf, dense=False):
+    """Integrate -v'' = k a(x) |v|^p sgn v across [0, 1] from v = v0 > 0, v' = 0.
 
-    Returns (phi(1), dphi(1), crossed_zero, solutions) where solutions is a
+    Returns (v(1), v'(1), crossed_zero, solutions) where solutions is a
     list of (lo, t_end, OdeSolution, form): one per segment piece, t_end
     being hi or the zero crossing that stopped it.  The OdeSolution is None
-    unless dense is set.
+    unless dense is set.  A failed integration raises RuntimeError.
     """
-    z = weight.z
-    y = np.array((1.0, 0.0))
+    y = np.array((v0, 0.0))
     crossed = False
     sols = []
 
@@ -74,32 +74,37 @@ def _shoot_linear(weight, lam, dense=False):
         return yv[0]
 
     zero.terminal = True
-    zero.direction = -1.0  # phi starts at 1, so the first crossing is downward
+    zero.direction = -1.0  # v starts positive, so the first crossing is downward
 
     for lo, hi, form in weight.spans(0.0, 1.0):
-        def rhs(x, yv, a=form.scalar_and_slope(z)):
-            phi, dphi = yv.tolist()
-            return [dphi, -lam * a(x)[0] * phi]
+        def rhs(x, yv, a=form.scalar_and_slope(weight.z)):
+            v, dv = yv.tolist()  # for p = 1, |v| sgn v is v bit for bit
+            return [dv, -k * a(x)[0] * (abs(v) ** p * math.copysign(1.0, v))]
 
         out = solve_ivp(
             rhs,
             (lo, hi),
             y,
             method="DOP853",
-            rtol=_RTOL,
-            atol=_ATOL,
+            rtol=rtol,
+            atol=atol,
             dense_output=dense,
             events=zero,
-            max_step=_MAX_STEP_FRAC,
+            max_step=max_step,
         )
         if out.status == -1:
-            raise RuntimeError(f"linear shooting failed: {out.message}")
+            raise RuntimeError(f"x-form shooting failed: {out.message}")
         sols.append((lo, out.t[-1], out.sol, form))
         y = out.y[:, -1]
-        if out.status == 1:  # phi crossed zero
+        if out.status == 1:  # v crossed zero
             crossed = True
             break
     return float(y[0]), float(y[1]), crossed, sols
+
+
+def _shoot_linear(weight, lam, dense=False):
+    """_shoot_x for phi'' = -lam a phi from phi = 1, phi' = 0 at eigen's tolerances."""
+    return _shoot_x(weight, lam, 1.0, 1.0, _RTOL, _ATOL, max_step=_MAX_STEP_FRAC, dense=dense)
 
 
 class _Crossing(Exception):

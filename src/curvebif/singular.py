@@ -240,14 +240,13 @@ def _flux_quadrature(pb, xs, us, side):
 def solve_singular(pb):
     """Construct the jump solution at the node, or report why there is none.
 
-    Refuses where classify() proves every solution regular: under the
+    classify() raises on a lam no solver accepts, and the construction is
+    refused where classify() proves every solution regular: under the
     smallness bound and under a divergent criterion integral.  Otherwise
     both one-sided pieces are root-found; if the left height at the node
     stays above the right one the assembled object is a bounded-variation
     solution with a downward jump.
     """
-    if not (0 <= pb.lam < math.inf):
-        raise ValueError("solvers accept finite lam >= 0 only")
     verdict = classify(pb).tag
     if verdict == "RegularBySmallness":
         return Absent("smallness", "lam ||f|| ||a||_1 < 1 forces regularity")
@@ -305,8 +304,11 @@ def classify(pb, u=None):
     never be certified, because the witness inequality needs solution
     values; the verdict is then Inconclusive.  The trace is a Solution,
     read through its pieces: a jump solution's two pieces, or one piece
-    that reaches both sides of the node.
+    that reaches both sides of the node.  A lam the solvers refuse
+    (negative, nan or inf) is refused before any of this.
     """
+    if not (0 <= pb.lam < math.inf):
+        raise ValueError("solvers accept finite lam >= 0 only")
     if not pb.weight.has_sign_split:
         raise ValueError("classification needs a sign-split weight")
     if smallness_guard(pb):

@@ -65,10 +65,24 @@ def _as_values(u, n=None):
     return v
 
 
-def _grid_cells(pb, n):
-    """(cells, lam * cells) on the n-grid, the weight's and lam's share of every evaluation there."""
+def _whole(name, count):
+    """count as an int, refused with a ValueError naming it unless it is a whole number."""
+    if not float(count).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {count}")
+    return int(count)
+
+
+def _grid_size(n):
+    """n as an int, refused unless it is a whole number of at least 16 cells."""
+    n = _whole("n", n)
     if n < 16:
         raise ValueError("grid too coarse (need n >= 16)")
+    return n
+
+
+def _grid_cells(pb, n):
+    """(cells, lam * cells) on the n-grid, the weight's and lam's share of every evaluation there."""
+    n = _grid_size(n)
     cells = _cell_averages(pb.weight, n)
     return cells, pb.lam * cells
 
@@ -133,8 +147,10 @@ def minimize(pb, init=None, n=240):
     point the search visits costs one evaluation, which gives the value and
     the gradient from one sweep over the grid.  The absolute value of the
     final iterate is returned, which cannot raise the discrete functional.
-    An array init must hold n + 1 values.
+    n is a whole number of at least 16 cells, and an array init must hold
+    n + 1 values.
     """
+    n = _grid_size(n)
     v = np.zeros(n + 1) if init is None else _as_values(init, n)
     if v.shape != (n + 1,):
         raise ValueError(f"init has shape {v.shape}; a grid of n = {n} needs {n + 1} values")
@@ -167,7 +183,12 @@ def minimize(pb, init=None, n=240):
 
 
 def minimize_multistart(pb, n=240, starts=6):
-    """Deterministic multi-start minimization of starts >= 1 runs; returns them sorted by value."""
+    """Deterministic multi-start minimization of starts >= 1 runs; returns them sorted by value.
+
+    n and starts are whole numbers, n of at least 16 cells.
+    """
+    n = _grid_size(n)
+    starts = _whole("starts", starts)
     if starts < 1:
         raise ValueError(f"need at least 1 start, got {starts}")
     height_scale = 2.0 * pb.f.M

@@ -341,7 +341,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for n in ("-3", "15"):  # below the functional's coarsest grid
         assert run_cli(["minimize", "--lambda", "11", "--n", n]) == 1
         err = capsys.readouterr().err
-        assert "--n must be at least 16" in err and "Traceback" not in err
+        assert "need n >= 16" in err and "Traceback" not in err
     assert run_cli(["minimize", "--n", "16", "--starts", "1"]) == 1  # lambda defaults to 0
     assert run_cli(["verify", "--criteria", "11"]) == 1
     capsys.readouterr()

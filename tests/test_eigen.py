@@ -6,6 +6,7 @@ import pytest
 from curvebif import ConstantForm, Nonlinearity, ProblemFamily, Segment, Weight
 from curvebif import eigen, two_constant_weight
 from curvebif.acceptance import eigen_oracle
+from curvebif.asymptotics import semilinear_positive_solution
 from curvebif.continuation import solve_lambda_at_height
 from curvebif.eigen import bif_direction, principal_neumann, rayleigh_identity
 
@@ -146,3 +147,20 @@ def test_tolerance_below_float_spacing_ends(jump_weight):
 def test_rejects_tolerance_outside_unit_interval(jump_weight, tol):
     with pytest.raises(ValueError):
         principal_neumann(jump_weight, tol=tol)
+
+
+def test_a_failed_x_form_shot_raises(jump_weight, monkeypatch):
+    # both callers of the one x-form march: the linear shot and the semilinear
+    # oracle, which read a failed state as a shot that reached x = 1
+    solve = eigen.solve_ivp
+
+    def failing(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        out.status, out.message = -1, "step size too small"
+        return out
+
+    monkeypatch.setattr(eigen, "solve_ivp", failing)
+    with pytest.raises(RuntimeError, match="step size too small"):
+        principal_neumann(jump_weight)
+    with pytest.raises(RuntimeError, match="step size too small"):
+        semilinear_positive_solution(jump_weight, 2.0)

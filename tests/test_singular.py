@@ -42,6 +42,13 @@ def test_classify_inconclusive_without_trace(jump_weight, bump_f):
     assert not v.i_left.infinite and not v.i_right.infinite
 
 
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_classify_refuses_a_lambda_no_solver_accepts(jump_weight, bump_f, lam):
+    # -1 passed the smallness bound as RegularBySmallness, nan and inf fell through to Inconclusive
+    with pytest.raises(ValueError, match="finite lam >= 0 only"):
+        classify(ProblemInstance(lam, jump_weight, bump_f))
+
+
 def test_classify_lambda_independence(jump_weight, bump_f):
     # above the smallness window the criterion part depends on the weight only
     a = classify(ProblemInstance(10.0, jump_weight, bump_f))

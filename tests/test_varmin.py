@@ -192,6 +192,25 @@ def test_multistart_refuses_fewer_than_one_start(pb_super, starts):
         minimize_multistart(pb_super, n=120, starts=starts)
 
 
+def test_grid_and_start_counts_are_checked_before_anything_is_built(pb_super):
+    # a negative n reached numpy's own errors ("negative dimensions", "Number of
+    # samples") before the grid check, and a fractional n or start count a TypeError
+    for run in (minimize, minimize_multistart):
+        for n in (-3, 15):
+            with pytest.raises(ValueError, match=r"need n >= 16"):
+                run(pb_super, n=n)
+        for n in (16.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"n must be a whole number, got {n}"):
+                run(pb_super, n=n)
+    with pytest.raises(ValueError, match="starts must be a whole number, got 2.5"):
+        minimize_multistart(pb_super, n=120, starts=2.5)
+
+
+def test_an_integral_float_grid_runs_as_its_int(pb_super):
+    u, value, _ = minimize(pb_super, n=32.0)
+    assert u.values.shape == (33,) and value == minimize(pb_super, n=32)[1]
+
+
 def test_minimizer_is_nonnegative(pb_super):
     u, _, _ = minimize(pb_super, init=np.full(241, 0.08))
     assert np.min(u.values) >= 0.0
