@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .asymptotics import build_family, default_ladder, flatness_and_node, grow_decay_rates, small_branch_scaling
 from .continuation import solve_lambda_at_height
-from .eigen import bif_direction, principal_neumann, rayleigh_identity
+from .eigen import bif_direction, principal_eigenvalue, principal_neumann, rayleigh_identity
 from .model import (
     Nonlinearity,
     ProblemFamily,
@@ -79,7 +79,7 @@ def bump_f():
 
 @lru_cache(maxsize=None)
 def lam0_jump():
-    return principal_neumann(jump_weight()).eigenvalue
+    return principal_eigenvalue(jump_weight())
 
 
 @lru_cache(maxsize=None)

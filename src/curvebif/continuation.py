@@ -192,12 +192,16 @@ def trace(
     and kind come from the corrector's accepted augmented shot, so a kept
     point costs that one plain shot more.  step, the scaled predictor step,
     must be positive and finite, max_points, which counts the start point,
-    at least 1, and lam_max a number (+inf sets no cap).
+    a whole number at least 1 (an integral float runs as its int), and
+    lam_max a number (+inf sets no cap).
     """
     if not (0 < step < math.inf):
         raise ValueError("the continuation step must be positive and finite")
     if math.isnan(lam_max):
         raise ValueError("lam_max must be a number, got nan")
+    if not float(max_points).is_integer():
+        raise ValueError(f"max_points must be a whole number, got {max_points}")
+    max_points = int(max_points)
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     lam, s0 = float(start[0]), float(start[1])
@@ -282,7 +286,7 @@ def seed_from_lambda0(pb_family):
     """
     if pb_family.f.p != 1.0:
         raise ValueError("seeding from the eigenvalue needs a p = 1 nonlinearity")
-    lam0 = eigen.principal_neumann(pb_family.weight).eigenvalue
+    lam0 = eigen.principal_eigenvalue(pb_family.weight)
     s0 = 1e-3
     return solve_lambda_at_height(pb_family, s0, lam0 / pb_family.f.c), s0
 

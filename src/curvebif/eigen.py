@@ -1,6 +1,6 @@
 """Principal eigenvalue of the weighted Neumann problem, by shooting.
 
-principal_neumann finds the unique positive lam0 for which
+principal_eigenvalue finds the unique positive lam0 for which
 
     -phi'' = lam a(x) phi,   phi'(0) = phi'(1) = 0
 
@@ -10,9 +10,13 @@ window where the solution stays positive: a shot that crosses zero is an
 overshoot whose value is only a sign.  The bracket is bisected while its
 upper end is such a crossing and then refined by Brent's method between
 its two exact ends.  Each shot is the p = 1 case of _shoot_x, the x-form
-march that the semilinear limit oracle shares.  bif_direction evaluates
-the closed-form quadratures that give the slope and curvature of the
-branch of nontrivial solutions leaving the trivial line at lam0.
+march that the semilinear limit oracle shares; the march ends each span
+at its bound, so no shot reads a form past its segment.  principal_neumann
+adds the sampled eigenfunction (an EigenPair) that bif_direction and
+rayleigh_identity read; the branch seed reads the eigenvalue alone.
+bif_direction evaluates the closed-form quadratures that give the slope
+and curvature of the branch of nontrivial solutions leaving the trivial
+line at lam0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.optimize import brentq
 
-__all__ = ["EigenPair", "principal_neumann", "bif_direction", "rayleigh_identity"]
+__all__ = ["EigenPair", "principal_eigenvalue", "principal_neumann", "bif_direction", "rayleigh_identity"]
 
 _RTOL = 1e-12
 _ATOL = 1e-14
@@ -214,8 +218,8 @@ def _build_pair(weight, lam):
     )
 
 
-def principal_neumann(weight, tol=1e-12):
-    """Smallest lam > 0 with a positive Neumann eigenfunction on (0, 1).
+def principal_eigenvalue(weight, tol=1e-12):
+    """Smallest lam > 0 with a positive Neumann eigenfunction on (0, 1), without the eigenfunction.
 
     Shoots from phi(0) = 1, phi'(0) = 0 and finds the root of phi'(1),
     treating loss of positivity as overshoot: bisection while the upper
@@ -236,7 +240,12 @@ def principal_neumann(weight, tol=1e-12):
         return _CROSSED if crossed else dphi
 
     lam_seed = math.pi ** 2 / max(weight.sup_positive_part(), 1e-6)
-    return _build_pair(weight, _bracket_and_refine(value, lam_seed, tol))
+    return _bracket_and_refine(value, lam_seed, tol)
+
+
+def principal_neumann(weight, tol=1e-12):
+    """The EigenPair at principal_eigenvalue(weight, tol): its sampled eigenfunction and residual."""
+    return _build_pair(weight, principal_eigenvalue(weight, tol))
 
 
 def bif_direction(f, pair):

@@ -175,9 +175,12 @@ class PolynomialForm:
 class PowerForm:
     """Power-law profile anchored at the node z.
 
-    The value is sign * amplitude * d^exponent in the distance d = |x - z|,
-    clipped at 0 on the far side.  The amplitude is always stored positive;
-    the side fixes the sign, +1 left of the node and -1 right of it.
+    The value is sign * amplitude * d^exponent in the distance d to the
+    node, positive inside the segment.  A whole-number exponent takes d
+    signed, so the form is its own polynomial on both sides of the node; any
+    other exponent is not smooth at the node and clips d at 0 on the far
+    side.  The amplitude is always stored positive; the side fixes the
+    sign, +1 left of the node and -1 right of it.
     """
 
     amplitude: float
@@ -195,41 +198,60 @@ class PowerForm:
     def sign(self):
         return 1.0 if self.side == "left" else -1.0
 
-    def _distance(self, x, z):
+    @property
+    def _whole(self):
+        return self.exponent >= 0.0 and float(self.exponent).is_integer()
+
+    def _distance(self, x, z, signed=False):
         x = np.asarray(x, dtype=float)
-        return np.maximum(z - x if self.side == "left" else x - z, 0.0)
+        d = z - x if self.side == "left" else x - z
+        return d if signed else np.maximum(d, 0.0)
 
     def value(self, x, z):
-        return self.sign * self.amplitude * self._distance(x, z) ** self.exponent
+        return self.sign * self.amplitude * self._distance(x, z, self._whole) ** self.exponent
 
     def scalar_and_slope(self, z):
         """x -> (a(x), a'(x)); the value is k d^e, and the slope is +-k e d^(e - 1), taken as e a / d.
 
         An exponent below 0 is refused: a is unbounded at the node, so no
-        shot can cross it.  At and past the node the value is the constant
-        k 0^e, and the slope past it is 0, and so it is at the left form's
-        node, which x leaves into that constant.  The right form takes its
-        right-hand slope at the node where that is finite: k for e = 1 and
-        0 for e > 1.  For e < 1 it is infinite, and the node takes 0
-        instead, so a march that enters the segment there starts on a
-        finite slope; the singularity d^(e - 1) is integrable.  An exponent
-        of exactly 0 has slope 0 everywhere.
+        shot can cross it.  A whole-number exponent continues the
+        polynomial k d^e past the node, in the signed d, with its own slope
+        on the node: +-k for e = 1 and 0 for e > 1; a step that overshoots
+        the node meets no kink there.  Any other exponent clips: at and
+        past the node the value is the constant k 0^e, and the slope past
+        it is 0, and so it is at the left form's node, which x leaves into
+        that constant.  The right form's right-hand slope at its node is
+        infinite for e < 1, and the node takes 0 instead, so a march that
+        enters the segment there starts on a finite slope; the singularity
+        d^(e - 1) is integrable.  An exponent of exactly 0 has slope 0
+        everywhere.
         """
         k, e, left = self.sign * self.amplitude, self.exponent, self.side == "left"
         if e < 0.0:
             raise ValueError(f"a power segment with exponent {e:g} < 0 is unbounded at the node, so no shot can cross it")
-        at_node = k * 0.0 ** e  # the value at and past the node
-        past, node = (at_node, 0.0), (at_node, k if e == 1.0 and not left else 0.0)
+        at_node = k * 0.0 ** e  # the value at the node, and past it when clipped
+        clipped = (at_node, 0.0)
         if e == 0.0:
-            return lambda x: past  # the constant k
+            return lambda x: clipped  # the constant k
         de = -e if left else e  # dd/dx times e
+        if self._whole:
+            node = (at_node, de * k if e == 1.0 else 0.0)
+
+            def a(x):
+                d = z - x if left else x - z
+                if d:
+                    v = k * d ** e
+                    return v, de * v / d
+                return node
+
+            return a
 
         def a(x):
             d = z - x if left else x - z
             if d > 0.0:
                 v = k * d ** e
                 return v, de * v / d
-            return node if d == 0.0 else past
+            return clipped
 
         return a
 

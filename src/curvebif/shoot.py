@@ -27,11 +27,16 @@ slope halves of the same two kernel calls that give a(x) and f(u), the
 derivatives of the very functions the plain shots call.  At a breakpoint
 of a or of f the slope is that of the side x or u moves into; a power
 form's node, where a' is infinite for an exponent below 1, takes a finite
-slope.  Its nine-component march runs on a plain-float DOP853 loop
+slope, and a whole-number exponent continues its polynomial past the node,
+so a step that overshoots the node meets no kink before its edge event
+cuts it.  Its nine-component march runs on a plain-float DOP853 loop
 (ibid., sections II.5-6): scipy's tableau, step controller, initial-step
-rule and event location, with straight-line stage sums compiled from
-scipy's coefficients on the first augmented shot, so no step pays
-solve_ivp's per-call array overhead.  The same march keeps the
+rule and event location.  The loop over a segment's steps is generated
+from scipy's coefficients on the first augmented shot (_segment_loop):
+straight-line stage sums, the two kernel calls inline, step control and
+the sign tests of events and peaks, so a quiet step pays neither
+solve_ivp's per-call array overhead nor an interpreted loop; Python
+resumes only at a step that meets an event or a peak.  The same march keeps the
 path's max u and max |theta| (a peak inside a step is located on the
 step's dense output), so a branch point reads its sup norm, slope and kind
 from the Newton shot that produced it, with no stored re-shot.
@@ -205,19 +210,32 @@ class RegularSolution(Solution):
         }
 
 
-def _event(fn, direction):
+def _terminal(fn, direction):
     fn.terminal = True
     fn.direction = direction
+    return fn
+
+
+def _event(component, source, direction):
+    """A terminal solve_ivp event g(s, y): the expression source at {v} = y[component].
+
+    source is evaluated in this module at each call, so it reads the
+    current _EPS_NEG and _U_MAX.  The event keeps its component and source,
+    which the compiled augmented loop inlines, and of, the same function of
+    v alone, so a root is found from the one component the event reads.
+    """
+    fn = _terminal(eval(f"lambda s, y: {source.format(v=f'y[{component}]')}"), direction)
+    fn.component, fn.source, fn.of = component, source, eval(f"lambda v: {source.format(v='v')}")
     return fn
 
 
 # the events every march watches besides its segment's x edge, with the
 # terminal each one ends the march on
 _EVENTS = (
-    (_event(lambda s, y: y[2] + math.pi / 2.0, -1.0), "vertical"),
-    (_event(lambda s, y: y[2] - math.pi / 2.0, 1.0), "vertical"),
-    (_event(lambda s, y: y[1] + _EPS_NEG, -1.0), "u_zero"),
-    (_event(lambda s, y: abs(y[1]) - _U_MAX, 1.0), "cap"),
+    (_event(2, "{v} + math.pi / 2.0", -1.0), "vertical"),
+    (_event(2, "{v} - math.pi / 2.0", 1.0), "vertical"),
+    (_event(1, "{v} + _EPS_NEG", -1.0), "u_zero"),
+    (_event(1, "abs({v}) - _U_MAX", 1.0), "cap"),
 )
 _EVENT_FNS = tuple(ev for ev, _ in _EVENTS)
 
@@ -315,7 +333,7 @@ def _march(pb, x_start, u_start, theta_start, x_target, *, collect):
                 rtol=_RTOL,
                 atol=atol,
                 dense_output=collect is not None,
-                events=(_event(lambda s, yv: yv[0] - edge, direction), *_EVENT_FNS),
+                events=(_terminal(lambda s, yv: yv[0] - edge, direction), *_EVENT_FNS),
             )
         except _BudgetSpent:
             return "spent", y, s
@@ -372,25 +390,26 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
     _walk ends the march, as it ends _march's; each of its segments is a
     plain-float copy of scipy's DOP853 loop: its tableau, step controller
     and initial-step rule, each segment started afresh (two calls) and the
-    last stage of a step reused as the first of the next.  The error norm
-    runs over (x, u, theta) alone, with _RTOL and _ATOL, so the
+    last stage of a step reused as the first of the next.  The compiled
+    _segment_loop runs the steps and hands back only a step that needs its
+    dense output, the arclength budget, a failure or a spent budget.  The
+    error norm runs over (x, u, theta) alone, with _RTOL and _ATOL, so the
     sensitivities take no part in step control.  A sign change of the x
     edge or of an _EVENTS function over an accepted step, by solve_ivp's
-    rule, is located on the step's 7th-order dense output, and the earliest
-    root ends the step.  A step below 10 ulps of the arclength ends the
-    segment on "failure".  At an interior edge the sensitivities take the
+    rule, is located on the step's 7th-order dense output, on the one
+    component the event reads, and the earliest root ends the step.  A step
+    below 10 ulps of the arclength ends the segment on "failure".  At an interior edge the sensitivities take the
     saltation jump; at x_target theta's partials take the event-time
     correction.  The march keeps the path's max u and max |theta| as
     extrema: over the start, every accepted step end and event state, and
     the peaks _step_peaks finds inside a step where theta falls through 0
     or theta' changes sign, so no mesh is needed to read them.
     """
-    step = _dop853_step()
+    loop = _segment_loop()
     f_and_slope = pb.f.scalar_and_slope
     fs = lambda u: f_and_slope(u, 0.0)[0]  # for the value-only reads
     lam_dir = -float(pb.lam)
     rtol, atol, nfev_max = _RTOL, _ATOL, _NFEV_MAX
-    directions = (1.0, *(fn.direction for fn in _EVENT_FNS))  # the x edge is met going right
     nfev = 0  # right-hand-side calls of the finished segments
     a_last = None  # the last segment's a
     u_max, th_max = float(u_start), abs(float(theta_start))  # over the states met so far
@@ -403,55 +422,32 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
         a_last = a
         calls_max = nfev_max - nfev
         rhs = _augmented_rhs(a_and_slope, f_and_slope, lam_dir)
-        events = (lambda s, yv: yv[0] - edge, *_EVENT_FNS)
         k = rhs(*y)
         h_abs = _initial_step(rhs, y, k, s_budget - s, rtol, atol)
         calls = 2
-        g = [ev(s, y) for ev in events]
-        end = None  # an event index, "failure" or "cap"
-        while end is None and calls <= calls_max:
-            # one accepted step, as scipy's RungeKutta._step_impl
-            min_step = 10.0 * (math.nextafter(s, math.inf) - s)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if not h_abs >= min_step:  # a nan step fails too
-                    end = "failure"
-                    break
-                s_new = min(s + h_abs, s_budget)
-                h = s_new - s
-                y_new, k_new, err, stages = step(rhs, h, y, k, rtol, atol)
-                calls += 12
-                if err < 1.0 or calls > calls_max:
-                    break
-                h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                rejected = True
-            if end is not None or calls > calls_max:
+        while True:
+            end, y, k, s, h_abs, calls, u_max, th_max, step = loop(
+                a_and_slope, f_and_slope, lam_dir, edge, y, k, s, s_budget, h_abs, calls, calls_max, u_max, th_max, rtol, atol
+            )
+            if end != "dense":
                 break
-            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            h_abs = h * (min(1.0, factor) if rejected else factor)
-            g_new = [ev(s_new, y_new) for ev in events]
-            active = [
-                i
-                for i, (g0, g1, d) in enumerate(zip(g, g_new, directions))
-                if (d >= 0.0 and g0 <= 0.0 <= g1) or (d <= 0.0 and g0 >= 0.0 >= g1)
-            ]
-            # u peaks where theta falls through 0, |theta| where theta' changes sign
-            peaked = y[2] > 0.0 >= y_new[2] or k[2] * k_new[2] < 0.0
-            if active or peaked:
-                dense = _dense_output(rhs, stages, y, y_new, s, h)
-                calls += 3
+            # an accepted step that meets an event or a peak, read on its dense output
+            s_new, h, y_new, k_new, stages, _, active, peaked = step
+            dense = _dense_output(rhs, stages, y, y_new, s, h)
+            calls += 3
             peaks = _step_peaks(dense, s, s_new, lambda x, u: a(x) * fs(u)) if peaked else ()
+            end = None
             if active:
-                # the earliest root in the step ends it
+                # the earliest root in the step ends it, each found on the one component its event reads
+                reads = ((0, lambda v: v - edge), *((ev.component, ev.of) for ev in _EVENT_FNS))
                 roots = [
-                    brentq(lambda t, ev=events[i]: ev(t, dense(t, 3)), s, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                    brentq(lambda t, j=reads[i][0], g=reads[i][1]: g(dense(t, j + 1, j)[0]), s, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
                     for i in active
                 ]
                 s, end = min(zip(roots, active))
                 y = dense(s, 9)
             else:
-                y, k, s, g = y_new, k_new, s_new, g_new
+                y, k, s = y_new, k_new, s_new
                 if s >= s_budget:
                     end = "cap"
             for t, (_, u, th) in peaks:
@@ -461,8 +457,12 @@ def _march_partials(pb, x_start, u_start, theta_start, x_target):
                 u_max = y[1]
             if abs(y[2]) > th_max:
                 th_max = abs(y[2])
+            if calls > calls_max:
+                end = "spent"
+            if end is not None:
+                break
         nfev += calls
-        return ("spent" if calls > calls_max else end), y, s
+        return end, y, s
 
     # d/d lam starts at 0 and d/d u_start at (0, 1, 0)
     y = (float(x_start), float(u_start), float(theta_start), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
@@ -550,7 +550,7 @@ def _step_peaks(dense, s_old, s_new, theta_slope):
     step gives none.
     """
     out = []
-    for fn in (lambda t: dense(t, 3)[2], lambda t: theta_slope(*dense(t, 2))):
+    for fn in (lambda t: dense(t, 3, 2)[0], lambda t: theta_slope(*dense(t, 2))):
         if fn(s_old) * fn(s_new) < 0.0:
             t = brentq(fn, s_old, s_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
             out.append((t, dense(t, 3)))
@@ -581,7 +581,7 @@ def _initial_step(rhs, y, f0, interval, rtol, atol):
 
 
 def _dense_output(rhs, stages, y_old, y_new, s_old, h):
-    """The step's 7th-order interpolant as dense(t, n), the first n components at arclength t.
+    """The step's 7th-order interpolant as dense(t, n, first=0), components first to n - 1 at arclength t.
 
     As scipy's Dop853DenseOutput: three more stages (three calls), then the
     interpolant's rows, evaluated in scipy's order, so a state equals
@@ -602,11 +602,11 @@ def _dense_output(rhs, stages, y_old, y_new, s_old, h):
     F[3:] = h * np.dot(c.D, K)
     rows = F[::-1].tolist()
 
-    def dense(t, n):
+    def dense(t, n, first=0):
         x = (t - s_old) / h
         factors = [x if i % 2 == 0 else 1 - x for i in range(len(rows))]
         out = []
-        for j in range(n):
+        for j in range(first, n):
             v = 0.0
             for row, m in zip(rows, factors):
                 v = (v + row[j]) * m
@@ -616,15 +616,27 @@ def _dense_output(rhs, stages, y_old, y_new, s_old, h):
     return dense
 
 
-def _dop853_step_source():
-    """Source of step(rhs, h, y, k0, rtol, atol) -> (y_new, k_new, error_norm, stages): one DOP853 step.
+def _segment_loop_source():
+    """Source of the augmented march's segment loop: DOP853 steps on the nine-component system until one needs Python.
 
-    y and k0 = rhs(*y) are 9-tuples; rhs takes nine floats and returns a
-    9-tuple.  Every stage sum is written out with scipy's coefficients
-    (zero terms dropped), so a step makes 12 calls and no numpy call.  The
-    error norm is scipy's 5th/3rd-order blend over the state (x, u, theta),
-    the first three components; stages are the 13 stage tuples, the last
-    being rhs(*y_new).
+    loop(a, f, lam_dir, edge, y, k, s, s_budget, h_abs, calls, calls_max,
+    u_max, th_max, rtol, atol) steps from the 9-tuple y at arclength s with
+    k = rhs(*y) and the next trial step h_abs, as _march_partials' segment
+    loop; a and f are the two fused kernels, called inline with the
+    arithmetic of _augmented_rhs.  Every stage sum is written out with
+    scipy's coefficients (zero terms dropped), so a step makes 12 calls and
+    no numpy call, and its error norm is scipy's 5th/3rd-order blend over
+    (x, u, theta).  The loop does the step control, the sign tests of the x
+    edge, of each _EVENTS source and of the peaks (theta falling through 0,
+    a sign change of theta'), and keeps u_max and th_max over the steps it
+    accepts.  It returns (end, y, k, s, h_abs, calls, u_max, th_max, step)
+    at the first accepted step that meets a sign change ("dense"), at the
+    arclength budget ("cap"), on a step below 10 ulps of s ("failure") or
+    past calls_max calls ("spent").  step is (s_new, h, y_new, k_new,
+    stages, err, active, peaked) for the step just tried, the 13 stages
+    ending on rhs(*y_new) and active the indices in (x edge, *_EVENTS) of
+    the sign changes; it is None where no step was tried.  The event
+    sources read _EPS_NEG and _U_MAX from this module on each step.
     """
     c = dop853_coefficients
     n_stages = c.N_STAGES
@@ -636,33 +648,118 @@ def _dop853_step_source():
     def combo(coeffs, i):
         return " + ".join(f"{float(v)!r} * k{s}_{i}" for s, v in enumerate(coeffs) if v != 0.0)
 
-    lines = ["def step(rhs, h, y, k0, rtol, atol):", f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
-    for s in range(1, n_stages):
-        args = ", ".join(f"y{i} + ({combo(c.A[s, :s], i)}) * h" for i in range(n))
-        lines += [f"    k{s} = rhs({args})", f"    {names(f'k{s}_')}, = k{s}"]
-    lines.append(f"    {names('n')}, = " + ", ".join(f"y{i} + h * ({combo(c.B, i)})" for i in range(n)))
-    lines += [f"    k{n_stages} = rhs({names('n')})", f"    {names(f'k{n_stages}_')}, = k{n_stages}"]
-    for i in range(n_err):
-        lines += [
-            f"    sc{i} = atol[{i}] + max(abs(y{i}), abs(n{i})) * rtol",
-            f"    e5_{i} = ({combo(c.E5, i)}) / sc{i}",
-            f"    e3_{i} = ({combo(c.E3, i)}) / sc{i}",
+    def stage(s, args):
+        # _augmented_rhs on the nine arguments, into k{s}_0 ... k{s}_8
+        rates = ("dx", "du", "lam_dir * ax * fu", "-du * t5", "dx * t5", "gx * t3 + gu * t4 - ax * fu", "-du * t8", "dx * t8", "gx * t6 + gu * t7")
+        return [
+            *(f"t{i} = {arg}" for i, arg in enumerate(args)),
+            "dx, du = cos(t2), sin(t2)",
+            "ax, dax = a(t0)",
+            "fu, dfu = f(t1, du or lam_dir * ax * t1)",
+            "gx = lam_dir * dax * fu",
+            "gu = lam_dir * ax * dfu",
+            *(f"k{s}_{i} = {rate}" for i, rate in enumerate(rates)),
         ]
-    lines += [
-        "    p5 = " + " + ".join(f"e5_{i} * e5_{i}" for i in range(n_err)),
-        "    p3 = " + " + ".join(f"e3_{i} * e3_{i}" for i in range(n_err)),
-        f"    err = 0.0 if p5 == 0.0 and p3 == 0.0 else abs(h) * p5 / sqrt((p5 + 0.01 * p3) * {n_err})",
-        f"    return ({names('n')}), k{n_stages}, err, ({', '.join(f'k{s}' for s in range(n_stages + 1))})",
+
+    # each sign test as solve_ivp's: (source, component, direction); g{i}
+    # is its value at the step start and g{i}n at the step end
+    tests = [("{v} - edge", 0, 1.0)] + [(ev.source, ev.component, ev.direction) for ev in _EVENT_FNS]
+
+    def values(prefix):
+        return ", ".join(source.format(v=f"{prefix}{j}") for source, j, _ in tests)
+
+    starts = ", ".join(f"g{i}" for i in range(len(tests)))
+    ends = ", ".join(f"g{i}n" for i in range(len(tests)))
+    changes = [f"g{i} <= 0.0 <= g{i}n" if d > 0 else f"g{i} >= 0.0 >= g{i}n" for i, (_, _, d) in enumerate(tests)]
+    stages = ", ".join(f"({names(f'k{s}_')})" for s in range(n_stages + 1))
+    step = f"(s_new, h, ({names('n')}), ({names(f'k{n_stages}_')}), ({stages}), err, active, peaked)"
+    ret = f"({names('y')}), ({names('k0_')}), s, h_abs, calls, u_max, th_max"
+
+    trial = []  # one trial step of size h from s
+    for s in range(1, n_stages):
+        trial += stage(s, [f"y{i} + ({combo(c.A[s, :s], i)}) * h" for i in range(n)])
+    trial += [f"n{i} = y{i} + h * ({combo(c.B, i)})" for i in range(n)]
+    trial += stage(n_stages, [f"n{i}" for i in range(n)])
+    trial.append("calls += 12")
+    for i in range(n_err):
+        trial += [
+            f"sc{i} = atol{i} + max(abs(y{i}), abs(n{i})) * rtol",
+            f"e5_{i} = ({combo(c.E5, i)}) / sc{i}",
+            f"e3_{i} = ({combo(c.E3, i)}) / sc{i}",
+        ]
+    trial += [
+        "p5 = " + " + ".join(f"e5_{i} * e5_{i}" for i in range(n_err)),
+        "p3 = " + " + ".join(f"e3_{i} * e3_{i}" for i in range(n_err)),
+        f"err = 0.0 if p5 == 0.0 and p3 == 0.0 else abs(h) * p5 / sqrt((p5 + 0.01 * p3) * {n_err})",
+    ]
+
+    def block(depth, lines):
+        return [" " * (4 * depth) + line for line in lines]
+
+    lines = [
+        "def loop(a, f, lam_dir, edge, y, k, s, s_budget, h_abs, calls, calls_max, u_max, th_max, rtol, atol,",
+        "         cos=cos, sin=sin, sqrt=sqrt, nextafter=nextafter, inf=inf, abs=abs, max=max, min=min):",
+        *block(1, [
+            f"{names('y')}, = y",
+            f"{names('k0_')}, = k",
+            "atol0, atol1, atol2 = atol",
+            f"{starts} = {values('y')}",
+            "while calls <= calls_max:",
+        ]),
+        *block(2, [
+            "min_step = 10.0 * (nextafter(s, inf) - s)",
+            "h_abs = max(h_abs, min_step)",
+            "rejected = False",
+            "while True:",
+        ]),
+        *block(3, [
+            "if not h_abs >= min_step:  # a nan step fails too",
+            f"    return 'failure', {ret}, None",
+            "s_new = min(s + h_abs, s_budget)",
+            "h = s_new - s",
+            *trial,
+            "if err < 1.0 or calls > calls_max:",
+            "    break",
+            f"h_abs = h * max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+            "rejected = True",
+        ]),
+        *block(2, [
+            "if calls > calls_max:",
+            "    active, peaked = (), False",
+            f"    return 'spent', {ret}, {step}",
+            f"factor = {_MAX_FACTOR!r} if err == 0.0 else min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+            "h_abs = h * (min(1.0, factor) if rejected else factor)",
+            f"{ends} = {values('n')}",
+            # u peaks where theta falls through 0, |theta| where theta' changes sign
+            f"peaked = y2 > 0.0 >= n2 or k0_2 * k{n_stages}_2 < 0.0",
+            f"if peaked or {' or '.join(f'({t})' for t in changes)}:",
+            f"    active = tuple(i for i, hit in enumerate(({', '.join(changes)})) if hit)",
+            f"    return 'dense', {ret}, {step}",
+            f"{names('y')} = {names('n')}",
+            f"{names('k0_')} = {names(f'k{n_stages}_')}",
+            f"s, {starts} = s_new, {ends}",
+            "if y1 > u_max:",
+            "    u_max = y1",
+            "if abs(y2) > th_max:",
+            "    th_max = abs(y2)",
+            "if s >= s_budget:",
+            f"    return 'cap', {ret}, None",
+        ]),
+        *block(1, [f"return 'spent', {ret}, None"]),
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _dop853_step():
-    """The nine-component DOP853 step, compiled on first use (a few ms), so imports do not pay for it."""
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(_dop853_step_source(), "<dop853 step>", "exec"), namespace)
-    return namespace["step"]
+def _segment_loop():
+    """The augmented march's segment loop, compiled on first use (a few ms), so imports do not pay for it.
+
+    It runs in this module's namespace, where its event sources find
+    _EPS_NEG and _U_MAX as they stand at each call.
+    """
+    namespace = {"cos": math.cos, "sin": math.sin, "sqrt": math.sqrt, "nextafter": math.nextafter, "inf": math.inf}
+    exec(compile(_segment_loop_source(), "<dop853 segment loop>", "exec"), globals(), namespace)
+    return namespace["loop"]
 
 
 def _mesh_times(out, dtheta, dx):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,26 @@ def test_trace_rejects_a_bad_step(ramp_family, step):
     # checked before the start point is shot
     with pytest.raises(ValueError, match="step must be positive and finite"):
         trace(ramp_family, (1.0, 1.0), step=step)
+
+
+@pytest.mark.parametrize("max_points", [math.nan, math.inf, 2.5])
+def test_trace_refuses_a_count_that_is_not_a_whole_number(ramp_family, monkeypatch, max_points):
+    # refused before any shot: nan once kept a one-point branch, 2.5 three points
+    from curvebif import continuation
+
+    def refuse(*args):
+        raise AssertionError("a refused count shot the start")
+
+    monkeypatch.setattr(continuation, "_shot", refuse)
+    with pytest.raises(ValueError, match=re.escape(f"max_points must be a whole number, got {max_points}")):
+        trace(ramp_family, (1.0, 1.0), max_points=max_points)
+
+
+def test_trace_runs_an_integral_float_count_as_its_int(ramp_family):
+    seed = seed_from_lambda0(ramp_family)
+    br = trace(ramp_family, seed, step=0.1, max_points=3.0)
+    assert len(br.points) == 3 and br.terminated_by == "max-points"
+    assert br.rows == trace(ramp_family, seed, step=0.1, max_points=3).rows
 
 
 def test_corrector_gives_up_after_its_tenth_newton_step(monkeypatch):

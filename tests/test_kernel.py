@@ -241,13 +241,33 @@ def test_f_slope_at_zero_never_raises(p, slope):
         assert Nonlinearity(kind, p, 0.5, 1.0).scalar_and_slope(0.0, 1.0) == (0.0, slope)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("exponent", [1.0, 2.0, 3.0])
+def test_a_whole_exponent_continues_its_polynomial_past_the_node(exponent, side):
+    # on all of [0, 1], past the node included, the value half is value's
+    # bit for bit, and the slope half is the polynomial's, on the node too
+    z = 0.4
+    form = PowerForm(3.0, exponent, side)
+    kernel = form.scalar_and_slope(z)
+    k, dd = form.sign * 3.0, (-1.0 if side == "left" else 1.0)  # the coefficient and dd/dx
+    for x in _with_neighbours([*np.linspace(0.0, 1.0, 201).tolist(), z]):
+        value, slope = kernel(x)
+        assert value == form.value(x, z), x
+        assert slope == pytest.approx(dd * k * exponent * (dd * (x - z)) ** (exponent - 1.0), rel=1e-14, abs=0.0), x
+    assert kernel(z)[1] == (dd * k if exponent == 1.0 else 0.0)
+
+
 @pytest.mark.parametrize("exponent", [0.0, 1e-12, 0.3, 0.5, 1.0, 1.5])
 def test_power_slope_at_the_node_is_finite_and_never_raises(exponent):
     z, tiny = 0.4, 5e-324
     left = PowerForm(3.0, exponent, "left").scalar_and_slope(z)
     right = PowerForm(3.0, exponent, "right").scalar_and_slope(z)
-    # past the node and on it the left form is the constant k 0^e: slope 0
-    assert left(z)[1] == 0.0 and left(z + 0.1)[1] == 0.0
+    if exponent == 1.0:
+        # a whole exponent continues the line k d past the node: slope -k on the node and beyond it
+        assert left(z)[1] == -3.0 and left(z + 0.1)[1] == pytest.approx(-3.0, rel=1e-15)
+    else:
+        # past the node and on it a clipped or constant left form is the constant k 0^e: slope 0
+        assert left(z)[1] == 0.0 and left(z + 0.1)[1] == 0.0
     # the right form enters d > 0: k e 0^(e - 1) where finite (e >= 1), else 0
     assert right(z)[1] == (-3.0 if exponent == 1.0 else 0.0)
     for x in (z - tiny, z + tiny, math.nextafter(z, 0.0), math.nextafter(z, 1.0)):

@@ -243,34 +243,31 @@ def test_augmented_shots_leave_solve_ivp_alone(jump_weight, bump_f, ramp_weight,
         shoot_residual(ProblemInstance(4.4259, jump_weight, bump_f), 0.4828)
 
 
-def _toy_rhs(seed):
-    """A smooth nonlinear right-hand side on nine floats, as the loop calls it."""
-    m = np.random.default_rng(seed).normal(size=(9, 9)) / 3.0
-
-    def rhs(*y):
-        v = np.array(y)
-        return tuple((np.sin(m @ v) + 0.1 * v * v).tolist())
-
-    return rhs
-
-
 def test_generated_step_is_scipys_dop853_step():
-    # one generated step against scipy's rk_step with the same tableau, and
-    # its error norm against DOP853's over the state components (x, u, theta)
+    # one trial step of the compiled segment loop against scipy's rk_step
+    # with the same tableau on the same augmented right-hand side, and its
+    # error norm against DOP853's over the state components (x, u, theta)
     # for at least half the draws far above the norm's roundoff floor
     from scipy.integrate._ivp.rk import DOP853, rk_step
 
     eps = np.finfo(float).eps
-    step = shoot._dop853_step()
+    loop = shoot._segment_loop()
     rng = np.random.default_rng(3)
-    rtol, atol = 1e-11, (1e-12, 1e-12, 1e-13)
+    rtol, atol = shoot._RTOL, shoot._ATOL
+    f = Nonlinearity(kind="prototype", p=2.0, q=0.5, M=10.0).scalar_and_slope  # smooth for the u drawn here
     compared = 0
     for trial in range(200):
-        rhs = _toy_rhs(trial % 7)
-        y = tuple(rng.normal(size=9).tolist())
+        a = PolynomialForm(tuple((rng.normal(size=4) / 3.0).tolist())).scalar_and_slope(0.5)
+        lam_dir = -float(rng.uniform(0.5, 3.0))
+        rhs = shoot._augmented_rhs(a, f, lam_dir)
+        y = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.5, 1.0)), *rng.normal(size=7).tolist())
         h = float(rng.uniform(0.01, 0.3))
         k0 = rhs(*y)
-        y_new, k_new, err, stages = step(rhs, h, y, k0, rtol, atol)
+        # a budget of 11 calls ends the loop after its first trial step, whatever that step's error
+        end, *_, step = loop(a, f, lam_dir, 2.0, y, k0, 0.0, math.inf, h, 0, 11, 0.0, 0.0, rtol, atol)
+        assert end == "spent"
+        s_new, h_step, y_new, k_new, stages, err, _, _ = step
+        assert s_new == h_step == h
         K = np.empty((DOP853.n_stages + 1, 9))
         want, f_want = rk_step(lambda t, v: np.array(rhs(*v)), 0.0, np.array(y), np.array(k0), h, DOP853.A, DOP853.B, DOP853.C, K)
         assert np.all(np.abs(np.array(y_new) - want) <= 1e-13 * np.abs(want))
@@ -406,6 +403,28 @@ _PARTIALS_CASES = [
     # u falls from 0.74 to 0.58: the path leaves one middle cell of the table for the next
     ("table", 2.0, 0.7),
 ]
+
+
+# right-hand-side calls of the shots at the ramp's seed point while a power
+# form clipped at its node: a step that overshot the node met a kink there
+_RAMP_SEED_NFEV_CLIPPED = {"augmented": 514, "plain": 430}
+
+
+def test_a_linear_node_costs_the_shots_no_kink(ramp_weight):
+    # a whole-number exponent continues its polynomial past the node, so a
+    # step that overshoots the node's x edge is cut by the edge event alone
+    shots = {
+        "augmented": lambda pb: shoot._march_partials(pb, 0.0, 1e-3, 0.0, 1.0),
+        "plain": lambda pb: shoot._march(pb, 0.0, 1e-3, 0.0, 1.0, collect=None),
+    }
+    pb = ProblemInstance(19.5397959, ramp_weight, _SMOOTHED_F)
+    for name, clipped in _RAMP_SEED_NFEV_CLIPPED.items():
+        path = shots[name](pb)
+        assert path.terminal == "reached"
+        assert path.nfev <= 0.75 * clipped, name
+    # a fractional order is not smooth at the node: it keeps its clip, and its shots their counts
+    pb = ProblemInstance(10.366762, power_weight(1.0, 0.5, 2.0, 0.5, 0.4), _SMOOTHED_F)
+    assert {name: shot(pb).nfev for name, shot in shots.items()} == {"augmented": 1090, "plain": 1102}
 
 
 @pytest.mark.parametrize("problem, lam, s0", _PARTIALS_CASES)
